@@ -14,6 +14,7 @@
 //! All policies implement [`gpu_sim::policy::SmPolicy`] and attach to a
 //! simulation via their `*_factory()` constructors.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 use baselines::pcal_factory;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::gpu::Gpu;

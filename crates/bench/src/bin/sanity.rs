@@ -3,7 +3,7 @@
 //! ```text
 //! sanity [--quick] [--profile] [--profile-out FILE]
 //!        [--trace DIR] [--trace-events MASK] [--partitions N]
-//!        [--sim-threads N] [--no-desc-cache] [--no-burst] [apps...]
+//!        [--no-desc-cache] [--no-burst] [apps...]
 //! ```
 //!
 //! With `--profile`, the IPC table moves to stderr and stdout carries a
@@ -11,6 +11,8 @@
 //! writes to `BENCH_PR4.json`), so CI can parse it directly. With
 //! `--trace DIR`, every timed simulation also captures an `.lbt` event
 //! trace named after its profile key (e.g. `app=GA_arch=base.lbt`).
+
+#![forbid(unsafe_code)]
 
 use baselines::{best_swl_sweep, cerf_factory, pcal_factory};
 use gpu_sim::config::GpuConfig;
@@ -31,7 +33,6 @@ fn main() {
     let mut trace_dir: Option<String> = None;
     let mut trace_mask = MASK_ALL;
     let mut partitions: Option<u32> = None;
-    let mut sim_threads: Option<u32> = None;
     let mut desc_cache = true;
     let mut burst = true;
     let mut only: Vec<String> = Vec::new();
@@ -65,16 +66,6 @@ fn main() {
                     }
                 };
             }
-            "--sim-threads" => {
-                let v = args.next().unwrap_or_default();
-                sim_threads = match v.parse::<u32>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--sim-threads expects a positive integer, got '{v}'");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--no-desc-cache" => desc_cache = false,
             "--no-burst" => burst = false,
             "--workload" => {
@@ -87,11 +78,8 @@ fn main() {
                 eprintln!(
                     "usage: sanity [--quick] [--profile] [--profile-out FILE] \
                      [--trace DIR] [--trace-events MASK] [--partitions N] \
-                     [--sim-threads N] [--no-desc-cache] [--no-burst] \
-                     [--workload trace:PATH]... [apps...]\n  --sim-threads N \
-                     (or LB_SIM_THREADS=N) steps due SMs on N worker threads \
-                     (byte-identical output; sanity runs one sim at a time, so \
-                     the full budget goes to each sim)\n  --workload replays a \
+                     [--no-desc-cache] [--no-burst] \
+                     [--workload trace:PATH]... [apps...]\n  --workload replays a \
                      workload trace (.lbw1, or .traceg to import) as an extra \
                      table row (no Best-SWL sweep for traces)"
                 );
@@ -117,14 +105,6 @@ fn main() {
     }
     if !burst {
         cfg = cfg.with_burst(false);
-    }
-    // --sim-threads beats LB_SIM_THREADS. Sanity runs its simulations one
-    // at a time (jobs = 1), so the whole budget goes to each simulation.
-    let env_sim_threads = std::env::var("LB_SIM_THREADS").ok().and_then(|v| v.parse::<u32>().ok());
-    let sim_threads = sim_threads.or(env_sim_threads);
-    if let Some(n) = sim_threads {
-        cfg = cfg.with_sim_threads(n);
-        eprintln!("[config] sim-threads: {n} threads/sim (1 job)");
     }
     let started = std::time::Instant::now();
     let mut prof = Profile::default();
@@ -265,7 +245,7 @@ fn main() {
             eprintln!("{line}");
         }
         let suite_wall_s = started.elapsed().as_secs_f64();
-        prof.record_workers(1, sim_threads.unwrap_or(1) as u64);
+        prof.jobs = 1;
         eprint!("{}", prof.summary(suite_wall_s));
         let scale = if quick { "sanity-quick" } else { "sanity" };
         let json = prof.to_json("sanity", scale, suite_wall_s);

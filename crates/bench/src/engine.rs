@@ -185,35 +185,10 @@ impl Engine {
     }
 }
 
-/// Splits a total simulation-thread `budget` across `jobs` concurrent
-/// harness workers: each active simulation gets `budget / jobs` intra-sim
-/// threads (floor, minimum 1). This is the anti-oversubscription rule the
-/// harness binaries apply when `--jobs` and `--sim-threads` are combined —
-/// `jobs * split_sim_threads(budget, jobs) <= max(budget, jobs)`, so the
-/// process never runs more simulation threads than the user budgeted.
-pub fn split_sim_threads(budget: usize, jobs: usize) -> usize {
-    (budget / jobs.max(1)).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::Arch;
-
-    #[test]
-    fn sim_thread_budget_splits_across_jobs() {
-        assert_eq!(split_sim_threads(8, 1), 8);
-        assert_eq!(split_sim_threads(8, 2), 4);
-        assert_eq!(split_sim_threads(8, 3), 2, "floor division");
-        assert_eq!(split_sim_threads(2, 4), 1, "never below one");
-        assert_eq!(split_sim_threads(0, 0), 1, "degenerate inputs clamp");
-        // The oversubscription bound the harness relies on.
-        for budget in 0..20 {
-            for jobs in 1..20 {
-                assert!(jobs * split_sim_threads(budget, jobs) <= budget.max(jobs));
-            }
-        }
-    }
 
     fn fake_stats(cycles: u64) -> SimStats {
         SimStats { cycles, ..SimStats::default() }

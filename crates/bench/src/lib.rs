@@ -24,6 +24,7 @@
 //! parallel (`--jobs`/`LB_JOBS`, default: all cores) with bit-identical
 //! results at any worker count.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;

@@ -11,17 +11,22 @@
 //! and splits stepped SM cycles into LSU-busy and issue-scan phases; since
 //! greedy-run bursting the `sm_phases` block also carries a `burst`
 //! sub-record (span counts, a span-length histogram, and LSU entries
-//! serviced on batched local cycles); since multi-threaded burst execution
-//! it also carries a `parallel` sub-record (pool rounds, spans, steals and
-//! barrier wait) plus a top-level `workers` block recording how the
-//! process's thread budget was split between harness jobs and
-//! intra-simulation threads.
+//! serviced on batched local cycles). A top-level `workers` block records
+//! the harness's `--jobs` count.
+//!
+//! The record carries a `schema` version ([`SCHEMA`]) instead of a tag
+//! naming the change that produced it: bump the constant whenever a key
+//! is added, removed or changes meaning, so readers can tell which layout
+//! they hold.
 //!
 //! The workspace is std-only, so the JSON record is emitted by a small
 //! hand-rolled writer (and checked in tests by the equally small
 //! [`validate_json`] recursive-descent validator).
 
 use gpu_sim::stats::SimStats;
+
+/// Layout version of the JSON record written by [`Profile::to_json`].
+pub const SCHEMA: u32 = 1;
 
 /// Timing and event record of one simulation.
 #[derive(Debug, Clone)]
@@ -135,26 +140,9 @@ pub struct Profile {
     pub sm_burst_hist: [u64; 6],
     /// LSU entries serviced on batched local cycles (no global step paid).
     pub sm_lsu_batched: u64,
-    /// Largest intra-simulation pool size seen across simulations (1 when
-    /// every run was serial).
-    pub par_threads_max: u64,
-    /// Parallel rounds executed (steps whose due-SM spans ran on the pool).
-    pub par_rounds: u64,
-    /// SM spans executed on the pool across those rounds.
-    pub par_spans: u64,
-    /// Spans claimed from another thread's chunk (work stealing). Timing
-    /// dependent — excluded from determinism digests, reported here only.
-    pub par_steals: u64,
-    /// Nanoseconds the round publisher waited at the rendezvous barrier.
-    /// Timing dependent, like [`Profile::par_steals`].
-    pub par_barrier_ns: u64,
     /// Harness worker threads (`--jobs`) of this invocation; 0 until the
-    /// producing binary records its split.
+    /// producing binary sets it.
     pub jobs: u64,
-    /// Effective intra-simulation threads per run after the
-    /// [`crate::engine::split_sim_threads`] anti-oversubscription split;
-    /// 0 until the producing binary records its split.
-    pub sim_threads: u64,
     /// Trace files written (when `--trace` is active).
     pub trace_files: u64,
     /// Total encoded trace bytes across those files.
@@ -260,11 +248,6 @@ impl Profile {
         self.sm_burst_hist[4] += e.sm_burst_len_16_63;
         self.sm_burst_hist[5] += e.sm_burst_len_64p;
         self.sm_lsu_batched += e.sm_lsu_batched;
-        self.par_threads_max = self.par_threads_max.max(e.par_threads.max(1));
-        self.par_rounds += e.par_rounds;
-        self.par_spans += e.par_spans;
-        self.par_steals += e.par_steals;
-        self.par_barrier_ns += e.par_barrier_wait_ns;
         if self.partitions.len() < stats.partitions.len() {
             self.partitions.resize(stats.partitions.len(), PartProfile::default());
         }
@@ -279,28 +262,6 @@ impl Profile {
             agg.icnt_stepped += icnt_stepped;
             agg.icnt_slept += 2 * stats.cycles - icnt_stepped;
         }
-    }
-
-    /// Records how the producing binary split its thread budget: `jobs`
-    /// concurrent simulations, each on `sim_threads` intra-sim workers.
-    pub fn record_workers(&mut self, jobs: u64, sim_threads: u64) {
-        self.jobs = jobs;
-        self.sim_threads = sim_threads;
-    }
-
-    /// Fraction of pool-executed spans claimed from another thread's
-    /// chunk, in [0, 1]; 0 when nothing ran on a pool.
-    pub fn par_stolen_fraction(&self) -> f64 {
-        if self.par_spans == 0 {
-            0.0
-        } else {
-            self.par_steals as f64 / self.par_spans as f64
-        }
-    }
-
-    /// Seconds the round publishers spent waiting at rendezvous barriers.
-    pub fn par_barrier_s(&self) -> f64 {
-        self.par_barrier_ns as f64 / 1e9
     }
 
     /// Records one written trace file (size and event count).
@@ -443,25 +404,6 @@ impl Profile {
             self.sm_burst_hist[4],
             self.sm_burst_hist[5],
         ));
-        if self.par_rounds > 0 {
-            s.push_str(&format!(
-                "[profile] parallel: {} threads, {} rounds, {} spans \
-                 ({} stolen, {:.1}%), barrier wait {:.3}s ({:.1}% of sim time)\n",
-                self.par_threads_max,
-                self.par_rounds,
-                self.par_spans,
-                self.par_steals,
-                self.par_stolen_fraction() * 100.0,
-                self.par_barrier_s(),
-                if self.sim_wall_s() > 0.0 {
-                    self.par_barrier_s() / self.sim_wall_s() * 100.0
-                } else {
-                    0.0
-                },
-            ));
-        } else {
-            s.push_str("[profile] parallel: off (sim-threads 1, serial spans)\n");
-        }
         if self.partitions.len() > 1 {
             for (id, p) in self.partitions.iter().enumerate() {
                 s.push_str(&format!(
@@ -553,7 +495,7 @@ impl Profile {
             })
             .collect();
         format!(
-            "{{\n  \"bench\": \"PR10\",\n  \"binary\": {},\n  \"scale\": {},\n  \
+            "{{\n  \"schema\": {},\n  \"binary\": {},\n  \"scale\": {},\n  \
              \"suite_wall_s\": {:.3},\n  \"sims\": {},\n  \"sim_wall_s\": {:.3},\n  \
              \"cycles\": {},\n  \"stepped_cycles\": {},\n  \"skipped_cycles\": {},\n  \
              \"skipped_fraction\": {:.6},\n  \"cycles_per_sec\": {:.1},\n  \
@@ -566,17 +508,15 @@ impl Profile {
              \"sm_phases\": {{\"lsu_busy_cycles\": {}, \"issue_scan_cycles\": {}, \
              \"burst\": {{\"bursts\": {}, \"burst_cycles\": {}, \"mean_len\": {:.3}, \
              \"lsu_batched\": {}, \"len_hist\": {{\"1\": {}, \"2_3\": {}, \"4_7\": {}, \
-             \"8_15\": {}, \"16_63\": {}, \"64p\": {}}}}}, \
-             \"parallel\": {{\"threads\": {}, \"rounds\": {}, \"spans\": {}, \
-             \"steals\": {}, \"stolen_fraction\": {:.6}, \
-             \"barrier_wait_s\": {:.6}}}}},\n  \
-             \"workers\": {{\"jobs\": {}, \"sim_threads\": {}}},\n  \
+             \"8_15\": {}, \"16_63\": {}, \"64p\": {}}}}}}},\n  \
+             \"workers\": {{\"jobs\": {}}},\n  \
              \"desc_cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \
              \"hit_rate\": {:.6}, \"bytes\": {}}},\n  \
              \"skip_bounds\": {{\"sm\": {}, \"dram\": {}, \"icnt\": {}, \
              \"window\": {}, \"max\": {}}},\n  \"trace\": {{\"files\": {}, \
              \"bytes\": {}, \"events\": {}}},\n  \"partitions\": [{}],\n  \
              \"slowest\": [{}]\n}}\n",
+            SCHEMA,
             json_string(label),
             json_string(scale),
             suite_wall_s,
@@ -614,14 +554,7 @@ impl Profile {
             self.sm_burst_hist[3],
             self.sm_burst_hist[4],
             self.sm_burst_hist[5],
-            self.par_threads_max.max(1),
-            self.par_rounds,
-            self.par_spans,
-            self.par_steals,
-            self.par_stolen_fraction(),
-            self.par_barrier_s(),
             self.jobs,
-            self.sim_threads,
             self.desc_entries,
             self.desc_hits,
             self.desc_misses,
@@ -875,13 +808,8 @@ mod tests {
         stats.events.sm_burst_len_2_3 = 10;
         stats.events.sm_burst_len_8_15 = 20;
         stats.events.sm_lsu_batched = 120;
-        stats.events.par_threads = 4;
-        stats.events.par_rounds = 9;
-        stats.events.par_spans = 30;
-        stats.events.par_steals = 6;
-        stats.events.par_barrier_wait_ns = 1_500_000;
         p.record("app=GA arch=base".into(), 0.25, &stats);
-        p.record_workers(2, 4);
+        p.jobs = 2;
         let j = p.to_json("test", "quick", 0.3);
         assert!(validate_json(&j).is_ok(), "emitted JSON must validate: {j}");
         assert_eq!(p.cycles(), 1000);
@@ -899,20 +827,8 @@ mod tests {
         assert!((p.agg_mean_burst_len() - 12.0).abs() < 1e-12);
         assert!((p.records[0].mean_burst_len() - 12.0).abs() < 1e-12);
         assert!(j.contains("\"mean_burst_len\": 12.000"));
-        assert!(j.contains("\"bench\": \"PR10\""));
-        assert!(j.contains(
-            "\"parallel\": {\"threads\": 4, \"rounds\": 9, \"spans\": 30, \
-             \"steals\": 6, \"stolen_fraction\": 0.200000, \
-             \"barrier_wait_s\": 0.001500}"
-        ));
-        assert!(j.contains("\"workers\": {\"jobs\": 2, \"sim_threads\": 4}"));
-        assert!((p.par_stolen_fraction() - 0.2).abs() < 1e-12);
-        let line = p.summary(0.3);
-        assert!(line.contains("[profile] parallel: 4 threads, 9 rounds, 30 spans"));
-        assert!(
-            Profile::default().summary(0.1).contains("[profile] parallel: off"),
-            "serial profiles must say so rather than print zeros"
-        );
+        assert!(j.starts_with(&format!("{{\n  \"schema\": {SCHEMA},\n")));
+        assert!(j.contains("\"workers\": {\"jobs\": 2},"));
     }
 
     #[test]

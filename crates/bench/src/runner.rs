@@ -137,22 +137,6 @@ impl Runner {
         self.cfg = self.cfg.clone().with_burst(on);
     }
 
-    /// Sets the intra-simulation worker-thread count: each simulation's
-    /// due SMs are stepped on a work-stealing pool of `n` threads (the
-    /// `--sim-threads`/`LB_SIM_THREADS` knobs of the harness binaries).
-    /// Output is byte-identical at any count; `1` (the default) is the
-    /// exact serial path. Not part of [`RunKey`], so the memo is shared
-    /// across thread counts — which is sound precisely because results
-    /// cannot differ.
-    pub fn set_sim_threads(&mut self, n: u32) {
-        self.cfg = self.cfg.clone().with_sim_threads(n);
-    }
-
-    /// The configured intra-simulation worker-thread count.
-    pub fn sim_threads(&self) -> u32 {
-        self.cfg.sim_threads
-    }
-
     /// The scale in use.
     pub fn scale(&self) -> Scale {
         self.scale

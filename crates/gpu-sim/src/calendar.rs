@@ -83,21 +83,6 @@ impl Calendar {
         self.next_due.iter().any(|&t| t <= cycle)
     }
 
-    /// Appends to `out` every component in `lo..hi` due at `cycle`, in
-    /// index order. The parallel span executor uses this to freeze the
-    /// step's due-SM set *before* any SM runs: the serial phase machine
-    /// evaluated `is_due` lazily mid-loop, which is only equivalent
-    /// because phase 1 never reschedules another SM's slot — collecting
-    /// up front makes that independence explicit and hands the pool a
-    /// stable work list.
-    pub fn collect_due(&self, cycle: Cycle, lo: usize, hi: usize, out: &mut Vec<u32>) {
-        for (i, &t) in self.next_due[lo..hi].iter().enumerate() {
-            if t <= cycle {
-                out.push((lo + i) as u32);
-            }
-        }
-    }
-
     /// Earliest (due cycle, component) over all components; ties go to the
     /// lowest component index. `None` when no component is ever self-due.
     pub fn next_event(&self) -> Option<(Cycle, u32)> {
@@ -166,23 +151,6 @@ mod tests {
         assert_eq!(c.next_event(), Some((4, 1)));
         c.wake_at(0, 2);
         assert_eq!(c.next_event(), Some((2, 0)));
-    }
-
-    #[test]
-    fn collect_due_returns_index_ordered_subrange() {
-        let mut c = Calendar::new(6);
-        c.schedule(0, 5);
-        c.schedule(1, 11);
-        c.schedule(2, 10);
-        c.schedule(3, 10);
-        c.park(4);
-        c.schedule(5, 2);
-        let mut due = Vec::new();
-        c.collect_due(10, 0, 4, &mut due);
-        assert_eq!(due, vec![0, 2, 3], "in-range due components, index order");
-        due.clear();
-        c.collect_due(10, 4, 6, &mut due);
-        assert_eq!(due, vec![5], "range excludes parked slot 4");
     }
 
     #[test]

@@ -114,16 +114,6 @@ pub struct GpuConfig {
     /// suspended while an event tracer is attached (the trace wire format
     /// requires globally monotone cycle stamps).
     pub burst: bool,
-    /// Worker threads for intra-simulation parallelism: when ≥ 2, the due
-    /// SMs of each `Gpu::step` execute their local-clock spans concurrently
-    /// on a work-stealing pool and merge their emissions at a rendezvous
-    /// barrier in canonical SM-id order. Purely a simulator speed knob —
-    /// simulated results are byte-identical at any thread count (the
-    /// `--sim-threads` harness flag and its determinism tests prove it).
-    /// Automatically pinned to 1 while an event tracer is attached
-    /// (lockstep tracing needs a single globally ordered writer). Default 1
-    /// = exactly today's serial path.
-    pub sim_threads: u32,
     /// Energy model parameters.
     pub energy: crate::energy::EnergyConfig,
 }
@@ -157,7 +147,6 @@ impl Default for GpuConfig {
             desc_cache: true,
             desc_cache_max_entries: 64 * 1024,
             burst: true,
-            sim_threads: 1,
             energy: crate::energy::EnergyConfig::default(),
         }
     }
@@ -240,14 +229,6 @@ impl GpuConfig {
     /// simulated results are identical either way.
     pub fn with_burst(mut self, enabled: bool) -> Self {
         self.burst = enabled;
-        self
-    }
-
-    /// Returns a copy with the intra-simulation worker-thread count (the
-    /// `--sim-threads` knob; clamped to at least 1). Purely a simulator
-    /// speed knob: simulated results are byte-identical at any count.
-    pub fn with_sim_threads(mut self, n: u32) -> Self {
-        self.sim_threads = n.max(1);
         self
     }
 

@@ -12,7 +12,6 @@ use crate::mem::MemReq;
 use crate::partition::MemPartition;
 use crate::phase_timer;
 use crate::policy::{PolicyFactory, SmPolicy};
-use crate::pool::{SendPtr, SmPool};
 use crate::replay::{CaptureError, ReplayKernel, WarpStream};
 use crate::sm::Sm;
 use crate::stats::{PartitionCounters, ProfileEvents, SimStats};
@@ -76,19 +75,6 @@ pub struct Gpu {
     /// SM's local clock may finish ahead of the global cycle (a pure-ALU
     /// retirement mid-span), and the reported cycle count must cover it.
     local_time: Vec<Cycle>,
-    /// Intra-simulation worker pool (`cfg.sim_threads >= 2`, clamped to
-    /// the SM count): executes the due SMs' spans concurrently each step;
-    /// `None` = serial phase 1, the exact pre-pool path. Never created
-    /// while an event tracer is attached — the shared trace writer is
-    /// single-threaded (`Rc<RefCell>`), which is also what pins `--trace`
-    /// lockstep runs to one thread.
-    pool: Option<SmPool>,
-    /// Scratch for the parallel path: the step's frozen due-SM list (id
-    /// order), each due SM's horizon, and each span's `(end, ticks)`
-    /// result slot, reused across steps.
-    par_due: Vec<u32>,
-    par_horizons: Vec<Cycle>,
-    par_results: Vec<(Cycle, u64)>,
     /// Per-component stepped-cycle counters: SMs at `0..n_sms`, DRAM
     /// channels at `n_sms..n_sms + P`, each partition's `to_l2` at
     /// `n_sms + P + p` and `from_l2` at `n_sms + 2P + p`. Slept cycles are
@@ -171,11 +157,6 @@ impl Gpu {
             // future-stamped outbox batch.
             calendar.park(n_sms + n_parts + i);
         }
-        // More threads than SMs can never all be busy; clamp rather than
-        // spin up dead workers. A 1-SM scale (Quick) therefore never pays
-        // for a pool no matter what `--sim-threads` asks.
-        let threads = (cfg.sim_threads.max(1) as usize).min(n_sms);
-        let pool = (threads > 1 && !tracer.is_on()).then(|| SmPool::new(threads));
         let mut gpu = Gpu {
             partitions,
             part_mask: cfg.n_mem_partitions as u64 - 1,
@@ -187,10 +168,6 @@ impl Gpu {
             dispatch_scratch: Vec::new(),
             calendar,
             burst: cfg.burst && !tracer.is_on(),
-            pool,
-            par_due: Vec::new(),
-            par_horizons: Vec::new(),
-            par_results: Vec::new(),
             in_flight: vec![0; n_sms],
             pending_out: vec![VecDeque::new(); n_sms],
             local_time: vec![0; n_sms],
@@ -333,7 +310,22 @@ impl Gpu {
             self.skipped_cycles += ahead + 1 - self.cycle;
             self.cycle = ahead + 1;
         }
+        if cfg!(debug_assertions) && self.done() {
+            self.debug_assert_drained();
+        }
         self.collect_stats()
+    }
+
+    /// Drain invariant of a finished run: every request an SM emitted was
+    /// answered, and no traffic is left staged between an SM and the
+    /// partitions.
+    fn debug_assert_drained(&self) {
+        for (i, sm) in self.sms.iter().enumerate() {
+            debug_assert_eq!(self.in_flight[i], 0, "SM {i}: requests left unanswered at drain");
+            debug_assert!(self.pending_out[i].is_empty(), "SM {i}: held outbox batch at drain");
+            debug_assert!(sm.emissions.is_empty(), "SM {i}: unmerged emissions at drain");
+            debug_assert!(sm.outbox.is_empty(), "SM {i}: unsent outbox at drain");
+        }
     }
 
     /// Fast-forwards to the earliest cycle at which any component can act.
@@ -429,28 +421,20 @@ impl Gpu {
         //    SM whose span ran ahead of the global clock parks its outbox
         //    batch in `pending_out`, and the batch enters the interconnect
         //    here, at its emission cycle, in SM-id order — the exact queue
-        //    position a cycle-lockstep run would have given it. With a
-        //    worker pool the due spans execute concurrently and everything
-        //    order-sensitive happens at the rendezvous merge instead; both
-        //    paths are built from the same `flush_pending`/`sm_horizon`/
-        //    `absorb_span` pieces, so they cannot drift apart.
-        if self.pool.is_some() {
-            self.step_sms_parallel(cycle);
-        } else {
-            let (base_h, t_del) = self.horizon_inputs(cycle);
-            for i in 0..n_sms {
-                self.flush_pending(i, cycle);
-                if !self.calendar.is_due(i, cycle) {
-                    continue;
-                }
-                // Every held batch flushes at a global step at its stamp,
-                // and stamps never reach the SM's next due cycle, so a due
-                // SM has nothing pending.
-                debug_assert!(self.pending_out[i].is_empty());
-                let horizon = self.sm_horizon(i, cycle, base_h, t_del);
-                let (end, ticks) = self.sms[i].tick_span(cycle, horizon, &self.kernel, &self.cfg);
-                self.absorb_span(i, cycle, end, ticks);
+        //    position a cycle-lockstep run would have given it.
+        let (base_h, t_del) = self.horizon_inputs(cycle);
+        for i in 0..n_sms {
+            self.flush_pending(i, cycle);
+            if !self.calendar.is_due(i, cycle) {
+                continue;
             }
+            // Every held batch flushes at a global step at its stamp, and
+            // stamps never reach the SM's next due cycle, so a due SM has
+            // nothing pending.
+            debug_assert!(self.pending_out[i].is_empty());
+            let horizon = self.sm_horizon(i, cycle, base_h, t_del);
+            let (end, ticks) = self.sms[i].tick_span(cycle, horizon, &self.kernel, &self.cfg);
+            self.absorb_span(i, cycle, end, ticks);
         }
 
         // Phases 2-4 touch disjoint fields every iteration; one split
@@ -543,8 +527,7 @@ impl Gpu {
     /// inbound-delivery cycle (youngest queued response across all
     /// partitions, floored by the interconnect latency of one not yet
     /// queued). Valid to compute once up front because phase 1 never
-    /// pushes into `from_l2` and never moves the window edge — which is
-    /// also exactly why the due spans may run concurrently.
+    /// pushes into `from_l2` and never moves the window edge.
     fn horizon_inputs(&self, cycle: Cycle) -> (Cycle, Cycle) {
         let base = self.next_window.min(self.cfg.max_cycles);
         let mut t_del = cycle + self.cfg.icnt_latency as Cycle;
@@ -601,10 +584,9 @@ impl Gpu {
         }
     }
 
-    /// Post-span bookkeeping for SM `i`. Runs serially, in SM-id order, on
-    /// both phase-1 paths — everything here touches shared state (the CTA
-    /// pool, the partition queues, the calendar), so under the pool it is
-    /// exactly the order-sensitive remainder deferred to the rendezvous.
+    /// Post-span bookkeeping for SM `i`, in SM-id order: CTA reap and
+    /// refill, emission batches into the interconnect or `pending_out`,
+    /// and the SM's next calendar slot.
     fn absorb_span(&mut self, i: usize, cycle: Cycle, end: Cycle, ticks: u64) {
         let n_sms = self.sms.len();
         let n_parts = self.partitions.len();
@@ -664,98 +646,6 @@ impl Gpu {
         }
         let due = self.sms[i].next_due(end).unwrap_or(Cycle::MAX);
         self.calendar.schedule(i, due);
-    }
-
-    /// Phase 1 on the worker pool: freeze the step's due-SM set and each
-    /// due SM's horizon, execute the spans concurrently, then merge
-    /// serially in SM-id order at the rendezvous barrier.
-    ///
-    /// Byte-identity argument, piece by piece:
-    ///
-    /// * **Frozen due set / horizons.** The serial loop evaluates
-    ///   `is_due(i)` and the horizon mid-loop, but phase 1 never
-    ///   reschedules *another* SM's slot ([`Self::absorb_span`] touches
-    ///   only SM `i`'s slots) and never changes a horizon input
-    ///   ([`Self::horizon_inputs`]), so the up-front snapshot equals the
-    ///   serial loop's lazy reads.
-    /// * **Independent spans.** `Sm::tick_span` touches only the SM's own
-    ///   state (pipeline, caches, policy instance, RNG — see its docs), so
-    ///   span `i` computes the same `(end, ticks)` and emission batches on
-    ///   any thread, in any completion order.
-    /// * **Canonical merge.** The serial loop's partition-queue push order
-    ///   within a step is flush(0), drain(0), flush(1), drain(1), …; the
-    ///   merge loop below reproduces exactly that per-SM interleave (a due
-    ///   SM's flush is a no-op — its `pending_out` is empty — so span
-    ///   results never race their own flush). CTA refill consumes the
-    ///   shared `remaining_ctas`/`cta_ordinal` counters in the same SM-id
-    ///   order as the serial loop.
-    fn step_sms_parallel(&mut self, cycle: Cycle) {
-        let n_sms = self.sms.len();
-        let (base_h, t_del) = self.horizon_inputs(cycle);
-        let mut due = std::mem::take(&mut self.par_due);
-        let mut horizons = std::mem::take(&mut self.par_horizons);
-        let mut results = std::mem::take(&mut self.par_results);
-        due.clear();
-        self.calendar.collect_due(cycle, 0, n_sms, &mut due);
-        horizons.clear();
-        horizons.extend(due.iter().map(|&i| self.sm_horizon(i as usize, cycle, base_h, t_del)));
-        results.clear();
-        results.resize(due.len(), (0, 0));
-        if due.len() >= 2 {
-            for &i in &due {
-                // A due SM holds no batches (see the serial loop), so the
-                // span cannot race its own flush at the merge.
-                debug_assert!(self.pending_out[i as usize].is_empty());
-            }
-            let sms = SendPtr(self.sms.as_mut_ptr());
-            let out = SendPtr(results.as_mut_ptr());
-            let due_ref: &[u32] = &due;
-            let horizons_ref: &[Cycle] = &horizons;
-            let kernel = &self.kernel;
-            let cfg = &self.cfg;
-            let pool = self.pool.as_mut().expect("parallel path requires a pool");
-            pool.run_round(due_ref.len(), &move |k| {
-                // SAFETY: the pool claims each `k` exactly once; distinct
-                // items name distinct SMs (the due list is strictly
-                // increasing) and distinct result slots, `tick_span`
-                // confines itself to per-SM state, and the publisher
-                // blocks at the barrier before touching `sms`/`results`
-                // again — so every access is exclusive while it happens.
-                let sm = unsafe { &mut *sms.get().add(due_ref[k] as usize) };
-                let r = sm.tick_span(cycle, horizons_ref[k], kernel, cfg);
-                unsafe { *out.get().add(k) = r };
-            });
-        } else {
-            // 0 or 1 due SMs: a round would be pure synchronization
-            // overhead; run inline on the main thread.
-            for k in 0..due.len() {
-                let i = due[k] as usize;
-                debug_assert!(self.pending_out[i].is_empty());
-                results[k] = self.sms[i].tick_span(cycle, horizons[k], &self.kernel, &self.cfg);
-            }
-        }
-        // Rendezvous merge: one pass over ALL SMs in id order, preserving
-        // the serial loop's exact flush/drain interleave per SM.
-        let mut k = 0usize;
-        for i in 0..n_sms {
-            self.flush_pending(i, cycle);
-            if k < due.len() && due[k] as usize == i {
-                let (end, ticks) = results[k];
-                k += 1;
-                self.absorb_span(i, cycle, end, ticks);
-            }
-        }
-        debug_assert_eq!(k, due.len(), "every span result must be merged");
-        self.par_due = due;
-        self.par_horizons = horizons;
-        self.par_results = results;
-    }
-
-    /// Effective intra-simulation thread count: the pool's size, or 1 on
-    /// the serial path (including the tracer-forced pin and the SM-count
-    /// clamp — a 1-SM configuration is always serial).
-    pub fn sim_threads(&self) -> u32 {
-        self.pool.as_ref().map_or(1, |p| p.n_threads() as u32)
     }
 
     /// Read-only view of one memory partition (tests, experiments).
@@ -889,22 +779,7 @@ impl Gpu {
             sm_burst_len_16_63: burst.sm_burst_len_16_63,
             sm_burst_len_64p: burst.sm_burst_len_64p,
             sm_lsu_batched: burst.sm_lsu_batched,
-            ..ProfileEvents::default()
         };
-        // Parallel-executor telemetry: all-zero on the serial path, so
-        // threads=1 output (including these counters) is bit-identical to
-        // the pre-pool simulator. `par_rounds`/`par_spans` are
-        // deterministic for a fixed thread count; `par_steals` and the
-        // barrier wait are timing-dependent and must be scrubbed by
-        // cross-thread-count digest comparisons.
-        if let Some(pool) = &self.pool {
-            let t = pool.telemetry();
-            total.events.par_threads = pool.n_threads() as u64;
-            total.events.par_rounds = t.rounds;
-            total.events.par_spans = t.spans;
-            total.events.par_steals = t.steals;
-            total.events.par_barrier_wait_ns = t.barrier_wait_ns;
-        }
         // Per-partition breakdown, indexed by partition id.
         total.partitions = (0..n_parts)
             .map(|p| {
@@ -1179,112 +1054,6 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.l1_hits, b.l1_hits);
         assert_eq!(a.miss_2c, b.miss_2c);
-    }
-
-    /// Architectural scalars + events with the timing-dependent parallel
-    /// telemetry scrubbed: equal across any `sim_threads`.
-    fn arch_digest(mut s: SimStats) -> (Vec<u64>, ProfileEvents) {
-        s.events.par_threads = 0;
-        s.events.par_rounds = 0;
-        s.events.par_spans = 0;
-        s.events.par_steals = 0;
-        s.events.par_barrier_wait_ns = 0;
-        (
-            vec![
-                s.cycles,
-                s.instructions,
-                s.l1_hits,
-                s.miss_cold,
-                s.miss_2c,
-                s.bypasses,
-                s.stores,
-                s.rf_reads,
-                s.rf_writes,
-                s.rf_bank_conflicts,
-                s.mshr_stalls,
-                s.l2_hits,
-                s.l2_misses,
-                s.dram_bytes.iter().sum(),
-                s.completed as u64,
-            ],
-            s.events,
-        )
-    }
-
-    #[test]
-    fn parallel_spans_match_serial_exactly() {
-        let k = cache_friendly_kernel();
-        let serial = arch_digest(run_kernel(fast_cfg(), k.clone(), &baseline_factory()));
-        for threads in [2, 4, 7] {
-            let cfg = fast_cfg().with_sms(4).with_sim_threads(threads);
-            let base = arch_digest(run_kernel(
-                cfg.clone().with_sim_threads(1),
-                k.clone(),
-                &baseline_factory(),
-            ));
-            let par = arch_digest(run_kernel(cfg, k.clone(), &baseline_factory()));
-            assert_eq!(base, par, "threads={threads} diverged from serial on 4 SMs");
-        }
-        // And the 2-SM fast config agrees with itself at 2 threads.
-        let par2 = arch_digest(run_kernel(fast_cfg().with_sim_threads(2), k, &baseline_factory()));
-        assert_eq!(serial, par2);
-    }
-
-    #[test]
-    fn parallel_spans_match_serial_without_burst() {
-        // Span length 1 everywhere: the pool still engages (many due SMs
-        // per cycle) and must still be byte-identical.
-        let k = cache_friendly_kernel();
-        let cfg = fast_cfg().with_sms(4).with_burst(false);
-        let serial = arch_digest(run_kernel(cfg.clone(), k.clone(), &baseline_factory()));
-        let par = arch_digest(run_kernel(cfg.with_sim_threads(3), k, &baseline_factory()));
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn parallel_pool_reports_engagement() {
-        let k = cache_friendly_kernel();
-        let stats = run_kernel(fast_cfg().with_sms(4).with_sim_threads(2), k, &baseline_factory());
-        assert_eq!(stats.events.par_threads, 2);
-        assert!(stats.events.par_rounds > 0, "4 busy SMs must produce parallel rounds");
-        assert!(stats.events.par_spans >= 2 * stats.events.par_rounds);
-        // Serial runs keep every parallel counter at zero.
-        let serial = run_kernel(fast_cfg(), cache_friendly_kernel(), &baseline_factory());
-        assert_eq!(serial.events.par_threads, 0);
-        assert_eq!(serial.events.par_rounds, 0);
-        assert_eq!(serial.events.par_spans, 0);
-    }
-
-    #[test]
-    fn sim_threads_clamped_to_sm_count() {
-        let k = KernelBuilder::new("tiny")
-            .grid(2, 2)
-            .regs_per_thread(16)
-            .alu(2)
-            .iterations(5)
-            .build()
-            .unwrap();
-        // 1 SM: always serial no matter what was asked.
-        let cfg = GpuConfig::default().with_sms(1).with_windows(5_000, 60_000).with_sim_threads(8);
-        let gpu = Gpu::new(cfg, k.clone(), &baseline_factory());
-        assert_eq!(gpu.sim_threads(), 1);
-        // 2 SMs, 8 requested: pool clamps to 2.
-        let gpu = Gpu::new(fast_cfg().with_sim_threads(8), k, &baseline_factory());
-        assert_eq!(gpu.sim_threads(), 2);
-    }
-
-    #[test]
-    fn tracer_pins_parallelism_to_one_thread() {
-        let k = cache_friendly_kernel();
-        let writer = lb_trace::TraceWriter::to_memory(lb_trace::MASK_ALL);
-        let tracer = Tracer::new(writer);
-        let gpu = Gpu::new_traced(
-            fast_cfg().with_sms(4).with_sim_threads(4),
-            k,
-            &baseline_factory(),
-            tracer,
-        );
-        assert_eq!(gpu.sim_threads(), 1, "lockstep tracing must pin threads=1");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -54,7 +55,6 @@ pub mod partition;
 pub mod pattern;
 pub mod phase_timer;
 pub mod policy;
-pub mod pool;
 pub mod regfile;
 pub mod replay;
 pub mod scheduler;

@@ -17,28 +17,6 @@
 //! 1.0 is exact), same address map (partition shift 0) — which is what
 //! keeps the default configuration bit-identical to the pre-partition
 //! simulator.
-//!
-//! # Thread ownership (parallel spans)
-//!
-//! Partitions are owned by the GPU's main thread, always. Under
-//! `sim_threads >= 2` the due SMs' spans run on pool threads, and the
-//! parallel phase machine relies on two partition-side invariants:
-//!
-//! * **Phase 1 never mutates a partition.** SM spans stage their traffic
-//!   in per-SM `emissions`/`pending_out` buffers; `to_l2.push` happens
-//!   only at the serial rendezvous merge (and `from_l2` only in phases
-//!   2–4). This is what lets the GPU snapshot the inbound-delivery
-//!   horizon (`from_l2.next_due` across partitions) once per step,
-//!   *before* any span runs, and hand every due SM a stable horizon.
-//! * **Queue order is canonical.** The merge pushes per SM in id order,
-//!   flush-then-drain, so a partition's `to_l2` receives exactly the
-//!   sequence a cycle-lockstep, single-threaded run would have produced —
-//!   the byte-identity anchor for every thread count.
-//!
-//! Nothing in this file is itself thread-aware; keep it that way. A
-//! method that pool threads could reach (anything called from
-//! `Sm::tick_span`) must not be added here without revisiting the
-//! parallel phase machine in `gpu.rs`.
 
 use crate::cache::{L2Cache, MshrOutcome};
 use crate::config::{CacheConfig, GpuConfig};

@@ -608,24 +608,6 @@ impl Sm {
     /// under that guarantee every local tick observes exactly the state the
     /// per-cycle loop would have shown it, so stats, policy callbacks and
     /// completion schedules are bit-identical.
-    ///
-    /// # Thread ownership (parallel spans)
-    ///
-    /// When `GpuConfig::sim_threads >= 2`, the GPU executes the due SMs'
-    /// spans concurrently, so this method may run on any pool thread. The
-    /// contract that makes that sound: a span touches *only* state owned
-    /// by this SM — its pipeline, warps, L1, MSHRs, register file, RNG,
-    /// stats, its policy instance (fresh per SM by the [`PolicyFactory`]
-    /// contract), and its own `outbox`/`emissions`/`outbox_pool` staging —
-    /// never the partitions, the calendar, another SM, or the shared CTA
-    /// counters. Everything shared is deferred to `Gpu::absorb_span`,
-    /// which the GPU runs serially in SM-id order at the rendezvous
-    /// barrier. A tracer would break this (one `Rc<RefCell>` writer shared
-    /// by all SMs), which is why traced runs never build a pool. Adding an
-    /// emit site or any other shared-state access inside the span path
-    /// means revisiting that gate.
-    ///
-    /// [`PolicyFactory`]: crate::policy::PolicyFactory
     pub fn tick_span(
         &mut self,
         cycle: Cycle,
@@ -1269,12 +1251,14 @@ impl Sm {
         next
     }
 
+    /// Issues the warp's next instruction. One path serves synthetic and
+    /// replayed warps: [`Sm::fetch_op`] supplies the body position and a
+    /// memory op's lines, the shared body does operand traffic, the
+    /// ALU/Load/Store work and capture, and only the final advance differs
+    /// (kernel-body loop or stream cursor).
     fn execute_inst(&mut self, wid: WarpId, cycle: Cycle, kernel: &KernelSpec, cfg: &GpuConfig) {
-        if self.replay.is_some() {
-            return self.execute_trace_inst(wid, cycle, kernel, cfg);
-        }
         let slot = wid.0 as usize;
-        let body_pos = self.warps.body_pos(slot);
+        let body_pos = self.fetch_op(slot, kernel);
         let inst = &kernel.body[body_pos as usize];
         self.stats.instructions += 1;
         self.tracer.emit(
@@ -1298,8 +1282,6 @@ impl Sm {
                 self.warps.set_next_ready(slot, cycle + latency.max(1) as u64 + extra_delay as u64);
             }
             InstKind::Load { load } => {
-                let idx = self.warps.next_access_index(slot, load);
-                self.gen_access_lines(slot, load, idx, kernel);
                 self.capture_op(slot, body_pos, true);
                 let n = self.line_buf.len() as u32;
                 self.warps.add_outstanding(slot, load, n);
@@ -1315,8 +1297,6 @@ impl Sm {
                 }
             }
             InstKind::Store { load } => {
-                let idx = self.warps.next_access_index(slot, load);
-                self.gen_access_lines(slot, load, idx, kernel);
                 self.capture_op(slot, body_pos, true);
                 self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
                 // Write-evict (hit) / write-no-allocate (miss): invalidate L1
@@ -1346,8 +1326,18 @@ impl Sm {
             }
         }
 
-        // Advance the warp past this instruction and retire if finished.
-        self.warps.advance(slot, kernel);
+        // Advance the warp past this instruction and retire if finished: a
+        // synthetic warp loops over the kernel body, a replayed warp steps
+        // its stream cursor and retires at stream end.
+        match &self.replay {
+            None => self.warps.advance(slot, kernel),
+            Some(rep) => {
+                let stream = &rep.streams[self.warps.stream(slot) as usize];
+                let next = stream.ops.get(self.warps.body_pos(slot) as usize + 1);
+                let next_meta = next.map(|o| WarpSlab::inst_meta_at(kernel, o.pos));
+                self.warps.advance_trace(slot, next_meta);
+            }
+        }
         if self.warps.done(slot) {
             let cta_id = self.warps.cta(slot);
             self.schedulers[(wid.0 % cfg.schedulers_per_sm) as usize].release(wid);
@@ -1357,107 +1347,30 @@ impl Sm {
         }
     }
 
-    /// Trace-mode twin of [`Sm::execute_inst`]: the warp's dynamic
-    /// instruction comes from its stream cursor (`body_pos`), the static
-    /// instruction from the stub body at the op's recorded position, and a
-    /// memory op's coalesced lines from the stream's interned line pool —
-    /// `gen_access_lines` (and the access-index counter feeding it) is never
-    /// consulted. Everything downstream — operand traffic, scoreboard,
-    /// LSU/L1 path, store write-through, retirement — is byte-for-byte the
-    /// synthetic path, so the burst legality checks (which read only the
-    /// packed meta word) and every policy hook keep working unchanged.
-    fn execute_trace_inst(
-        &mut self,
-        wid: WarpId,
-        cycle: Cycle,
-        kernel: &KernelSpec,
-        cfg: &GpuConfig,
-    ) {
-        let rep = self.replay.clone().expect("trace mode");
-        let slot = wid.0 as usize;
+    /// Source step of [`Sm::execute_inst`]: returns the body position of
+    /// the warp's next instruction and, for a memory op, leaves its
+    /// coalesced lines in `line_buf`. A synthetic warp reads its kernel
+    /// body and generates the lines; a replayed warp reads its stream op
+    /// (the cursor is `body_pos`) and copies the op's interned line slice,
+    /// never consulting the descriptor cache or the access-index counter.
+    fn fetch_op(&mut self, slot: usize, kernel: &KernelSpec) -> u32 {
+        let Some(rep) = &self.replay else {
+            let pos = self.warps.body_pos(slot);
+            if let InstKind::Load { load } | InstKind::Store { load } =
+                kernel.body[pos as usize].kind
+            {
+                let idx = self.warps.next_access_index(slot, load);
+                self.gen_access_lines(slot, load, idx, kernel);
+            }
+            return pos;
+        };
         let stream = &rep.streams[self.warps.stream(slot) as usize];
-        let cursor = self.warps.body_pos(slot) as usize;
-        let op = stream.ops[cursor];
-        let pos = op.pos;
-        let inst = &kernel.body[pos as usize];
-        self.stats.instructions += 1;
-        self.tracer.emit(
-            cycle,
-            TraceEvent::Issue { sm: self.id.0 as u64, warp: wid.0 as u64, pos: pos as u64 },
+        let op = stream.ops[self.warps.body_pos(slot) as usize];
+        self.line_buf.clear();
+        self.line_buf.extend_from_slice(
+            &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize],
         );
-
-        let extra_delay = self.regfile.access_operands(
-            self.warps.op_base(slot),
-            kernel.regs_per_warp().max(1),
-            self.rot3[pos as usize],
-            cycle,
-        );
-
-        match inst.kind {
-            InstKind::Alu { latency } => {
-                self.capture_op(slot, pos, false);
-                self.warps.set_next_ready(slot, cycle + latency.max(1) as u64 + extra_delay as u64);
-            }
-            InstKind::Load { load } => {
-                self.line_buf.clear();
-                self.line_buf.extend_from_slice(
-                    &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize],
-                );
-                self.capture_op(slot, pos, true);
-                let n = self.line_buf.len() as u32;
-                self.warps.add_outstanding(slot, load, n);
-                self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
-                let pc = kernel.load(load).pc;
-                let hpc = self.load_hpc[load.0 as usize];
-                let gen = self.warps.generation(slot);
-                for &line in &self.line_buf {
-                    if cfg.detailed_load_stats {
-                        self.stats.record_line_touch(load, line.0);
-                    }
-                    self.lsu_queue.push_back(LsuReq { warp: wid.0, gen, load, pc, hpc, line });
-                }
-            }
-            InstKind::Store { load } => {
-                self.line_buf.clear();
-                self.line_buf.extend_from_slice(
-                    &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize],
-                );
-                self.capture_op(slot, pos, true);
-                self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
-                for i in 0..self.line_buf.len() {
-                    let line = self.line_buf[i];
-                    self.stats.stores += 1;
-                    self.stores_in_flight += 1;
-                    self.l1.invalidate(line);
-                    let mut ctx = PolicyCtx {
-                        cycle,
-                        sm: self.id,
-                        regfile: &mut self.regfile,
-                        stats: &mut self.stats,
-                    };
-                    self.policy.on_store(line, &mut ctx);
-                    self.outbox.push(MemReq {
-                        sm: self.id,
-                        warp: wid.0,
-                        gen: 0,
-                        load,
-                        line,
-                        kind: MemReqKind::Store,
-                    });
-                }
-            }
-        }
-
-        // Advance the stream cursor; the warp retires at stream end.
-        let next_meta = stream.ops.get(cursor + 1).map(|o| WarpSlab::inst_meta_at(kernel, o.pos));
-        self.warps.advance_trace(slot, next_meta);
-        if self.warps.done(slot) {
-            let cta_id = self.warps.cta(slot);
-            self.schedulers[(wid.0 % cfg.schedulers_per_sm) as usize].release(wid);
-            let cta = self.ctas[cta_id.0 as usize].as_mut().expect("CTA exists");
-            cta.warps_done += 1;
-            self.reap_pending = true;
-        }
+        op.pos
     }
 
     /// Appends the instruction just executed to its warp's capture stream
@@ -1480,8 +1393,8 @@ impl Sm {
     }
 
     /// Generates the coalesced line addresses of one dynamic access of
-    /// `load` into `line_buf` — the single entry point shared by the Load
-    /// and Store arms of [`Sm::execute_inst`], so the cached and uncached
+    /// `load` into `line_buf` — the single entry point behind synthetic
+    /// Load and Store ops in [`Sm::fetch_op`], so the cached and uncached
     /// paths cannot drift.
     ///
     /// With the descriptor cache enabled, the first execution of a

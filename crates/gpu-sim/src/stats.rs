@@ -175,22 +175,6 @@ pub struct ProfileEvents {
     /// LSU queue entries serviced on a locally simulated cycle (no global
     /// step was paid for them).
     pub sm_lsu_batched: u64,
-    /// Worker threads the parallel span executor ran with (1 = serial
-    /// path; the pool only engages at 2+).
-    pub par_threads: u64,
-    /// Parallel rounds executed (steps with ≥ 2 due SMs handed to the
-    /// pool). Deterministic for a fixed configuration and thread count.
-    pub par_rounds: u64,
-    /// SM spans executed inside parallel rounds. Deterministic.
-    pub par_spans: u64,
-    /// Spans a thread claimed from another thread's chunk. Reflects how
-    /// the work-stealing pool balanced real load, so the value (unlike
-    /// every simulated counter) is timing-dependent run to run.
-    pub par_steals: u64,
-    /// Nanoseconds the main thread spent blocked at the rendezvous
-    /// barrier after finishing its own share. Wall-clock telemetry,
-    /// timing-dependent run to run.
-    pub par_barrier_wait_ns: u64,
 }
 
 /// Counters of one memory partition (L2 slice + DRAM channel + icnt queue

@@ -17,6 +17,7 @@
 //! `selftest`); the bench harness loads `.lbw1` files via
 //! `--workload trace:PATH`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capture;

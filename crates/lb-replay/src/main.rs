@@ -1,6 +1,8 @@
 //! `lb-replay` — workload-trace tool: capture synthetic kernels, import
 //! Accel-Sim text traces, inspect and self-check `.lbw1` files.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -10,6 +10,8 @@
 //! Exit codes: 0 success (for `diff`: traces identical), 1 usage or decode
 //! error, 2 (`diff` only): traces diverge.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -19,6 +19,8 @@
 //! assert!(diff(&bytes, &bytes).unwrap().is_identical());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod reader;
 mod tools;

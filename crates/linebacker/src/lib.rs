@@ -36,6 +36,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -7,6 +7,7 @@
 //! timer. Everything is seeded and reproducible — a failing case prints
 //! the seed and iteration needed to replay it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;

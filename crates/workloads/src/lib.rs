@@ -16,6 +16,7 @@
 //! assert!(kernel.validate().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

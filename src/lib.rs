@@ -16,6 +16,8 @@
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md /
 //! EXPERIMENTS.md for the reproduction methodology and results.
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use gpu_sim;
 pub use lb_bench;
