@@ -19,7 +19,9 @@
 #                       suite output with and without a trace registered is
 #                       byte-identical;
 #   6. hardening      - truncated and corrupted trace files are rejected
-#                       with a clean nonzero exit, never a panic.
+#                       with a clean nonzero exit, never a panic;
+#   7. info           - `lb-replay info` counts memory ops by instruction
+#                       kind, lineless sparse stores included.
 #
 #   usage: ci/replay_smoke.sh [lb-replay-binary] [lb-experiments-binary] [sanity-binary]
 set -eu
@@ -36,6 +38,15 @@ echo "replay_smoke: corpus selftest (replay re-capture == file bytes)"
 for f in "$CORPUS"/*.lbw1; do
     "$LBR" selftest "$f" --sms 2
 done
+
+echo "replay_smoke: info counts every Load/Store op"
+# S1's result store is sparse: 512 of its 2304 memory ops carry no line.
+"$LBR" info "$CORPUS/s1-reuse.lbw1" > "$T/info.txt"
+grep -qx "memory ops    2304 (512 without lines)" "$T/info.txt" || {
+    echo "replay_smoke: FAIL - info miscounts memory ops" >&2
+    cat "$T/info.txt" >&2
+    exit 1
+}
 
 echo "replay_smoke: fresh capture round-trips"
 "$LBR" capture GE "$T/ge.lbw1" --sms 2 --iterations 4

@@ -830,7 +830,7 @@ impl Gpu {
         for sm in &mut self.sms {
             if let Some(cap) = sm.take_capture() {
                 for (i, s) in cap.into_iter().enumerate() {
-                    if !s.ops.is_empty() {
+                    if !s.is_empty() {
                         merged[i] = s;
                     }
                 }
@@ -923,7 +923,7 @@ pub fn capture_kernel(
         return Err(CaptureError::Incomplete { cycles: stats.cycles });
     }
     let streams = gpu.take_capture();
-    if let Some(i) = streams.iter().position(|s| s.ops.is_empty()) {
+    if let Some(i) = streams.iter().position(WarpStream::is_empty) {
         return Err(CaptureError::EmptyStream { stream: i });
     }
     Ok((stats, ReplayKernel { stub, streams }))
@@ -945,7 +945,7 @@ pub fn run_replay_capture(
         return Err(CaptureError::Incomplete { cycles: stats.cycles });
     }
     let streams = gpu.take_capture();
-    if let Some(i) = streams.iter().position(|s| s.ops.is_empty()) {
+    if let Some(i) = streams.iter().position(WarpStream::is_empty) {
         return Err(CaptureError::EmptyStream { stream: i });
     }
     Ok((stats, ReplayKernel { stub: rep.stub.clone(), streams }))

@@ -18,18 +18,37 @@
 //! placed before cycle 0) replays each stream on exactly the SM and warp
 //! slot that produced it — the property the cross-policy round-trip tests
 //! rely on.
+//!
+//! # Stream words
+//!
+//! A [`WarpStream`] keeps its ops as a run of `u32` words, not one struct
+//! per op, because most dynamic instructions carry no lines. An op without
+//! lines is one word, its body position. An op with lines is three words:
+//! `MEM | pos`, `line_off`, `line_len`, where `MEM` is bit 31, so a body
+//! position stays at or below [`MAX_OP_POS`]. A memory op whose access
+//! touched no lines (a sparse pattern skipped the instance) is stored like
+//! an ALU op. A replayed warp's cursor (its `body_pos` column) is a *word
+//! index* into its stream: [`WarpStream::op_at`] decodes the op at a cursor
+//! and returns the cursor just past it. The words are private; [`TraceOp`]
+//! is the decoded view every reader gets.
 
 use crate::config::GpuConfig;
-use crate::kernel::{InstKind, KernelSpec};
+use crate::kernel::{InstKind, KernelSpec, StaticInst};
 use crate::types::{Cycle, LineAddr};
 
-/// One dynamic instruction of a warp's replay stream.
+/// Tag bit on the first word of an op that carries lines.
+const MEM: u32 = 1 << 31;
+
+/// Largest body position a stream op can hold (bit 31 tags memory ops).
+pub const MAX_OP_POS: u32 = MEM - 1;
+
+/// One dynamic instruction of a warp's replay stream, decoded.
 ///
 /// `pos` indexes the stub kernel's `body`; the static instruction there
 /// supplies the kind, latency, PC and scoreboard edge. Memory operations
 /// carry their coalesced line addresses as a `line_off .. line_off +
-/// line_len` slice of the owning stream's line pool; ALU operations have
-/// `line_len == 0`.
+/// line_len` slice of the owning stream's line pool; an op without lines
+/// has `line_off == line_len == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Index into the stub kernel's `body`.
@@ -40,16 +59,151 @@ pub struct TraceOp {
     pub line_len: u32,
 }
 
-/// The recorded execution of one warp: its dynamic instruction sequence and
-/// the interned line pool its memory operations reference.
+impl TraceOp {
+    /// Checks this op against the stub `body` and the size of its stream's
+    /// line pool: the body position is in range, the line slice lies inside
+    /// the pool, and an ALU op carries no lines. A memory op with zero lines
+    /// is legal: sparse patterns (e.g. `SparseStream`) skip most instances.
+    /// [`ReplayKernel::validate`] states the per-op invariants through this,
+    /// and the `LBW1` decoder runs it on each op as it parses it.
+    #[inline]
+    pub fn check(self, body: &[StaticInst], pool_len: usize) -> Result<(), String> {
+        let fits = match body.get(self.pos as usize) {
+            None => false,
+            Some(_) if self.line_len == 0 => true,
+            Some(inst) => {
+                u64::from(self.line_off) + u64::from(self.line_len) <= pool_len as u64
+                    && !matches!(inst.kind, InstKind::Alu { .. })
+            }
+        };
+        if fits {
+            Ok(())
+        } else {
+            Err(self.fault(body, pool_len))
+        }
+    }
+
+    /// Describes why [`TraceOp::check`] rejected this op.
+    #[cold]
+    fn fault(self, body: &[StaticInst], pool_len: usize) -> String {
+        let end = u64::from(self.line_off) + u64::from(self.line_len);
+        match body.get(self.pos as usize) {
+            None => format!("body position {} out of range", self.pos),
+            Some(_) if end > pool_len as u64 => {
+                format!("line slice {}..{end} exceeds pool of {pool_len}", self.line_off)
+            }
+            Some(_) => format!("ALU op carries {} lines", self.line_len),
+        }
+    }
+}
+
+/// The recorded execution of one warp: its dynamic instructions as op
+/// words (layout in the module docs) and the line pool its memory
+/// operations reference.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarpStream {
-    /// Dynamic instructions in issue order.
-    pub ops: Vec<TraceOp>,
-    /// Line pool referenced by the memory operations' (offset, length)
-    /// slices. Capture appends raw per-access slices; the `LBW1` encoder
-    /// interns duplicates, so a decoded stream shares repeated accesses.
-    pub lines: Vec<LineAddr>,
+    /// Op words in issue order.
+    words: Vec<u32>,
+    /// Number of ops in `words`.
+    n_ops: usize,
+    /// Line pool referenced by the ops' (offset, length) slices. Capture
+    /// appends raw per-access slices; the `LBW1` encoder interns duplicates,
+    /// so a decoded stream shares repeated accesses.
+    lines: Vec<LineAddr>,
+}
+
+impl WarpStream {
+    /// Appends an op and copies its `lines` (empty for an op without lines)
+    /// to the end of the pool. Capture and import record through this.
+    pub fn push(&mut self, pos: u32, lines: &[LineAddr]) {
+        let off = self.lines.len() as u32;
+        self.lines.extend_from_slice(lines);
+        self.push_ref(pos, off, lines.len() as u32);
+    }
+
+    /// Appends an op that references `line_len` lines at `line_off` of a
+    /// pool supplied later by [`WarpStream::take_with_pool`]; the `LBW1`
+    /// decoder pushes its parsed ops through this. Panics if `pos` exceeds
+    /// [`MAX_OP_POS`], which the word layout cannot represent.
+    #[inline]
+    pub fn push_ref(&mut self, pos: u32, line_off: u32, line_len: u32) {
+        assert!(pos <= MAX_OP_POS, "body position {pos} does not fit an op word");
+        if line_len == 0 {
+            self.words.push(pos);
+        } else {
+            self.words.extend([MEM | pos, line_off, line_len]);
+        }
+        self.n_ops += 1;
+    }
+
+    /// Returns the ops pushed so far as a new stream over `pool`, its words
+    /// copied out at exact size, and empties `self` but keeps its word
+    /// buffer. The decoder builds every stream in one such scratch stream,
+    /// so no decoded stream carries a growing buffer's spare capacity.
+    pub fn take_with_pool(&mut self, pool: Vec<LineAddr>) -> WarpStream {
+        debug_assert!(self.lines.is_empty(), "a scratch stream has no pool of its own");
+        let s =
+            WarpStream { words: self.words.as_slice().to_vec(), n_ops: self.n_ops, lines: pool };
+        self.words.clear();
+        self.n_ops = 0;
+        s
+    }
+
+    /// Number of ops (dynamic instructions).
+    pub fn len(&self) -> usize {
+        self.n_ops
+    }
+
+    /// True when the stream holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.n_ops == 0
+    }
+
+    /// Decodes the op at word index `at`, returning it with the word index
+    /// of the op after it. `at` must be a cursor this stream handed out
+    /// (0, or a value `op_at` returned) and not past the last op.
+    #[inline]
+    pub fn op_at(&self, at: u32) -> (TraceOp, u32) {
+        let i = at as usize;
+        let w = self.words[i];
+        if w & MEM == 0 {
+            (TraceOp { pos: w, line_off: 0, line_len: 0 }, at + 1)
+        } else {
+            let op =
+                TraceOp { pos: w & !MEM, line_off: self.words[i + 1], line_len: self.words[i + 2] };
+            (op, at + 3)
+        }
+    }
+
+    /// Body position of the op at word index `at`, or `None` when `at` is
+    /// the end of the stream.
+    #[inline]
+    pub fn pos_at(&self, at: u32) -> Option<u32> {
+        self.words.get(at as usize).map(|&w| w & !MEM)
+    }
+
+    /// The ops in issue order.
+    pub fn ops(&self) -> impl Iterator<Item = TraceOp> + '_ {
+        let mut at = 0u32;
+        std::iter::from_fn(move || {
+            self.pos_at(at)?;
+            let (op, next) = self.op_at(at);
+            at = next;
+            Some(op)
+        })
+    }
+
+    /// The coalesced lines of `op`, one of this stream's ops.
+    #[inline]
+    pub fn lines(&self, op: TraceOp) -> &[LineAddr] {
+        let off = op.line_off as usize;
+        &self.lines[off..off + op.line_len as usize]
+    }
+
+    /// The whole line pool.
+    pub fn pool(&self) -> &[LineAddr] {
+        &self.lines
+    }
 }
 
 /// A trace-driven workload: a kernel stub plus one stream per warp.
@@ -71,14 +225,12 @@ impl ReplayKernel {
 
     /// Total dynamic instructions across all streams.
     pub fn dyn_insts(&self) -> u64 {
-        self.streams.iter().map(|s| s.ops.len() as u64).sum()
+        self.streams.iter().map(|s| s.len() as u64).sum()
     }
 
     /// Validates internal consistency: the stub itself, the stream count
-    /// against the grid, every op's body position and line slice, and the
-    /// kind agreement between ops and the static instructions they index
-    /// (ALU ops must not carry lines; memory ops may carry zero when a
-    /// sparse pattern skipped the instance).
+    /// against the grid, no empty stream, and every op against the stub
+    /// body and its stream's pool ([`TraceOp::check`]).
     pub fn validate(&self) -> Result<(), String> {
         self.stub.validate()?;
         if self.streams.len() != self.total_streams() {
@@ -90,33 +242,12 @@ impl ReplayKernel {
             ));
         }
         for (si, s) in self.streams.iter().enumerate() {
-            if s.ops.is_empty() {
+            if s.is_empty() {
                 return Err(format!("stream {si} is empty"));
             }
-            for (oi, op) in s.ops.iter().enumerate() {
-                let inst = self.stub.body.get(op.pos as usize).ok_or_else(|| {
-                    format!("stream {si} op {oi}: body position {} out of range", op.pos)
-                })?;
-                let end = op.line_off as u64 + op.line_len as u64;
-                if end > s.lines.len() as u64 {
-                    return Err(format!(
-                        "stream {si} op {oi}: line slice {}..{end} exceeds pool of {}",
-                        op.line_off,
-                        s.lines.len()
-                    ));
-                }
-                // A memory op with zero lines is legal: sparse patterns
-                // (e.g. `SparseStream`) skip most instances, touching
-                // nothing. Only the converse — an ALU op carrying lines —
-                // is a structural error.
-                if let InstKind::Alu { .. } = inst.kind {
-                    if op.line_len != 0 {
-                        return Err(format!(
-                            "stream {si} op {oi}: ALU op carries {} lines",
-                            op.line_len
-                        ));
-                    }
-                }
+            for (oi, op) in s.ops().enumerate() {
+                op.check(&self.stub.body, s.pool().len())
+                    .map_err(|e| format!("stream {si} op {oi}: {e}"))?;
             }
         }
         Ok(())
@@ -187,17 +318,15 @@ mod tests {
             .unwrap()
     }
 
+    fn rep_of(stream: WarpStream) -> ReplayKernel {
+        ReplayKernel { stub: stub(), streams: vec![stream] }
+    }
+
     fn valid_rep() -> ReplayKernel {
-        ReplayKernel {
-            stub: stub(),
-            streams: vec![WarpStream {
-                ops: vec![
-                    TraceOp { pos: 0, line_off: 0, line_len: 1 },
-                    TraceOp { pos: 1, line_off: 0, line_len: 0 },
-                ],
-                lines: vec![LineAddr(42)],
-            }],
-        }
+        let mut s = WarpStream::default();
+        s.push(0, &[LineAddr(42)]);
+        s.push(1, &[]);
+        rep_of(s)
     }
 
     #[test]
@@ -213,29 +342,83 @@ mod tests {
     }
 
     #[test]
+    fn empty_stream_rejected() {
+        let r = rep_of(WarpStream::default());
+        assert!(r.validate().unwrap_err().contains("is empty"));
+    }
+
+    #[test]
     fn out_of_range_pos_rejected() {
-        let mut r = valid_rep();
-        r.streams[0].ops[0].pos = 99;
-        assert!(r.validate().unwrap_err().contains("out of range"));
+        let mut s = WarpStream::default();
+        s.push(99, &[LineAddr(42)]);
+        assert!(rep_of(s).validate().unwrap_err().contains("out of range"));
     }
 
     #[test]
     fn line_slice_overflow_rejected() {
-        let mut r = valid_rep();
-        r.streams[0].ops[0].line_len = 7;
+        let mut s = WarpStream::default();
+        s.push_ref(0, 0, 7);
+        let r = rep_of(s.take_with_pool(vec![LineAddr(42)]));
         assert!(r.validate().unwrap_err().contains("exceeds pool"));
     }
 
     #[test]
     fn kind_mismatch_rejected() {
-        let mut r = valid_rep();
         // The ALU consumer at pos 1 must not carry lines.
-        r.streams[0].ops[1] = TraceOp { pos: 1, line_off: 0, line_len: 1 };
-        assert!(r.validate().unwrap_err().contains("ALU op carries"));
+        let mut s = WarpStream::default();
+        s.push(0, &[LineAddr(42)]);
+        s.push(1, &[LineAddr(43)]);
+        assert!(rep_of(s).validate().unwrap_err().contains("ALU op carries"));
         // A memory op with zero lines is legal (sparse-pattern skip).
-        let mut r = valid_rep();
-        r.streams[0].ops[0].line_len = 0;
-        assert!(r.validate().is_ok());
+        let mut s = WarpStream::default();
+        s.push(0, &[]);
+        s.push(1, &[]);
+        assert!(rep_of(s).validate().is_ok());
+    }
+
+    #[test]
+    fn words_round_trip_ops_and_cursors() {
+        let mut s = WarpStream::default();
+        s.push(3, &[]);
+        s.push(MAX_OP_POS, &[LineAddr(7), LineAddr(8)]);
+        s.push(0, &[]);
+        s.push(5, &[LineAddr(9)]);
+        assert_eq!(s.len(), 4);
+        let want = [
+            TraceOp { pos: 3, line_off: 0, line_len: 0 },
+            TraceOp { pos: MAX_OP_POS, line_off: 0, line_len: 2 },
+            TraceOp { pos: 0, line_off: 0, line_len: 0 },
+            TraceOp { pos: 5, line_off: 2, line_len: 1 },
+        ];
+        assert_eq!(s.ops().collect::<Vec<_>>(), want);
+        // Cursors are word indices: one word per op without lines, three
+        // per op with lines.
+        let mut at = 0;
+        for (op, next) in want.iter().zip([1, 4, 5, 8]) {
+            assert_eq!(s.pos_at(at), Some(op.pos));
+            assert_eq!(s.op_at(at), (*op, next));
+            at = next;
+        }
+        assert_eq!(s.pos_at(at), None);
+        assert_eq!(s.lines(want[1]), &[LineAddr(7), LineAddr(8)]);
+        assert_eq!(s.pool().len(), 3);
+    }
+
+    #[test]
+    fn take_with_pool_copies_out_and_resets_scratch() {
+        let mut scratch = WarpStream::default();
+        scratch.push_ref(0, 0, 1);
+        scratch.push_ref(1, 0, 0);
+        let s = scratch.take_with_pool(vec![LineAddr(42)]);
+        assert_eq!(s, valid_rep().streams[0]);
+        assert!(scratch.is_empty());
+        assert_eq!(scratch.pos_at(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an op word")]
+    fn body_position_past_limit_panics() {
+        WarpStream::default().push(MAX_OP_POS + 1, &[]);
     }
 
     #[test]

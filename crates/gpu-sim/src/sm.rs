@@ -14,7 +14,7 @@ use crate::pattern::{AccessCtx, DecodeCtx, LineDesc};
 use crate::phase_timer;
 use crate::policy::{MissService, PolicyCtx, PreAccess, SmPolicy, WindowInfo};
 use crate::regfile::RegFile;
-use crate::replay::{ReplayKernel, TraceOp, WarpStream};
+use crate::replay::{ReplayKernel, WarpStream};
 use crate::scheduler::{CandList, GtoScheduler};
 use crate::stats::{RfSpaceSample, SimStats};
 use crate::types::{
@@ -243,10 +243,10 @@ pub struct Sm {
     tracer: Tracer,
     /// Trace-replay frontend: when set, warps execute their pre-recorded
     /// streams instead of the synthetic pattern generator (`body_pos`
-    /// becomes a stream cursor; `gen_access_lines` is never called).
+    /// becomes a stream word index; `gen_access_lines` is never called).
     replay: Option<Arc<ReplayKernel>>,
-    /// Workload-trace capture: when set, every executed instruction appends
-    /// a [`TraceOp`] (memory ops with their coalesced lines) to its warp's
+    /// Workload-trace capture: when set, every executed instruction is
+    /// pushed (memory ops with their coalesced lines) onto its warp's
     /// stream. Indexed by grid-wide stream id; each stream executes on
     /// exactly one SM, so the GPU merges per-SM vectors at run end.
     capture: Option<Vec<WarpStream>>,
@@ -492,8 +492,9 @@ impl Sm {
             match &rep {
                 Some(rep) => {
                     let sid = stream_base + i as u64;
-                    let first =
-                        WarpSlab::inst_meta_at(kernel, rep.streams[sid as usize].ops[0].pos);
+                    let first_pos =
+                        rep.streams[sid as usize].pos_at(0).expect("replay streams are non-empty");
+                    let first = WarpSlab::inst_meta_at(kernel, first_pos);
                     self.warps.launch_trace(
                         wid as usize,
                         CtaId(slot),
@@ -1258,7 +1259,7 @@ impl Sm {
     /// (kernel-body loop or stream cursor).
     fn execute_inst(&mut self, wid: WarpId, cycle: Cycle, kernel: &KernelSpec, cfg: &GpuConfig) {
         let slot = wid.0 as usize;
-        let body_pos = self.fetch_op(slot, kernel);
+        let (body_pos, next) = self.fetch_op(slot, kernel);
         let inst = &kernel.body[body_pos as usize];
         self.stats.instructions += 1;
         self.tracer.emit(
@@ -1327,15 +1328,14 @@ impl Sm {
         }
 
         // Advance the warp past this instruction and retire if finished: a
-        // synthetic warp loops over the kernel body, a replayed warp steps
-        // its stream cursor and retires at stream end.
+        // synthetic warp loops over the kernel body, a replayed warp moves
+        // its stream cursor to `next` and retires at stream end.
         match &self.replay {
             None => self.warps.advance(slot, kernel),
             Some(rep) => {
                 let stream = &rep.streams[self.warps.stream(slot) as usize];
-                let next = stream.ops.get(self.warps.body_pos(slot) as usize + 1);
-                let next_meta = next.map(|o| WarpSlab::inst_meta_at(kernel, o.pos));
-                self.warps.advance_trace(slot, next_meta);
+                let next_meta = stream.pos_at(next).map(|p| WarpSlab::inst_meta_at(kernel, p));
+                self.warps.advance_trace(slot, next, next_meta);
             }
         }
         if self.warps.done(slot) {
@@ -1348,29 +1348,29 @@ impl Sm {
     }
 
     /// Source step of [`Sm::execute_inst`]: returns the body position of
-    /// the warp's next instruction and, for a memory op, leaves its
-    /// coalesced lines in `line_buf`. A synthetic warp reads its kernel
-    /// body and generates the lines; a replayed warp reads its stream op
-    /// (the cursor is `body_pos`) and copies the op's interned line slice,
-    /// never consulting the descriptor cache or the access-index counter.
-    fn fetch_op(&mut self, slot: usize, kernel: &KernelSpec) -> u32 {
+    /// the warp's next instruction and the cursor just past it, and, for a
+    /// memory op, leaves its coalesced lines in `line_buf`. A synthetic warp
+    /// reads its kernel body and generates the lines (its cursor is the body
+    /// position, which [`WarpSlab::advance`] steps and wraps itself). A
+    /// replayed warp decodes the stream op at its cursor (`body_pos` holds a
+    /// stream word index) and copies the op's interned line slice, never
+    /// consulting the descriptor cache or the access-index counter.
+    fn fetch_op(&mut self, slot: usize, kernel: &KernelSpec) -> (u32, u32) {
+        let at = self.warps.body_pos(slot);
         let Some(rep) = &self.replay else {
-            let pos = self.warps.body_pos(slot);
             if let InstKind::Load { load } | InstKind::Store { load } =
-                kernel.body[pos as usize].kind
+                kernel.body[at as usize].kind
             {
                 let idx = self.warps.next_access_index(slot, load);
                 self.gen_access_lines(slot, load, idx, kernel);
             }
-            return pos;
+            return (at, at + 1);
         };
         let stream = &rep.streams[self.warps.stream(slot) as usize];
-        let op = stream.ops[self.warps.body_pos(slot) as usize];
+        let (op, next) = stream.op_at(at);
         self.line_buf.clear();
-        self.line_buf.extend_from_slice(
-            &stream.lines[op.line_off as usize..(op.line_off + op.line_len) as usize],
-        );
-        op.pos
+        self.line_buf.extend_from_slice(stream.lines(op));
+        (op.pos, next)
     }
 
     /// Appends the instruction just executed to its warp's capture stream
@@ -1382,14 +1382,8 @@ impl Sm {
     fn capture_op(&mut self, slot: usize, pos: u32, mem: bool) {
         let Sm { capture, line_buf, warps, .. } = self;
         let Some(cap) = capture.as_mut() else { return };
-        let s = &mut cap[warps.stream(slot) as usize];
-        if mem {
-            let off = s.lines.len() as u32;
-            s.lines.extend_from_slice(line_buf);
-            s.ops.push(TraceOp { pos, line_off: off, line_len: line_buf.len() as u32 });
-        } else {
-            s.ops.push(TraceOp { pos, line_off: 0, line_len: 0 });
-        }
+        let lines: &[LineAddr] = if mem { line_buf } else { &[] };
+        cap[warps.stream(slot) as usize].push(pos, lines);
     }
 
     /// Generates the coalesced line addresses of one dynamic access of

@@ -43,7 +43,8 @@ pub struct WarpSlab {
     global_warp: Vec<u64>,
     /// Launch order for GTO "oldest" tie-breaking.
     age: Vec<u64>,
-    /// Index of the next instruction in the kernel body.
+    /// Index of the next instruction in the kernel body; for a replayed
+    /// warp, the word index of its next op in its trace stream.
     body_pos: Vec<u32>,
     /// Completed loop iterations.
     iter: Vec<u32>,
@@ -165,7 +166,8 @@ impl WarpSlab {
     /// Launches a warp in trace-replay mode: identical to [`WarpSlab::launch`]
     /// except the first instruction's meta bits come from the warp's trace
     /// stream (its first op's body position) rather than body position 0,
-    /// and `body_pos` starts as a stream cursor.
+    /// and `body_pos` starts as a stream cursor (a word index into the
+    /// stream).
     pub fn launch_trace(
         &mut self,
         slot: usize,
@@ -282,7 +284,8 @@ impl WarpSlab {
         self.next_ready[slot] = cycle;
     }
 
-    /// Body position of the warp in `slot`.
+    /// Body position of the warp in `slot` (a stream word index when the
+    /// warp replays a trace).
     #[inline]
     pub fn body_pos(&self, slot: usize) -> u32 {
         self.body_pos[slot]
@@ -349,12 +352,13 @@ impl WarpSlab {
             (self.meta[slot] & META_READY) | Self::inst_meta(kernel, self.body_pos[slot]);
     }
 
-    /// Advances the warp in `slot` along its trace stream: `body_pos` is
-    /// the stream cursor, `next_meta` the meta bits of the next op's body
-    /// position (`None` at stream end retires the warp). The stub kernel's
-    /// `iterations` is ignored — a stream's length *is* its trip count.
-    pub fn advance_trace(&mut self, slot: usize, next_meta: Option<u32>) {
-        self.body_pos[slot] += 1;
+    /// Advances the warp in `slot` along its trace stream: `body_pos`
+    /// becomes `cursor`, the stream word index of the next op, and
+    /// `next_meta` holds the meta bits of that op's body position (`None` at
+    /// stream end retires the warp). The stub kernel's `iterations` is
+    /// ignored — a stream's length *is* its trip count.
+    pub fn advance_trace(&mut self, slot: usize, cursor: u32, next_meta: Option<u32>) {
+        self.body_pos[slot] = cursor;
         match next_meta {
             Some(m) => self.meta[slot] = (self.meta[slot] & META_READY) | m,
             None => {

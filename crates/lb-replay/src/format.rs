@@ -2,9 +2,10 @@
 //!
 //! A workload trace is a serialized [`ReplayKernel`]: a kernel-stub header
 //! (grid shape, resources, static body, per-load PCs) followed by one
-//! per-warp stream section. Everything behind the 5-byte preamble is
-//! LEB128 uvarints — the same wire primitive `lb-trace` uses for event
-//! traces — so the format is compact, endian-free and append-friendly.
+//! per-warp stream section. Behind the 5-byte preamble every field is a
+//! LEB128 uvarint — the same wire primitive `lb-trace` uses for event
+//! traces — except each body instruction's tag, which is one raw byte. The
+//! format is compact, endian-free and append-friendly.
 //!
 //! Layout:
 //!
@@ -29,6 +30,16 @@
 //! (already interned) serialize to byte-identical files — the property the
 //! capture→replay→re-encode self-check in CI relies on.
 //!
+//! [`decode`] is a single pass over the bytes. It checks each op once, as
+//! it parses it ([`TraceOp::check`]: body position in range, line slice
+//! inside the stream's pool, no lines on an ALU op), rejects an empty
+//! stream, and pushes the op straight into its stream's op words (layout
+//! in [`gpu_sim::replay`]). [`ReplayKernel::validate`] states the same
+//! invariants and is debug-asserted on every decoded kernel. The
+//! `decode_sweep` tests decode every prefix of a captured trace and
+//! thousands of seeded corruptions of it, and check that every kernel
+//! decode accepts also passes `validate`.
+//!
 //! Decoded kernel stubs carry a placeholder [`AccessPattern`] per load:
 //! replay never executes patterns, and every policy transform reads only
 //! the header fields (registers, warps, shared memory), which round-trip
@@ -38,7 +49,7 @@ use std::collections::HashMap;
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::AccessPattern;
-use gpu_sim::replay::{ReplayKernel, TraceOp, WarpStream};
+use gpu_sim::replay::{ReplayKernel, TraceOp, WarpStream, MAX_OP_POS};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 use lb_trace::put_uvarint;
 
@@ -119,23 +130,38 @@ impl From<std::io::Error> for ReplayError {
 }
 
 /// LEB128 reader twin of `lb_trace::get_uvarint`, reporting positions in
-/// [`ReplayError`] terms so decode failures carry a byte offset.
+/// [`ReplayError`] terms so decode failures carry a byte offset. A one-byte
+/// varint, by far the most common, is read inline.
+#[inline]
 fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, ReplayError> {
-    let start = *pos;
+    match buf.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        _ => {
+            let (v, next) = get_uvarint_long(buf, *pos)?;
+            *pos = next;
+            Ok(v)
+        }
+    }
+}
+
+/// Reads the varint at `start` whatever its length, returning it with the
+/// position after it.
+fn get_uvarint_long(buf: &[u8], start: usize) -> Result<(u64, usize), ReplayError> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos).ok_or(ReplayError::UnexpectedEof { at: *pos })?;
-        *pos += 1;
-        if shift == 63 && b > 1 || shift > 63 {
+    // A u64 takes at most ten bytes; the tenth may only hold bit 63.
+    for (i, &b) in buf.get(start..).unwrap_or_default().iter().take(10).enumerate() {
+        if i == 9 && b > 1 {
             return Err(ReplayError::VarintOverflow { at: start });
         }
-        v |= u64::from(b & 0x7f) << shift;
+        v |= u64::from(b & 0x7f) << (7 * i);
         if b & 0x80 == 0 {
-            return Ok(v);
+            return Ok((v, start + i + 1));
         }
-        shift += 7;
     }
+    Err(ReplayError::UnexpectedEof { at: buf.len() })
 }
 
 fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, ReplayError> {
@@ -149,10 +175,46 @@ fn as_u32(v: u64, what: &str) -> Result<u32, ReplayError> {
     u32::try_from(v).map_err(|_| ReplayError::Malformed(format!("{what} {v} exceeds u32")))
 }
 
+/// Reads one op record: `pos`, `line_len` and, if `line_len > 0`,
+/// `line_off`. When the next three bytes are one-byte varints the record
+/// is read with one bounds check; anything else takes the general path,
+/// which keeps every check.
+#[inline]
+fn get_op(buf: &[u8], pos: &mut usize) -> Result<TraceOp, ReplayError> {
+    if let Some(&[p, len, off]) = buf.get(*pos..*pos + 3) {
+        if (p | len | off) < 0x80 {
+            let (p, len, off) = (u32::from(p), u32::from(len), u32::from(off));
+            if len == 0 {
+                // `off` is the next record's first byte.
+                *pos += 2;
+                return Ok(TraceOp { pos: p, line_off: 0, line_len: 0 });
+            }
+            *pos += 3;
+            return Ok(TraceOp { pos: p, line_off: off, line_len: len });
+        }
+    }
+    let (op, next) = get_op_general(buf, *pos)?;
+    *pos = next;
+    Ok(op)
+}
+
+#[cold]
+fn get_op_general(buf: &[u8], start: usize) -> Result<(TraceOp, usize), ReplayError> {
+    let mut pos = start;
+    let p = as_u32(get_uvarint(buf, &mut pos)?, "body position")?;
+    let len = get_uvarint(buf, &mut pos)?;
+    if len > MAX_LINES_PER_RECORD {
+        return Err(ReplayError::OverlongRecord { at: start, lines: len });
+    }
+    let off = if len > 0 { as_u32(get_uvarint(buf, &mut pos)?, "line offset")? } else { 0 };
+    Ok((TraceOp { pos: p, line_off: off, line_len: len as u32 }, pos))
+}
+
 fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
     put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
 }
 
+#[inline]
 fn get_zigzag(buf: &[u8], pos: &mut usize) -> Result<i64, ReplayError> {
     let raw = get_uvarint(buf, pos)?;
     Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
@@ -196,13 +258,13 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
         // op order.
         interned.clear();
         let mut pool: Vec<LineAddr> = Vec::new();
-        let mut slots: Vec<(u32, u32)> = Vec::with_capacity(s.ops.len());
-        for op in &s.ops {
+        let mut slots: Vec<(u32, u32)> = Vec::with_capacity(s.len());
+        for op in s.ops() {
             if op.line_len == 0 {
                 slots.push((0, 0));
                 continue;
             }
-            let slice = &s.lines[op.line_off as usize..(op.line_off + op.line_len) as usize];
+            let slice = s.lines(op);
             let off = *interned.entry(slice.to_vec()).or_insert_with(|| {
                 let off = pool.len() as u32;
                 pool.extend_from_slice(slice);
@@ -217,8 +279,8 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
             put_zigzag(&mut out, cur.wrapping_sub(prev));
             prev = cur;
         }
-        put_uvarint(&mut out, s.ops.len() as u64);
-        for (op, &(off, len)) in s.ops.iter().zip(&slots) {
+        put_uvarint(&mut out, s.len() as u64);
+        for (op, &(off, len)) in s.ops().zip(&slots) {
             put_uvarint(&mut out, u64::from(op.pos));
             put_uvarint(&mut out, u64::from(len));
             if len > 0 {
@@ -229,7 +291,8 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
     out
 }
 
-/// Parses `LBW1` bytes into a validated [`ReplayKernel`].
+/// Parses `LBW1` bytes into a validated [`ReplayKernel`] in one pass (see
+/// the module docs).
 pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if buf.len() < 4 {
         return Err(if buf.is_empty() {
@@ -275,6 +338,11 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if n_body > buf.len() as u64 {
         return Err(ReplayError::UnexpectedEof { at: pos });
     }
+    if n_body > u64::from(MAX_OP_POS) + 1 {
+        return Err(ReplayError::Malformed(format!(
+            "static body of {n_body} instructions exceeds the 2^31 op-word limit"
+        )));
+    }
     let mut body = Vec::with_capacity(n_body as usize);
     for _ in 0..n_body {
         let pc = as_u32(get_uvarint(buf, &mut pos)?, "pc")?;
@@ -316,40 +384,59 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if n_streams != expected {
         return Err(ReplayError::StreamCountMismatch { expected, found: n_streams });
     }
+    if n_streams > buf.len() as u64 {
+        return Err(ReplayError::UnexpectedEof { at: pos });
+    }
     let mut streams = Vec::with_capacity(n_streams as usize);
-    for _ in 0..n_streams {
-        let n_lines = get_uvarint(buf, &mut pos)?;
-        if n_lines > buf.len() as u64 {
-            return Err(ReplayError::UnexpectedEof { at: pos });
-        }
-        let mut lines = Vec::with_capacity(n_lines as usize);
-        let mut prev = 0i64;
-        for _ in 0..n_lines {
-            let delta = get_zigzag(buf, &mut pos)?;
-            prev = prev.wrapping_add(delta);
-            lines.push(LineAddr(prev as u64));
-        }
-        let n_ops = get_uvarint(buf, &mut pos)?;
-        if n_ops > buf.len() as u64 {
-            return Err(ReplayError::UnexpectedEof { at: pos });
-        }
-        let mut ops = Vec::with_capacity(n_ops as usize);
-        for _ in 0..n_ops {
-            let op_at = pos;
-            let p = as_u32(get_uvarint(buf, &mut pos)?, "body position")?;
-            let len = get_uvarint(buf, &mut pos)?;
-            if len > MAX_LINES_PER_RECORD {
-                return Err(ReplayError::OverlongRecord { at: op_at, lines: len });
-            }
-            let off = if len > 0 { as_u32(get_uvarint(buf, &mut pos)?, "line offset")? } else { 0 };
-            ops.push(TraceOp { pos: p, line_off: off, line_len: len as u32 });
-        }
-        streams.push(WarpStream { ops, lines });
+    // Every stream's op words are built here, then copied out at exact size.
+    let mut scratch = WarpStream::default();
+    for si in 0..n_streams {
+        streams.push(get_stream(buf, &mut pos, si, &stub.body, &mut scratch)?);
     }
 
     let rep = ReplayKernel { stub, streams };
-    rep.validate().map_err(ReplayError::Malformed)?;
+    debug_assert_eq!(
+        rep.validate(),
+        Ok(()),
+        "decode's per-op checks let an invalid kernel through"
+    );
     Ok(rep)
+}
+
+/// Reads stream `si`: its line pool, then its ops, each checked against the
+/// stub `body` and the pool as it is parsed and pushed onto `scratch`.
+fn get_stream(
+    buf: &[u8],
+    pos: &mut usize,
+    si: u64,
+    body: &[StaticInst],
+    scratch: &mut WarpStream,
+) -> Result<WarpStream, ReplayError> {
+    let n_lines = get_uvarint(buf, pos)?;
+    if n_lines > buf.len() as u64 {
+        return Err(ReplayError::UnexpectedEof { at: *pos });
+    }
+    let mut lines = Vec::with_capacity(n_lines as usize);
+    let mut prev = 0i64;
+    for _ in 0..n_lines {
+        let delta = get_zigzag(buf, pos)?;
+        prev = prev.wrapping_add(delta);
+        lines.push(LineAddr(prev as u64));
+    }
+    let n_ops = get_uvarint(buf, pos)?;
+    if n_ops > buf.len() as u64 {
+        return Err(ReplayError::UnexpectedEof { at: *pos });
+    }
+    if n_ops == 0 {
+        return Err(ReplayError::Malformed(format!("stream {si} is empty")));
+    }
+    for oi in 0..n_ops {
+        let op = get_op(buf, pos)?;
+        op.check(body, lines.len())
+            .map_err(|e| ReplayError::Malformed(format!("stream {si} op {oi}: {e}")))?;
+        scratch.push_ref(op.pos, op.line_off, op.line_len);
+    }
+    Ok(scratch.take_with_pool(lines))
 }
 
 /// Reads and decodes a workload trace from `path`.
@@ -376,17 +463,18 @@ mod tests {
             .iterations(2)
             .build()
             .unwrap();
-        let mem = |off, len| TraceOp { pos: 0, line_off: off, line_len: len };
-        let alu = |pos| TraceOp { pos, line_off: 0, line_len: 0 };
-        // Stream 1 repeats stream 0's access — the encoder must intern it.
-        let s0 = WarpStream {
-            ops: vec![mem(0, 2), alu(1), alu(2), mem(2, 2), alu(1), alu(2)],
-            lines: vec![LineAddr(10), LineAddr(11), LineAddr(10), LineAddr(11)],
+        // Each stream repeats its first access — the encoder must intern it.
+        let stream = |lines: &[LineAddr]| {
+            let mut s = WarpStream::default();
+            for _ in 0..2 {
+                s.push(0, lines);
+                s.push(1, &[]);
+                s.push(2, &[]);
+            }
+            s
         };
-        let s1 = WarpStream {
-            ops: vec![mem(0, 1), alu(1), alu(2), mem(1, 1), alu(1), alu(2)],
-            lines: vec![LineAddr(500), LineAddr(500)],
-        };
+        let s0 = stream(&[LineAddr(10), LineAddr(11)]);
+        let s1 = stream(&[LineAddr(500)]);
         ReplayKernel { stub, streams: vec![s0, s1] }
     }
 
@@ -402,15 +490,13 @@ mod tests {
         // Interning dedups the repeated slices but the per-op line content
         // is preserved exactly.
         for (a, b) in rep.streams.iter().zip(&back.streams) {
-            for (oa, ob) in a.ops.iter().zip(&b.ops) {
+            assert_eq!(a.len(), b.len());
+            for (oa, ob) in a.ops().zip(b.ops()) {
                 assert_eq!(oa.pos, ob.pos);
-                assert_eq!(oa.line_len, ob.line_len);
-                let la = &a.lines[oa.line_off as usize..(oa.line_off + oa.line_len) as usize];
-                let lb = &b.lines[ob.line_off as usize..(ob.line_off + ob.line_len) as usize];
-                assert_eq!(la, lb);
+                assert_eq!(a.lines(oa), b.lines(ob));
             }
         }
-        assert!(back.streams[0].lines.len() < rep.streams[0].lines.len());
+        assert!(back.streams[0].pool().len() < rep.streams[0].pool().len());
     }
 
     #[test]
@@ -451,12 +537,10 @@ mod tests {
         // A record claiming more lines than any warp can coalesce must be
         // rejected by length, before validation ever sees it.
         let mut bad = sample();
-        let n = (MAX_LINES_PER_RECORD + 1) as u32;
-        bad.streams[0].lines = vec![LineAddr(1); n as usize];
-        bad.streams[0].ops = vec![
-            TraceOp { pos: 0, line_off: 0, line_len: n },
-            TraceOp { pos: 1, line_off: 0, line_len: 0 },
-        ];
+        let mut s = WarpStream::default();
+        s.push(0, &vec![LineAddr(1); MAX_LINES_PER_RECORD as usize + 1]);
+        s.push(1, &[]);
+        bad.streams[0] = s;
         match decode(&encode(&bad)) {
             Err(ReplayError::OverlongRecord { lines, .. }) => {
                 assert_eq!(lines, MAX_LINES_PER_RECORD + 1);
@@ -492,11 +576,59 @@ mod tests {
         // An op indexing past the stub body decodes structurally but fails
         // validation with a typed error.
         let mut rep = sample();
-        rep.streams[0].ops[1].pos = 99;
+        rep.streams[0].push(99, &[]);
         let bytes = encode(&rep);
         match decode(&bytes) {
             Err(ReplayError::Malformed(msg)) => assert!(msg.contains("out of range")),
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// The sample's header re-gridded to one warp, followed by a stream
+    /// section given as raw uvarints.
+    fn with_stream_section(section: &[u64]) -> Vec<u8> {
+        let mut stub = sample().stub;
+        stub.grid_ctas = 1;
+        stub.warps_per_cta = 1;
+        // With no streams, the header is followed by a one-byte count.
+        let mut bytes = encode(&ReplayKernel { stub, streams: Vec::new() });
+        bytes.pop();
+        for &v in section {
+            put_uvarint(&mut bytes, v);
+        }
+        bytes
+    }
+
+    #[test]
+    fn huge_stream_count_rejected_before_allocating() {
+        // A header may declare any grid; a stream count that matches it
+        // must still fit the input before it sizes an allocation.
+        let mut stub = sample().stub;
+        stub.grid_ctas = 1 << 20;
+        stub.warps_per_cta = 1 << 20;
+        let mut bytes = encode(&ReplayKernel { stub, streams: Vec::new() });
+        bytes.pop();
+        put_uvarint(&mut bytes, 1 << 40);
+        match decode(&bytes) {
+            Err(ReplayError::UnexpectedEof { .. }) => {}
+            other => panic!("expected UnexpectedEof, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fused_checks_reject_what_validate_rejects() {
+        // n_streams, then per stream: n_lines, lines..., n_ops, ops...
+        let cases: [(&[u64], &str); 4] = [
+            (&[1, 0, 0], "is empty"),
+            (&[1, 1, 0, 1, 9, 0], "out of range"),
+            (&[1, 1, 0, 1, 0, 2, 0], "exceeds pool"),
+            (&[1, 1, 0, 1, 1, 1, 0], "ALU op carries"),
+        ];
+        for (section, want) in cases {
+            match decode(&with_stream_section(section)) {
+                Err(ReplayError::Malformed(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("expected Malformed({want}), got {other:?}"),
+            }
         }
     }
 }

@@ -36,7 +36,8 @@
 //! - Distinct PCs become the static body, in first-appearance order. `LD*`
 //!   opcodes map to loads, `ST*` to stores (each mem PC gets its own
 //!   load-spec slot, as the synthetic builder does), everything else to ALU
-//!   with a coarse latency model ([`opcode_latency`]).
+//!   with a coarse latency model ([`opcode_latency`]). A body past
+//!   2^31 instructions ([`MAX_OP_POS`]) is a typed error.
 //! - Scoreboard edges are recovered from registers: at a PC's first dynamic
 //!   occurrence, a source register produced by a still-pending load gives
 //!   the static instruction its `wait_for` edge.
@@ -50,7 +51,7 @@ use std::path::Path;
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::{coalesce_bytes, AccessPattern};
-use gpu_sim::replay::{ReplayKernel, TraceOp, WarpStream};
+use gpu_sim::replay::{ReplayKernel, WarpStream, MAX_OP_POS};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 
 use crate::format::{ReplayError, MAX_LINES_PER_RECORD};
@@ -297,6 +298,9 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
             body.push(StaticInst { pc: Pc(inst.pc), kind, wait_for });
             pos
         });
+        if pos > MAX_OP_POS {
+            return Err(malformed(line_no, "static body exceeds 2^31 instructions"));
+        }
         // Track register liveness for later wait_for discovery.
         if is_load {
             if let InstKind::Load { load } = body[pos as usize].kind {
@@ -309,14 +313,7 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
                 pending.remove(d);
             }
         }
-        let s = &mut streams[sid];
-        if inst.lines.is_empty() {
-            s.ops.push(TraceOp { pos, line_off: 0, line_len: 0 });
-        } else {
-            let off = s.lines.len() as u32;
-            s.lines.extend_from_slice(&inst.lines);
-            s.ops.push(TraceOp { pos, line_off: off, line_len: inst.lines.len() as u32 });
-        }
+        streams[sid].push(pos, &inst.lines);
     }
 
     let declared = grid_ctas.ok_or_else(|| ReplayError::Malformed("missing grid dim".into()))?;
@@ -392,9 +389,9 @@ mod tests {
         assert_eq!(rep.stub.body[1].wait_for, Some(LoadId(0)));
         assert_eq!(rep.stub.body[2].wait_for, None);
         // 32 lanes, stride 4 → 128 consecutive bytes → 1 line per access.
-        assert_eq!(rep.streams[0].ops[0].line_len, 1);
+        assert_eq!(rep.streams[0].op_at(0).0.line_len, 1);
         // Each warp touches a distinct line.
-        let first: Vec<LineAddr> = rep.streams.iter().map(|s| s.lines[0]).collect();
+        let first: Vec<LineAddr> = rep.streams.iter().map(|s| s.pool()[0]).collect();
         assert_eq!(first.len(), 4);
         assert!(first.windows(2).all(|w| w[0] != w[1]));
     }
@@ -441,8 +438,8 @@ mod tests {
                  0010 ffffffff 1 R5 IADD3 2 R2 R2 0\n";
         let rep = import_str(t).unwrap();
         // Four lanes, lines 2, 3, 2, 4 → coalesced to three distinct lines.
-        assert_eq!(rep.streams[0].ops[0].line_len, 3);
-        assert_eq!(rep.streams[0].lines, vec![LineAddr(2), LineAddr(3), LineAddr(4)]);
+        assert_eq!(rep.streams[0].op_at(0).0.line_len, 3);
+        assert_eq!(rep.streams[0].pool(), [LineAddr(2), LineAddr(3), LineAddr(4)]);
     }
 
     #[test]

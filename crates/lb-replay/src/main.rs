@@ -7,6 +7,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use gpu_sim::kernel::InstKind;
 use gpu_sim::policy::baseline_factory;
 use gpu_sim::GpuConfig;
 use lb_replay::format;
@@ -83,9 +84,16 @@ fn run() -> Result<(), String> {
         "info" => {
             let file = args.get(1).ok_or("info: missing FILE.lbw1")?;
             let rep = format::read_file(Path::new(file)).map_err(|e| e.to_string())?;
-            let mem_ops: u64 =
-                rep.streams.iter().flat_map(|s| &s.ops).filter(|o| o.line_len > 0).count() as u64;
-            let pool: usize = rep.streams.iter().map(|s| s.lines.len()).sum();
+            // A memory op is one whose body instruction is a Load or Store;
+            // sparse patterns leave many of them without lines.
+            let (mut mem_ops, mut lineless) = (0u64, 0u64);
+            for op in rep.streams.iter().flat_map(|s| s.ops()) {
+                if !matches!(rep.stub.body[op.pos as usize].kind, InstKind::Alu { .. }) {
+                    mem_ops += 1;
+                    lineless += u64::from(op.line_len == 0);
+                }
+            }
+            let pool: usize = rep.streams.iter().map(|s| s.pool().len()).sum();
             println!("kernel        {}", rep.stub.name);
             println!(
                 "grid          {} CTAs x {} warps",
@@ -95,7 +103,7 @@ fn run() -> Result<(), String> {
             println!("shared/CTA    {} B", rep.stub.shared_mem_per_cta);
             println!("static body   {} insts, {} loads", rep.stub.body.len(), rep.stub.loads.len());
             println!("dynamic insts {}", rep.dyn_insts());
-            println!("memory ops    {mem_ops}");
+            println!("memory ops    {mem_ops} ({lineless} without lines)");
             println!("line pool     {pool} entries");
             Ok(())
         }

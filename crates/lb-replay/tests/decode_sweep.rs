@@ -1,0 +1,81 @@
+//! Decode sweep over a captured trace: every prefix and thousands of seeded
+//! byte corruptions.
+//!
+//! `decode` checks each op once, as it parses it, instead of running
+//! `ReplayKernel::validate` afterwards. This sweep backs that up:
+//!
+//! - decode returns `Ok` or a typed `ReplayError` and never panics;
+//! - every `Ok` kernel passes `validate()`, so the per-op checks are never
+//!   weaker than it;
+//! - every `Ok` kernel survives `decode(encode(k))` op for op, in body
+//!   position and line slice (pools may differ: interning canonicalises
+//!   them).
+
+use std::cell::Cell;
+
+use gpu_sim::policy::baseline_factory;
+use gpu_sim::replay::ReplayKernel;
+use gpu_sim::GpuConfig;
+use lb_replay::{capture_app, decode, encode, ReplayError};
+
+/// A 2-SM `S1` capture of two loop trips: about 11 KB of LBW1, holding
+/// memory ops both with and without lines.
+fn captured() -> Vec<u8> {
+    let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
+    let (_, rep) = capture_app("S1", &cfg, 2, &baseline_factory()).unwrap();
+    encode(&rep)
+}
+
+/// Asserts what an `Ok` decode promises: the kernel is valid and
+/// round-trips through the wire format op for op.
+fn check_decoded(k: &ReplayKernel, case: &str) {
+    if let Err(e) = k.validate() {
+        panic!("{case}: decoded kernel fails validate: {e}");
+    }
+    let back = decode(&encode(k)).unwrap_or_else(|e| panic!("{case}: re-decode failed: {e}"));
+    assert_eq!(back.stub, k.stub, "{case}: stub");
+    assert_eq!(back.streams.len(), k.streams.len(), "{case}: stream count");
+    for (si, (a, b)) in k.streams.iter().zip(&back.streams).enumerate() {
+        assert_eq!(a.len(), b.len(), "{case}: stream {si} length");
+        for (oi, (oa, ob)) in a.ops().zip(b.ops()).enumerate() {
+            assert_eq!(oa.pos, ob.pos, "{case}: stream {si} op {oi} body position");
+            assert_eq!(a.lines(oa), b.lines(ob), "{case}: stream {si} op {oi} lines");
+        }
+    }
+}
+
+#[test]
+fn every_prefix_is_a_typed_truncation() {
+    let bytes = captured();
+    assert!(bytes.len() > 1_000, "the sweep needs a non-trivial trace");
+    for cut in 0..bytes.len() {
+        match decode(&bytes[..cut]) {
+            Err(ReplayError::UnexpectedEof { .. }) | Err(ReplayError::BadMagic) => {}
+            other => panic!("prefix of {cut} bytes: expected EOF/BadMagic, got {other:?}"),
+        }
+    }
+    let whole = decode(&bytes).expect("the whole capture decodes");
+    check_decoded(&whole, "whole file");
+    assert_eq!(encode(&whole), bytes, "canonical encoding");
+}
+
+#[test]
+fn seeded_corruptions_decode_or_fail_typed() {
+    let bytes = captured();
+    let decoded_ok = Cell::new(0u32);
+    // testkit::check_n reports the failing case index if decode panics.
+    testkit::check_n("lbw1_corruption", 2_500, |rng| {
+        let mut bad = bytes.clone();
+        for _ in 0..rng.range_u32(1, 5) {
+            let at = rng.range_usize(0, bad.len());
+            bad[at] = rng.u64() as u8;
+        }
+        if let Ok(k) = decode(&bad) {
+            check_decoded(&k, "corrupted file");
+            decoded_ok.set(decoded_ok.get() + 1);
+        }
+    });
+    // Some corruptions (line addresses, ALU-to-ALU body positions) leave a
+    // valid kernel; the Ok-side checks above must not go unexercised.
+    assert!(decoded_ok.get() > 0, "no corrupted file decoded, so no Ok case was checked");
+}

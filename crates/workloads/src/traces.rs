@@ -53,7 +53,7 @@ mod tests {
     use super::*;
     use gpu_sim::kernel::KernelBuilder;
     use gpu_sim::pattern::AccessPattern;
-    use gpu_sim::replay::{TraceOp, WarpStream};
+    use gpu_sim::replay::WarpStream;
     use gpu_sim::types::LineAddr;
 
     fn tiny() -> Arc<ReplayKernel> {
@@ -62,16 +62,10 @@ mod tests {
             .load_then_use(AccessPattern::streaming(128), 0)
             .build()
             .unwrap();
-        Arc::new(ReplayKernel {
-            stub,
-            streams: vec![WarpStream {
-                ops: vec![
-                    TraceOp { pos: 0, line_off: 0, line_len: 1 },
-                    TraceOp { pos: 1, line_off: 0, line_len: 0 },
-                ],
-                lines: vec![LineAddr(1)],
-            }],
-        })
+        let mut stream = WarpStream::default();
+        stream.push(0, &[LineAddr(1)]);
+        stream.push(1, &[]);
+        Arc::new(ReplayKernel { stub, streams: vec![stream] })
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: every architecture runs on every class of
 //! workload, and invariants hold across the substrate/policy boundary.
 
+use std::sync::Arc;
+
 use gpu_sim::config::GpuConfig;
-use gpu_sim::gpu::run_kernel;
+use gpu_sim::gpu::{run_kernel, run_replay_kernel};
 use gpu_sim::policy::baseline_factory;
 use lb_bench::{Arch, Runner, Scale};
 use workloads::{all_apps, app, Sensitivity};
@@ -121,4 +123,32 @@ fn cache_insensitive_app_unharmed_by_linebacker() {
         lb.ipc(),
         base.ipc()
     );
+}
+
+#[test]
+fn captured_trace_replays_identically() {
+    // Capture S1 on a one-wave grid, take it through LBW1 bytes and back,
+    // then replay it: the trace frontend end to end across crates.
+    let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
+    let (cap, rep) = lb_replay::capture_app("S1", &cfg, 4, &baseline_factory()).unwrap();
+    let bytes = lb_replay::encode(&rep);
+    let rep = Arc::new(lb_replay::decode(&bytes).unwrap());
+    assert_eq!(
+        lb_replay::encode(&rep),
+        bytes,
+        "re-encoding a decoded trace must be byte-identical"
+    );
+    for arch in [Arch::Baseline, Arch::Linebacker] {
+        let c = arch.transform_config_with(&cfg, &rep.stub);
+        let s = run_replay_kernel(c, &rep, &arch.factory());
+        assert!(s.completed, "{} replay did not complete", arch.label());
+        assert_eq!(s.instructions, cap.instructions, "{} replay instruction count", arch.label());
+        if arch == Arch::Baseline {
+            // Capture placement is policy-invariant, so a Baseline replay
+            // reproduces the Baseline capture run exactly.
+            assert_eq!(s.cycles, cap.cycles);
+            assert_eq!(s.l1_hits, cap.l1_hits);
+            assert_eq!(s.dram_bytes, cap.dram_bytes);
+        }
+    }
 }
