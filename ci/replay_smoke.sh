@@ -10,8 +10,10 @@
 #   2. fresh capture  - a capture made here and now round-trips the same
 #                       way, so the property isn't an artifact of the
 #                       committed files;
-#   3. import         - the handcrafted Accel-Sim-style text trace imports,
-#                       and the imported .lbw1 passes the same selftest;
+#   3. import         - the handcrafted Accel-Sim-style text traces (a
+#                       straight-line kernel and a loop with a lineless
+#                       memory op) import, and each imported .lbw1 passes
+#                       the same selftest;
 #   4. harness        - `--workload trace:PATH` runs end to end on both
 #                       binaries and the trace_replay experiment renders
 #                       its corpus table;
@@ -53,9 +55,11 @@ echo "replay_smoke: fresh capture round-trips"
 "$LBR" selftest "$T/ge.lbw1" --sms 2
 
 echo "replay_smoke: text-trace import + selftest"
-"$LBR" import "$CORPUS/sample.traceg" "$T/sample.lbw1"
-"$LBR" info "$T/sample.lbw1" > /dev/null
-"$LBR" selftest "$T/sample.lbw1" --sms 2
+for t in sample loop; do
+    "$LBR" import "$CORPUS/$t.traceg" "$T/$t.lbw1"
+    "$LBR" info "$T/$t.lbw1" > /dev/null
+    "$LBR" selftest "$T/$t.lbw1" --sms 2
+done
 
 echo "replay_smoke: harness --workload runs end to end"
 "$LBX" --scale quick --jobs 1 --workload "trace:$T/ge.lbw1" \

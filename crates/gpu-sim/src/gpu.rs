@@ -142,7 +142,7 @@ impl Gpu {
                     sm.set_replay(Arc::clone(rep));
                 }
                 if capture {
-                    sm.enable_capture(n_streams);
+                    sm.enable_capture(n_streams, kernel.body.len() as u32);
                 }
                 sm
             })

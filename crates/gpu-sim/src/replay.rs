@@ -19,28 +19,36 @@
 //! slot that produced it — the property the cross-policy round-trip tests
 //! rely on.
 //!
-//! # Stream words
+//! # Stream layout
 //!
-//! A [`WarpStream`] keeps its ops as a run of `u32` words, not one struct
-//! per op, because most dynamic instructions carry no lines. An op without
-//! lines is one word, its body position. An op with lines is three words:
-//! `MEM | pos`, `line_off`, `line_len`, where `MEM` is bit 31, so a body
-//! position stays at or below [`MAX_OP_POS`]. A memory op whose access
-//! touched no lines (a sparse pattern skipped the instance) is stored like
-//! an ALU op. A replayed warp's cursor (its `body_pos` column) is a *word
-//! index* into its stream: [`WarpStream::op_at`] decodes the op at a cursor
-//! and returns the cursor just past it. The words are private; [`TraceOp`]
-//! is the decoded view every reader gets.
+//! A [`WarpStream`] stores nothing per ALU op. Its ops are a list of
+//! [`Run`]s: a run `(start, count)` is `count` ops at consecutive body
+//! positions from `start`, wrapping to 0 past the body's end — the walk
+//! [`WarpSlab::advance`](crate::warp::WarpSlab::advance) makes for a
+//! synthetic warp. A captured stream of any trip count is therefore one
+//! run, and an imported trace adds one run per taken branch. Each op at a
+//! Load/Store body position owns one access record `(line_off, line_len)`
+//! into the stream's line pool, in issue order; a memory op whose access
+//! touched no lines (a sparse pattern skipped the instance) owns a
+//! lineless one. Whether an op is a memory op is read from the stub body,
+//! so readers walk the runs through it: [`WarpStream::ops`] yields the
+//! decoded [`TraceOp`] view. Streams are built through [`StreamBuilder`].
+//!
+//! A replayed warp's `body_pos` column holds its real body position, as a
+//! synthetic warp's does; its run index, the ops left in that run and its
+//! next access record are slab columns too
+//! ([`WarpSlab::advance_replay`](crate::warp::WarpSlab::advance_replay)),
+//! so the SM reads a record only when the warp issues a memory
+//! instruction.
 
 use crate::config::GpuConfig;
 use crate::kernel::{InstKind, KernelSpec, StaticInst};
 use crate::types::{Cycle, LineAddr};
 
-/// Tag bit on the first word of an op that carries lines.
-const MEM: u32 = 1 << 31;
-
-/// Largest body position a stream op can hold (bit 31 tags memory ops).
-pub const MAX_OP_POS: u32 = MEM - 1;
+/// Body length for a [`StreamBuilder`] whose body grows while it records
+/// (import): the most instructions a body may have, so a run can wrap only
+/// at the end of a body that long, where the body walk wraps as well.
+pub const GROWING_BODY: u32 = u32::MAX;
 
 /// One dynamic instruction of a warp's replay stream, decoded.
 ///
@@ -64,20 +72,18 @@ impl TraceOp {
     /// line pool: the body position is in range, the line slice lies inside
     /// the pool, and an ALU op carries no lines. A memory op with zero lines
     /// is legal: sparse patterns (e.g. `SparseStream`) skip most instances.
+    /// Returns whether the op is a memory op, i.e. owns an access record.
     /// [`ReplayKernel::validate`] states the per-op invariants through this,
     /// and the `LBW1` decoder runs it on each op as it parses it.
     #[inline]
-    pub fn check(self, body: &[StaticInst], pool_len: usize) -> Result<(), String> {
-        let fits = match body.get(self.pos as usize) {
-            None => false,
-            Some(_) if self.line_len == 0 => true,
-            Some(inst) => {
-                u64::from(self.line_off) + u64::from(self.line_len) <= pool_len as u64
-                    && !matches!(inst.kind, InstKind::Alu { .. })
-            }
+    pub fn check(self, body: &[StaticInst], pool_len: usize) -> Result<bool, String> {
+        let Some(inst) = body.get(self.pos as usize) else {
+            return Err(self.fault(body, pool_len));
         };
-        if fits {
-            Ok(())
+        let mem = !matches!(inst.kind, InstKind::Alu { .. });
+        let end = u64::from(self.line_off) + u64::from(self.line_len);
+        if self.line_len == 0 || (mem && end <= pool_len as u64) {
+            Ok(mem)
         } else {
             Err(self.fault(body, pool_len))
         }
@@ -97,100 +103,94 @@ impl TraceOp {
     }
 }
 
-/// The recorded execution of one warp: its dynamic instructions as op
-/// words (layout in the module docs) and the line pool its memory
-/// operations reference.
+/// `count` ops at consecutive body positions from `start`, wrapping to 0
+/// past the end of the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Body position of the run's first op.
+    pub start: u32,
+    /// Number of ops in the run (at least 1).
+    pub count: u32,
+}
+
+/// The body position after `pos` in a body of `body_len` instructions: the
+/// one step of the body walk that runs, synthetic and replayed warps share.
+#[inline]
+pub(crate) fn next_pos(pos: u32, body_len: u32) -> u32 {
+    let next = pos.wrapping_add(1);
+    if next == body_len {
+        0
+    } else {
+        next
+    }
+}
+
+/// The recorded execution of one warp: its dynamic instructions as runs of
+/// body positions, one access record per memory op, and the line pool the
+/// records reference (layout in the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarpStream {
-    /// Op words in issue order.
-    words: Vec<u32>,
-    /// Number of ops in `words`.
-    n_ops: usize,
-    /// Line pool referenced by the ops' (offset, length) slices. Capture
-    /// appends raw per-access slices; the `LBW1` encoder interns duplicates,
-    /// so a decoded stream shares repeated accesses.
+    /// Runs of ops in issue order.
+    runs: Vec<Run>,
+    /// `(line_off, line_len)` of each memory op, in issue order.
+    accesses: Vec<(u32, u32)>,
+    /// Line pool referenced by the access records. Capture appends raw
+    /// per-access slices; the `LBW1` encoder interns duplicates, so a
+    /// decoded stream shares repeated accesses.
     lines: Vec<LineAddr>,
 }
 
 impl WarpStream {
-    /// Appends an op and copies its `lines` (empty for an op without lines)
-    /// to the end of the pool. Capture and import record through this.
-    pub fn push(&mut self, pos: u32, lines: &[LineAddr]) {
-        let off = self.lines.len() as u32;
-        self.lines.extend_from_slice(lines);
-        self.push_ref(pos, off, lines.len() as u32);
-    }
-
-    /// Appends an op that references `line_len` lines at `line_off` of a
-    /// pool supplied later by [`WarpStream::take_with_pool`]; the `LBW1`
-    /// decoder pushes its parsed ops through this. Panics if `pos` exceeds
-    /// [`MAX_OP_POS`], which the word layout cannot represent.
-    #[inline]
-    pub fn push_ref(&mut self, pos: u32, line_off: u32, line_len: u32) {
-        assert!(pos <= MAX_OP_POS, "body position {pos} does not fit an op word");
-        if line_len == 0 {
-            self.words.push(pos);
-        } else {
-            self.words.extend([MEM | pos, line_off, line_len]);
-        }
-        self.n_ops += 1;
-    }
-
-    /// Returns the ops pushed so far as a new stream over `pool`, its words
-    /// copied out at exact size, and empties `self` but keeps its word
-    /// buffer. The decoder builds every stream in one such scratch stream,
-    /// so no decoded stream carries a growing buffer's spare capacity.
-    pub fn take_with_pool(&mut self, pool: Vec<LineAddr>) -> WarpStream {
-        debug_assert!(self.lines.is_empty(), "a scratch stream has no pool of its own");
-        let s =
-            WarpStream { words: self.words.as_slice().to_vec(), n_ops: self.n_ops, lines: pool };
-        self.words.clear();
-        self.n_ops = 0;
-        s
-    }
-
     /// Number of ops (dynamic instructions).
     pub fn len(&self) -> usize {
-        self.n_ops
+        self.runs.iter().map(|r| r.count as usize).sum()
     }
 
     /// True when the stream holds no op.
     pub fn is_empty(&self) -> bool {
-        self.n_ops == 0
+        self.runs.is_empty()
     }
 
-    /// Decodes the op at word index `at`, returning it with the word index
-    /// of the op after it. `at` must be a cursor this stream handed out
-    /// (0, or a value `op_at` returned) and not past the last op.
+    /// The runs in issue order.
     #[inline]
-    pub fn op_at(&self, at: u32) -> (TraceOp, u32) {
-        let i = at as usize;
-        let w = self.words[i];
-        if w & MEM == 0 {
-            (TraceOp { pos: w, line_off: 0, line_len: 0 }, at + 1)
-        } else {
-            let op =
-                TraceOp { pos: w & !MEM, line_off: self.words[i + 1], line_len: self.words[i + 2] };
-            (op, at + 3)
-        }
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
-    /// Body position of the op at word index `at`, or `None` when `at` is
-    /// the end of the stream.
+    /// Number of access records (memory ops).
+    pub fn n_accesses(&self) -> usize {
+        self.accesses.len()
+    }
+
+    /// The coalesced lines of access record `i`.
     #[inline]
-    pub fn pos_at(&self, at: u32) -> Option<u32> {
-        self.words.get(at as usize).map(|&w| w & !MEM)
+    pub fn access(&self, i: u32) -> &[LineAddr] {
+        let (off, len) = self.accesses[i as usize];
+        let off = off as usize;
+        &self.lines[off..off + len as usize]
     }
 
-    /// The ops in issue order.
-    pub fn ops(&self) -> impl Iterator<Item = TraceOp> + '_ {
-        let mut at = 0u32;
-        std::iter::from_fn(move || {
-            self.pos_at(at)?;
-            let (op, next) = self.op_at(at);
-            at = next;
-            Some(op)
-        })
+    /// The ops in issue order, walked through the stub `body`: each run
+    /// steps its body position, and each op at a Load/Store position takes
+    /// the next access record. Never panics; on a stream that does not fit
+    /// `body`, which [`ReplayKernel::validate`] rejects, the ops past a
+    /// missing record read as lineless.
+    pub fn ops<'a>(&'a self, body: &'a [StaticInst]) -> impl Iterator<Item = TraceOp> + 'a {
+        let body_len = body.len() as u32;
+        let mut records = self.accesses.iter();
+        self.runs
+            .iter()
+            .flat_map(move |r| {
+                std::iter::successors(Some(r.start), move |&p| Some(next_pos(p, body_len)))
+                    .take(r.count as usize)
+            })
+            .map(move |pos| {
+                let mem =
+                    body.get(pos as usize).is_some_and(|i| !matches!(i.kind, InstKind::Alu { .. }));
+                let (line_off, line_len) =
+                    if mem { records.next().copied().unwrap_or((0, 0)) } else { (0, 0) };
+                TraceOp { pos, line_off, line_len }
+            })
     }
 
     /// The coalesced lines of `op`, one of this stream's ops.
@@ -203,6 +203,80 @@ impl WarpStream {
     /// The whole line pool.
     pub fn pool(&self) -> &[LineAddr] {
         &self.lines
+    }
+}
+
+/// Appends ops to a [`WarpStream`]: an op extends the last run when its
+/// body position follows the run's last one, and opens a run otherwise.
+/// Capture, import and the `LBW1` decoder all build streams through this.
+#[derive(Debug, Clone)]
+pub struct StreamBuilder {
+    /// The stream built so far.
+    stream: WarpStream,
+    /// Body length runs wrap at ([`GROWING_BODY`] while the body grows).
+    body_len: u32,
+    /// Body position that extends the last run.
+    next: u32,
+}
+
+impl StreamBuilder {
+    /// An empty stream over a body of `body_len` instructions, whose runs
+    /// wrap to 0 past its end. Import, whose body grows while it reads,
+    /// passes [`GROWING_BODY`]: a run that never wraps is still a run.
+    pub fn new(body_len: u32) -> Self {
+        StreamBuilder { stream: WarpStream::default(), body_len, next: 0 }
+    }
+
+    /// Appends an op at body position `pos`: `access` is `Some(lines)` for
+    /// an op at a Load or Store position (`lines` may be empty) and `None`
+    /// for an ALU op. The lines are copied to the end of the pool. Capture
+    /// and import record through this.
+    pub fn push(&mut self, pos: u32, access: Option<&[LineAddr]>) {
+        let record = access.map(|lines| {
+            let off = self.stream.lines.len() as u32;
+            self.stream.lines.extend_from_slice(lines);
+            (off, lines.len() as u32)
+        });
+        self.push_ref(pos, record);
+    }
+
+    /// Appends an op whose access record, if any, is `(line_off, line_len)`
+    /// of a pool supplied later by [`StreamBuilder::take_with_pool`]; the
+    /// `LBW1` decoder pushes its parsed ops through this.
+    #[inline]
+    pub fn push_ref(&mut self, pos: u32, record: Option<(u32, u32)>) {
+        let runs = &mut self.stream.runs;
+        match runs.last_mut() {
+            Some(r) if pos == self.next && r.count < u32::MAX => r.count += 1,
+            _ => runs.push(Run { start: pos, count: 1 }),
+        }
+        self.next = next_pos(pos, self.body_len);
+        if let Some((off, len)) = record {
+            // A lineless record's offset carries nothing; keep it canonical.
+            self.stream.accesses.push(if len == 0 { (0, 0) } else { (off, len) });
+        }
+    }
+
+    /// The finished stream.
+    pub fn finish(self) -> WarpStream {
+        self.stream
+    }
+
+    /// Returns the ops pushed so far as a new stream over `pool`, copied
+    /// out at exact size, and empties `self` but keeps its buffers. The
+    /// decoder builds every stream in one such scratch builder, so no
+    /// decoded stream carries a growing buffer's spare capacity.
+    pub fn take_with_pool(&mut self, pool: Vec<LineAddr>) -> WarpStream {
+        let s = &mut self.stream;
+        debug_assert!(s.lines.is_empty(), "a scratch builder has no pool of its own");
+        let out = WarpStream {
+            runs: s.runs.as_slice().to_vec(),
+            accesses: s.accesses.as_slice().to_vec(),
+            lines: pool,
+        };
+        s.runs.clear();
+        s.accesses.clear();
+        out
     }
 }
 
@@ -229,8 +303,9 @@ impl ReplayKernel {
     }
 
     /// Validates internal consistency: the stub itself, the stream count
-    /// against the grid, no empty stream, and every op against the stub
-    /// body and its stream's pool ([`TraceOp::check`]).
+    /// against the grid, no empty stream, every op of the walk against the
+    /// stub body and its stream's pool ([`TraceOp::check`]), and one access
+    /// record per memory op.
     pub fn validate(&self) -> Result<(), String> {
         self.stub.validate()?;
         if self.streams.len() != self.total_streams() {
@@ -241,13 +316,23 @@ impl ReplayKernel {
                 self.stub.warps_per_cta
             ));
         }
+        let body = &self.stub.body;
         for (si, s) in self.streams.iter().enumerate() {
             if s.is_empty() {
                 return Err(format!("stream {si} is empty"));
             }
-            for (oi, op) in s.ops().enumerate() {
-                op.check(&self.stub.body, s.pool().len())
+            let mut mem_ops = 0;
+            for (oi, op) in s.ops(body).enumerate() {
+                let mem = op
+                    .check(body, s.pool().len())
                     .map_err(|e| format!("stream {si} op {oi}: {e}"))?;
+                mem_ops += usize::from(mem);
+            }
+            if mem_ops != s.n_accesses() {
+                return Err(format!(
+                    "stream {si} has {} access records for {mem_ops} memory ops",
+                    s.n_accesses()
+                ));
             }
         }
         Ok(())
@@ -308,7 +393,9 @@ mod tests {
     use super::*;
     use crate::kernel::KernelBuilder;
     use crate::pattern::AccessPattern;
+    use crate::types::{LoadId, Pc};
 
+    /// A load at body position 0 and its ALU consumer at 1.
     fn stub() -> KernelSpec {
         KernelBuilder::new("t")
             .grid(1, 1)
@@ -322,11 +409,17 @@ mod tests {
         ReplayKernel { stub: stub(), streams: vec![stream] }
     }
 
+    /// A stream over `stub()` from `(pos, access)` ops (`None`: ALU op).
+    fn stream(ops: &[(u32, Option<&[LineAddr]>)]) -> WarpStream {
+        let mut b = StreamBuilder::new(2);
+        for &(pos, access) in ops {
+            b.push(pos, access);
+        }
+        b.finish()
+    }
+
     fn valid_rep() -> ReplayKernel {
-        let mut s = WarpStream::default();
-        s.push(0, &[LineAddr(42)]);
-        s.push(1, &[]);
-        rep_of(s)
+        rep_of(stream(&[(0, Some(&[LineAddr(42)])), (1, None)]))
     }
 
     #[test]
@@ -349,76 +442,177 @@ mod tests {
 
     #[test]
     fn out_of_range_pos_rejected() {
-        let mut s = WarpStream::default();
-        s.push(99, &[LineAddr(42)]);
+        let s = stream(&[(99, Some(&[LineAddr(42)]))]);
         assert!(rep_of(s).validate().unwrap_err().contains("out of range"));
     }
 
     #[test]
     fn line_slice_overflow_rejected() {
-        let mut s = WarpStream::default();
-        s.push_ref(0, 0, 7);
-        let r = rep_of(s.take_with_pool(vec![LineAddr(42)]));
+        let mut b = StreamBuilder::new(2);
+        b.push_ref(0, Some((0, 7)));
+        b.push_ref(1, None);
+        let r = rep_of(b.take_with_pool(vec![LineAddr(42)]));
         assert!(r.validate().unwrap_err().contains("exceeds pool"));
     }
 
     #[test]
-    fn kind_mismatch_rejected() {
-        // The ALU consumer at pos 1 must not carry lines.
-        let mut s = WarpStream::default();
-        s.push(0, &[LineAddr(42)]);
-        s.push(1, &[LineAddr(43)]);
-        assert!(rep_of(s).validate().unwrap_err().contains("ALU op carries"));
+    fn access_records_match_memory_ops() {
+        // A record pushed for the ALU consumer at pos 1 is one too many.
+        let s = stream(&[(0, Some(&[LineAddr(42)])), (1, Some(&[LineAddr(43)]))]);
+        let err = rep_of(s).validate().unwrap_err();
+        assert!(err.contains("2 access records for 1 memory ops"), "{err}");
+        // A load pushed without a record leaves one missing.
+        let s = stream(&[(0, None), (1, None)]);
+        let err = rep_of(s).validate().unwrap_err();
+        assert!(err.contains("0 access records for 1 memory ops"), "{err}");
         // A memory op with zero lines is legal (sparse-pattern skip).
-        let mut s = WarpStream::default();
-        s.push(0, &[]);
-        s.push(1, &[]);
-        assert!(rep_of(s).validate().is_ok());
+        assert!(rep_of(stream(&[(0, Some(&[])), (1, None)])).validate().is_ok());
     }
 
     #[test]
-    fn words_round_trip_ops_and_cursors() {
-        let mut s = WarpStream::default();
-        s.push(3, &[]);
-        s.push(MAX_OP_POS, &[LineAddr(7), LineAddr(8)]);
-        s.push(0, &[]);
-        s.push(5, &[LineAddr(9)]);
-        assert_eq!(s.len(), 4);
-        let want = [
-            TraceOp { pos: 3, line_off: 0, line_len: 0 },
-            TraceOp { pos: MAX_OP_POS, line_off: 0, line_len: 2 },
-            TraceOp { pos: 0, line_off: 0, line_len: 0 },
-            TraceOp { pos: 5, line_off: 2, line_len: 1 },
-        ];
-        assert_eq!(s.ops().collect::<Vec<_>>(), want);
-        // Cursors are word indices: one word per op without lines, three
-        // per op with lines.
-        let mut at = 0;
-        for (op, next) in want.iter().zip([1, 4, 5, 8]) {
-            assert_eq!(s.pos_at(at), Some(op.pos));
-            assert_eq!(s.op_at(at), (*op, next));
-            at = next;
+    fn check_reports_memory_ops_and_rejects_alu_lines() {
+        let body = stub().body;
+        let op = |pos, line_off, line_len| TraceOp { pos, line_off, line_len };
+        assert_eq!(op(0, 0, 1).check(&body, 1), Ok(true));
+        assert_eq!(op(0, 0, 0).check(&body, 0), Ok(true));
+        assert_eq!(op(1, 0, 0).check(&body, 1), Ok(false));
+        assert!(op(1, 0, 1).check(&body, 1).unwrap_err().contains("ALU op carries"));
+        assert!(op(0, 1, 1).check(&body, 1).unwrap_err().contains("exceeds pool"));
+        assert!(op(2, 0, 0).check(&body, 1).unwrap_err().contains("out of range"));
+    }
+
+    /// A four-instruction body: load, ALU, store, ALU.
+    fn body4() -> Vec<StaticInst> {
+        let inst = |i: u32, kind| StaticInst { pc: Pc(16 * i), kind, wait_for: None };
+        vec![
+            inst(0, InstKind::Load { load: LoadId(0) }),
+            inst(1, InstKind::Alu { latency: 1 }),
+            inst(2, InstKind::Store { load: LoadId(1) }),
+            inst(3, InstKind::Alu { latency: 1 }),
+        ]
+    }
+
+    #[test]
+    fn builder_extends_wraps_and_opens_runs() {
+        let body = body4();
+        let positions = [2, 3, 0, 1, 2, 0, 1, 3];
+        let mut b = StreamBuilder::new(4);
+        let mut grow = StreamBuilder::new(GROWING_BODY);
+        for &p in &positions {
+            let access: Option<&[LineAddr]> = match p {
+                0 => Some(&[LineAddr(7), LineAddr(8)]),
+                2 => Some(&[]),
+                _ => None,
+            };
+            b.push(p, access);
+            grow.push(p, access);
         }
-        assert_eq!(s.pos_at(at), None);
-        assert_eq!(s.lines(want[1]), &[LineAddr(7), LineAddr(8)]);
-        assert_eq!(s.pool().len(), 3);
+        let (s, g) = (b.finish(), grow.finish());
+        let run = |start, count| Run { start, count };
+        // 2,3 wrap to 0,1,2; a jump back to 0 opens a run, and so does 1 -> 3.
+        assert_eq!(s.runs(), [run(2, 5), run(0, 2), run(3, 1)]);
+        // A growing body never wraps: the step from 3 to 0 opens a run too.
+        assert_eq!(g.runs(), [run(2, 2), run(0, 3), run(0, 2), run(3, 1)]);
+        assert_eq!(s.len(), positions.len());
+        // One record per Load/Store op, lineless ones included; ALU ops
+        // store nothing.
+        assert_eq!(s.n_accesses(), 4);
+        let ops: Vec<TraceOp> = s.ops(&body).collect();
+        assert_eq!(ops, g.ops(&body).collect::<Vec<_>>());
+        assert_eq!(ops.iter().map(|o| o.pos).collect::<Vec<_>>(), positions);
+        assert_eq!(s.lines(ops[2]), [LineAddr(7), LineAddr(8)]);
+        assert_eq!(ops[0], TraceOp { pos: 2, line_off: 0, line_len: 0 });
+        assert_eq!(s.access(1), [LineAddr(7), LineAddr(8)]);
+        assert_eq!(s.access(3), s.lines(ops[5]));
+    }
+
+    #[test]
+    fn random_op_sequences_walk_back_op_for_op() {
+        testkit::check_n("stream_walk_round_trip", 300, |rng| {
+            let kinds = [
+                InstKind::Alu { latency: 1 },
+                InstKind::Load { load: LoadId(0) },
+                InstKind::Store { load: LoadId(0) },
+            ];
+            let body: Vec<StaticInst> = (0..rng.range_u32(1, 9))
+                .map(|i| StaticInst { pc: Pc(16 * i), kind: *rng.pick(&kinds), wait_for: None })
+                .collect();
+            let len = body.len() as u32;
+            let mut b = StreamBuilder::new(len);
+            let mut grow = StreamBuilder::new(GROWING_BODY);
+            let mut want: Vec<(u32, Vec<LineAddr>)> = Vec::new();
+            let mut pos = rng.range_u32(0, len);
+            let mut jumps = 0;
+            for i in 0..rng.range_usize(1, 200) {
+                if i > 0 {
+                    // Mostly step (wrapping at the body end), sometimes jump.
+                    let step = next_pos(pos, len);
+                    pos = if rng.range_u32(0, 8) == 0 { rng.range_u32(0, len) } else { step };
+                    jumps += usize::from(pos != step);
+                }
+                let mem = !matches!(body[pos as usize].kind, InstKind::Alu { .. });
+                let lines: Vec<LineAddr> = if mem {
+                    (0..rng.range_u64(0, 4)).map(|_| LineAddr(rng.range_u64(0, 64))).collect()
+                } else {
+                    Vec::new()
+                };
+                b.push(pos, mem.then_some(lines.as_slice()));
+                grow.push(pos, mem.then_some(lines.as_slice()));
+                want.push((pos, lines));
+            }
+            let (s, g) = (b.finish(), grow.finish());
+            assert_eq!(s.runs().len(), jumps + 1, "a run per jump, none per wrap");
+            assert_eq!(s.len(), want.len());
+            assert_eq!(
+                s.n_accesses(),
+                want.iter()
+                    .filter(|(p, _)| { !matches!(body[*p as usize].kind, InstKind::Alu { .. }) })
+                    .count()
+            );
+            for stream in [&s, &g] {
+                let got: Vec<(u32, Vec<LineAddr>)> =
+                    stream.ops(&body).map(|op| (op.pos, stream.lines(op).to_vec())).collect();
+                assert_eq!(got, want);
+            }
+        });
+    }
+
+    #[test]
+    fn captured_stream_is_one_run_whatever_its_alu_count() {
+        let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 60_000);
+        for gap in [0, 3, 9] {
+            let k = KernelBuilder::new("c")
+                .grid(2, 2)
+                .load_then_use(AccessPattern::streaming(128), gap)
+                .store(AccessPattern::streaming(128))
+                .iterations(3)
+                .build()
+                .unwrap();
+            let body_len = k.body.len() as u32;
+            let (_, rep) =
+                crate::gpu::capture_kernel(cfg.clone(), k, &crate::policy::baseline_factory())
+                    .unwrap();
+            for s in &rep.streams {
+                assert_eq!(s.runs(), [Run { start: 0, count: 3 * body_len }]);
+                // Three trips of one load and one store, however many ALU
+                // ops the body holds.
+                assert_eq!(s.n_accesses(), 6);
+            }
+        }
     }
 
     #[test]
     fn take_with_pool_copies_out_and_resets_scratch() {
-        let mut scratch = WarpStream::default();
-        scratch.push_ref(0, 0, 1);
-        scratch.push_ref(1, 0, 0);
+        let mut scratch = StreamBuilder::new(2);
+        scratch.push_ref(0, Some((0, 1)));
+        scratch.push_ref(1, None);
         let s = scratch.take_with_pool(vec![LineAddr(42)]);
         assert_eq!(s, valid_rep().streams[0]);
-        assert!(scratch.is_empty());
-        assert_eq!(scratch.pos_at(0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit an op word")]
-    fn body_position_past_limit_panics() {
-        WarpStream::default().push(MAX_OP_POS + 1, &[]);
+        // The next stream starts empty: a run of its own, no old records.
+        scratch.push_ref(1, None);
+        let t = scratch.take_with_pool(Vec::new());
+        assert_eq!(t.runs(), [Run { start: 1, count: 1 }]);
+        assert_eq!(t.n_accesses(), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::pattern::{AccessCtx, DecodeCtx, LineDesc};
 use crate::phase_timer;
 use crate::policy::{MissService, PolicyCtx, PreAccess, SmPolicy, WindowInfo};
 use crate::regfile::RegFile;
-use crate::replay::{ReplayKernel, WarpStream};
+use crate::replay::{ReplayKernel, StreamBuilder, WarpStream};
 use crate::scheduler::{CandList, GtoScheduler};
 use crate::stats::{RfSpaceSample, SimStats};
 use crate::types::{
@@ -242,14 +242,14 @@ pub struct Sm {
     /// Event-trace capture handle (shared with the GPU; off by default).
     tracer: Tracer,
     /// Trace-replay frontend: when set, warps execute their pre-recorded
-    /// streams instead of the synthetic pattern generator (`body_pos`
-    /// becomes a stream word index; `gen_access_lines` is never called).
+    /// streams instead of the synthetic pattern generator (their runs steer
+    /// `body_pos`; `gen_access_lines` is never called).
     replay: Option<Arc<ReplayKernel>>,
     /// Workload-trace capture: when set, every executed instruction is
     /// pushed (memory ops with their coalesced lines) onto its warp's
     /// stream. Indexed by grid-wide stream id; each stream executes on
     /// exactly one SM, so the GPU merges per-SM vectors at run end.
-    capture: Option<Vec<WarpStream>>,
+    capture: Option<Vec<StreamBuilder>>,
     /// Grid-wide dispatch ordinal of the *next* CTA this SM launches
     /// (stream base = ordinal x warps_per_cta). Set by the GPU immediately
     /// before every `try_launch_cta`; a dead store outside trace mode.
@@ -331,17 +331,18 @@ impl Sm {
         self.replay = Some(rep);
     }
 
-    /// Enables workload-trace capture with `n_streams` grid-wide streams.
-    /// Must be installed before the first CTA launch.
-    pub fn enable_capture(&mut self, n_streams: usize) {
+    /// Enables workload-trace capture with `n_streams` grid-wide streams
+    /// over a kernel body of `body_len` instructions. Must be installed
+    /// before the first CTA launch.
+    pub fn enable_capture(&mut self, n_streams: usize, body_len: u32) {
         debug_assert_eq!(self.launch_seq, 0, "capture must be enabled before any launch");
-        self.capture = Some(vec![WarpStream::default(); n_streams]);
+        self.capture = Some(vec![StreamBuilder::new(body_len); n_streams]);
     }
 
     /// Takes the captured streams (empty entries belong to CTAs launched on
     /// other SMs); `None` when capture was never enabled.
     pub fn take_capture(&mut self) -> Option<Vec<WarpStream>> {
-        self.capture.take()
+        Some(self.capture.take()?.into_iter().map(StreamBuilder::finish).collect())
     }
 
     /// Sets the grid-wide dispatch ordinal of the next CTA launched here
@@ -489,35 +490,23 @@ impl Sm {
             // it per instruction.
             let op_base =
                 first_reg.0 + (wid % kernel.warps_per_cta.max(1)) * kernel.regs_per_warp();
-            match &rep {
-                Some(rep) => {
-                    let sid = stream_base + i as u64;
-                    let first_pos =
-                        rep.streams[sid as usize].pos_at(0).expect("replay streams are non-empty");
-                    let first = WarpSlab::inst_meta_at(kernel, first_pos);
-                    self.warps.launch_trace(
-                        wid as usize,
-                        CtaId(slot),
-                        gw,
-                        seq * 1000 + i as u64,
-                        op_base,
-                        first,
-                    );
-                    self.warps.set_stream(wid as usize, sid as u32);
-                }
-                None => {
-                    self.warps.launch(
-                        wid as usize,
-                        CtaId(slot),
-                        gw,
-                        seq * 1000 + i as u64,
-                        op_base,
-                        kernel,
-                    );
-                    if self.capture.is_some() {
-                        self.warps.set_stream(wid as usize, (stream_base + i as u64) as u32);
-                    }
-                }
+            self.warps.launch(
+                wid as usize,
+                CtaId(slot),
+                gw,
+                seq * 1000 + i as u64,
+                op_base,
+                kernel,
+            );
+            let sid = stream_base + i as u64;
+            if let Some(rep) = &rep {
+                let first = *rep.streams[sid as usize]
+                    .runs()
+                    .first()
+                    .expect("replay streams are non-empty");
+                self.warps.start_replay(wid as usize, kernel, sid as u32, first);
+            } else if self.capture.is_some() {
+                self.warps.set_stream(wid as usize, sid as u32);
             }
             // Slot reuse changes the global warp number: stale descriptors
             // of the previous tenant must never replay.
@@ -1253,13 +1242,13 @@ impl Sm {
     }
 
     /// Issues the warp's next instruction. One path serves synthetic and
-    /// replayed warps: [`Sm::fetch_op`] supplies the body position and a
-    /// memory op's lines, the shared body does operand traffic, the
-    /// ALU/Load/Store work and capture, and only the final advance differs
-    /// (kernel-body loop or stream cursor).
+    /// replayed warps: [`Sm::fetch_op`] supplies a memory op's lines, the
+    /// shared body does operand traffic, the ALU/Load/Store work and
+    /// capture, and only the final advance differs (kernel-body loop or
+    /// stream runs).
     fn execute_inst(&mut self, wid: WarpId, cycle: Cycle, kernel: &KernelSpec, cfg: &GpuConfig) {
         let slot = wid.0 as usize;
-        let (body_pos, next) = self.fetch_op(slot, kernel);
+        let body_pos = self.fetch_op(slot, kernel);
         let inst = &kernel.body[body_pos as usize];
         self.stats.instructions += 1;
         self.tracer.emit(
@@ -1328,14 +1317,13 @@ impl Sm {
         }
 
         // Advance the warp past this instruction and retire if finished: a
-        // synthetic warp loops over the kernel body, a replayed warp moves
-        // its stream cursor to `next` and retires at stream end.
+        // synthetic warp loops over the kernel body, a replayed warp walks
+        // its stream's runs and retires past the last.
         match &self.replay {
             None => self.warps.advance(slot, kernel),
             Some(rep) => {
-                let stream = &rep.streams[self.warps.stream(slot) as usize];
-                let next_meta = stream.pos_at(next).map(|p| WarpSlab::inst_meta_at(kernel, p));
-                self.warps.advance_trace(slot, next, next_meta);
+                let runs = rep.streams[self.warps.stream(slot) as usize].runs();
+                self.warps.advance_replay(slot, kernel, runs);
             }
         }
         if self.warps.done(slot) {
@@ -1348,29 +1336,26 @@ impl Sm {
     }
 
     /// Source step of [`Sm::execute_inst`]: returns the body position of
-    /// the warp's next instruction and the cursor just past it, and, for a
-    /// memory op, leaves its coalesced lines in `line_buf`. A synthetic warp
-    /// reads its kernel body and generates the lines (its cursor is the body
-    /// position, which [`WarpSlab::advance`] steps and wraps itself). A
-    /// replayed warp decodes the stream op at its cursor (`body_pos` holds a
-    /// stream word index) and copies the op's interned line slice, never
+    /// the warp's next instruction and, for a memory op, leaves its
+    /// coalesced lines in `line_buf`. A synthetic warp generates the lines;
+    /// a replayed warp copies the lines of its next access record, never
     /// consulting the descriptor cache or the access-index counter.
-    fn fetch_op(&mut self, slot: usize, kernel: &KernelSpec) -> (u32, u32) {
-        let at = self.warps.body_pos(slot);
-        let Some(rep) = &self.replay else {
-            if let InstKind::Load { load } | InstKind::Store { load } =
-                kernel.body[at as usize].kind
-            {
-                let idx = self.warps.next_access_index(slot, load);
-                self.gen_access_lines(slot, load, idx, kernel);
+    fn fetch_op(&mut self, slot: usize, kernel: &KernelSpec) -> u32 {
+        let pos = self.warps.body_pos(slot);
+        if let InstKind::Load { load } | InstKind::Store { load } = kernel.body[pos as usize].kind {
+            match &self.replay {
+                None => {
+                    let idx = self.warps.next_access_index(slot, load);
+                    self.gen_access_lines(slot, load, idx, kernel);
+                }
+                Some(rep) => {
+                    let stream = &rep.streams[self.warps.stream(slot) as usize];
+                    self.line_buf.clear();
+                    self.line_buf.extend_from_slice(stream.access(self.warps.next_record(slot)));
+                }
             }
-            return (at, at + 1);
-        };
-        let stream = &rep.streams[self.warps.stream(slot) as usize];
-        let (op, next) = stream.op_at(at);
-        self.line_buf.clear();
-        self.line_buf.extend_from_slice(stream.lines(op));
-        (op.pos, next)
+        }
+        pos
     }
 
     /// Appends the instruction just executed to its warp's capture stream
@@ -1382,8 +1367,7 @@ impl Sm {
     fn capture_op(&mut self, slot: usize, pos: u32, mem: bool) {
         let Sm { capture, line_buf, warps, .. } = self;
         let Some(cap) = capture.as_mut() else { return };
-        let lines: &[LineAddr] = if mem { line_buf } else { &[] };
-        cap[warps.stream(slot) as usize].push(pos, lines);
+        cap[warps.stream(slot) as usize].push(pos, mem.then_some(line_buf.as_slice()));
     }
 
     /// Generates the coalesced line addresses of one dynamic access of

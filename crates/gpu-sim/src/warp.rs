@@ -8,6 +8,7 @@
 //! recycles slots by zeroing column ranges without allocating.
 
 use crate::kernel::{InstKind, KernelSpec};
+use crate::replay::{next_pos, Run};
 use crate::types::{CtaId, Cycle, LoadId};
 
 /// `meta` bit: slot holds a live (occupied, not retired) warp.
@@ -43,8 +44,8 @@ pub struct WarpSlab {
     global_warp: Vec<u64>,
     /// Launch order for GTO "oldest" tie-breaking.
     age: Vec<u64>,
-    /// Index of the next instruction in the kernel body; for a replayed
-    /// warp, the word index of its next op in its trace stream.
+    /// Index of the next instruction in the kernel body, for synthetic and
+    /// replayed warps alike.
     body_pos: Vec<u32>,
     /// Completed loop iterations.
     iter: Vec<u32>,
@@ -73,6 +74,12 @@ pub struct WarpSlab {
     /// lane`). Written at every launch; read only by the trace frontend
     /// (replay execution and capture recording) — dead in synthetic runs.
     stream: Vec<u32>,
+    /// Replayed warp: index of its current run in its stream.
+    run: Vec<u32>,
+    /// Replayed warp: ops of the current run after the current one.
+    run_left: Vec<u32>,
+    /// Replayed warp: index of its next access record in its stream.
+    record: Vec<u32>,
     /// Outstanding line-requests per static load (scoreboard), flattened.
     outstanding: Vec<u32>,
     /// Per-load dynamic access counter (pattern phase), flattened.
@@ -97,6 +104,9 @@ impl WarpSlab {
             meta: vec![0; n_slots],
             gen: vec![0; n_slots],
             stream: vec![0; n_slots],
+            run: vec![0; n_slots],
+            run_left: vec![0; n_slots],
+            record: vec![0; n_slots],
             outstanding: Vec::new(),
             access_index: Vec::new(),
         }
@@ -141,12 +151,19 @@ impl WarpSlab {
         m
     }
 
-    /// Public view of [`WarpSlab::inst_meta`] for the trace frontend: the
-    /// replay path advances by stream cursor, so the SM computes the next
-    /// instruction's meta bits from the *trace op's* body position instead
-    /// of the warp's own (which is the cursor, not a body index).
-    pub(crate) fn inst_meta_at(kernel: &KernelSpec, pos: u32) -> u32 {
-        Self::inst_meta(kernel, pos)
+    /// Moves the warp in `slot` to body position `pos` and refreshes its
+    /// instruction meta bits.
+    #[inline]
+    fn set_pos(&mut self, slot: usize, kernel: &KernelSpec, pos: u32) {
+        self.body_pos[slot] = pos;
+        self.meta[slot] = (self.meta[slot] & META_READY) | Self::inst_meta(kernel, pos);
+    }
+
+    /// Retires the warp in `slot`.
+    #[inline]
+    fn retire(&mut self, slot: usize) {
+        self.done[slot] = true;
+        self.meta[slot] &= !META_LIVE;
     }
 
     /// Launches a warp into `slot`, resetting every column of the row. A
@@ -160,35 +177,6 @@ impl WarpSlab {
         op_base: u32,
         kernel: &KernelSpec,
     ) {
-        self.launch_inner(slot, cta, global_warp, age, op_base, Self::inst_meta(kernel, 0));
-    }
-
-    /// Launches a warp in trace-replay mode: identical to [`WarpSlab::launch`]
-    /// except the first instruction's meta bits come from the warp's trace
-    /// stream (its first op's body position) rather than body position 0,
-    /// and `body_pos` starts as a stream cursor (a word index into the
-    /// stream).
-    pub fn launch_trace(
-        &mut self,
-        slot: usize,
-        cta: CtaId,
-        global_warp: u64,
-        age: u64,
-        op_base: u32,
-        first_meta: u32,
-    ) {
-        self.launch_inner(slot, cta, global_warp, age, op_base, first_meta);
-    }
-
-    fn launch_inner(
-        &mut self,
-        slot: usize,
-        cta: CtaId,
-        global_warp: u64,
-        age: u64,
-        op_base: u32,
-        first_meta: u32,
-    ) {
         debug_assert!(!self.occupied[slot], "launch into an occupied slot");
         self.occupied[slot] = true;
         self.cta[slot] = cta;
@@ -200,7 +188,10 @@ impl WarpSlab {
         self.next_ready[slot] = 0;
         self.total_outstanding[slot] = 0;
         self.op_base[slot] = op_base;
-        self.meta[slot] = META_READY | first_meta;
+        self.run[slot] = 0;
+        self.run_left[slot] = 0;
+        self.record[slot] = 0;
+        self.meta[slot] = META_READY | Self::inst_meta(kernel, 0);
         let lo = slot * self.n_loads;
         self.outstanding[lo..lo + self.n_loads].fill(0);
         self.access_index[lo..lo + self.n_loads].fill(0);
@@ -217,6 +208,23 @@ impl WarpSlab {
     #[inline]
     pub fn set_stream(&mut self, slot: usize, id: u32) {
         self.stream[slot] = id;
+    }
+
+    /// Starts the warp just launched into `slot` on its replay stream `id`,
+    /// at the first op of `first`, the stream's first run.
+    pub fn start_replay(&mut self, slot: usize, kernel: &KernelSpec, id: u32, first: Run) {
+        self.stream[slot] = id;
+        self.run_left[slot] = first.count - 1;
+        self.set_pos(slot, kernel, first.start);
+    }
+
+    /// Takes the index of the next access record of the replayed warp in
+    /// `slot` (post-incrementing).
+    #[inline]
+    pub fn next_record(&mut self, slot: usize) -> u32 {
+        let i = self.record[slot];
+        self.record[slot] += 1;
+        i
     }
 
     /// Frees `slot` at CTA reap; the row is re-zeroed by the next launch.
@@ -284,8 +292,7 @@ impl WarpSlab {
         self.next_ready[slot] = cycle;
     }
 
-    /// Body position of the warp in `slot` (a stream word index when the
-    /// warp replays a trace).
+    /// Body position of the warp in `slot`.
     #[inline]
     pub fn body_pos(&self, slot: usize) -> u32 {
         self.body_pos[slot]
@@ -338,34 +345,35 @@ impl WarpSlab {
     /// Advances the warp in `slot` past its current instruction, wrapping
     /// the loop body and retiring the warp after the final iteration.
     pub fn advance(&mut self, slot: usize, kernel: &KernelSpec) {
-        self.body_pos[slot] += 1;
-        if self.body_pos[slot] as usize == kernel.body.len() {
-            self.body_pos[slot] = 0;
+        let pos = next_pos(self.body_pos[slot], kernel.body.len() as u32);
+        if pos == 0 {
             self.iter[slot] += 1;
             if self.iter[slot] >= kernel.iterations {
-                self.done[slot] = true;
-                self.meta[slot] &= !META_LIVE;
-                return;
+                return self.retire(slot);
             }
         }
-        self.meta[slot] =
-            (self.meta[slot] & META_READY) | Self::inst_meta(kernel, self.body_pos[slot]);
+        self.set_pos(slot, kernel, pos);
     }
 
-    /// Advances the warp in `slot` along its trace stream: `body_pos`
-    /// becomes `cursor`, the stream word index of the next op, and
-    /// `next_meta` holds the meta bits of that op's body position (`None` at
-    /// stream end retires the warp). The stub kernel's `iterations` is
-    /// ignored — a stream's length *is* its trip count.
-    pub fn advance_trace(&mut self, slot: usize, cursor: u32, next_meta: Option<u32>) {
-        self.body_pos[slot] = cursor;
-        match next_meta {
-            Some(m) => self.meta[slot] = (self.meta[slot] & META_READY) | m,
-            None => {
-                self.done[slot] = true;
-                self.meta[slot] &= !META_LIVE;
-            }
-        }
+    /// Advances the replayed warp in `slot` past its current op along its
+    /// stream's `runs`: within a run the body position steps and wraps as
+    /// in [`WarpSlab::advance`]; past a run's last op it moves to the next
+    /// run's start, and past the last run the warp retires. The stub
+    /// kernel's `iterations` is ignored — a stream's length *is* its trip
+    /// count.
+    pub fn advance_replay(&mut self, slot: usize, kernel: &KernelSpec, runs: &[Run]) {
+        let pos = if self.run_left[slot] > 0 {
+            self.run_left[slot] -= 1;
+            next_pos(self.body_pos[slot], kernel.body.len() as u32)
+        } else {
+            self.run[slot] += 1;
+            let Some(next) = runs.get(self.run[slot] as usize) else {
+                return self.retire(slot);
+            };
+            self.run_left[slot] = next.count - 1;
+            next.start
+        };
+        self.set_pos(slot, kernel, pos);
     }
 
     /// Packed issue metadata of the warp in `slot` (`META_*` flags plus the
@@ -534,6 +542,35 @@ mod tests {
         assert_eq!(w.total_outstanding(0), 0);
         assert_eq!(w.outstanding(0, LoadId(0)), 0);
         assert_eq!(w.next_access_index(0, LoadId(0)), 0);
+    }
+
+    /// A replayed warp's body position follows its runs: it steps and
+    /// wraps within a run, jumps to the next run's start, and the warp
+    /// retires past the last run whatever the kernel's `iterations`.
+    #[test]
+    fn advance_replay_walks_runs_and_retires() {
+        let k = kernel(); // load, dep'd consumer, ALU; two iterations
+        let mut w = slab(&k);
+        let runs = [Run { start: 2, count: 3 }, Run { start: 1, count: 2 }];
+        w.start_replay(0, &k, 7, runs[0]);
+        assert_eq!(w.stream(0), 7);
+        let mut walk = vec![w.body_pos(0)];
+        while !w.done(0) {
+            w.advance_replay(0, &k, &runs);
+            walk.push(w.body_pos(0));
+        }
+        // The last entry is the position the warp retired at.
+        assert_eq!(walk, [2, 0, 1, 1, 2, 2]);
+        assert_eq!(w.meta(0) & META_LIVE, 0);
+        assert_eq!((w.next_record(0), w.next_record(0)), (0, 1));
+        // The next tenant of the slot starts its cursor afresh.
+        w.free(0);
+        w.launch(0, CtaId(0), 1, 1, 0, &k);
+        w.start_replay(0, &k, 8, Run { start: 0, count: 1 });
+        assert_ne!(w.meta(0) & META_LOAD, 0);
+        assert_eq!(w.next_record(0), 0);
+        w.advance_replay(0, &k, &[Run { start: 0, count: 1 }]);
+        assert!(w.done(0));
     }
 
     /// The packed metadata column must mirror the slow columns at every

@@ -87,7 +87,9 @@ pub fn replay_reencode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::kernel::InstKind;
     use gpu_sim::policy::baseline_factory;
+    use gpu_sim::replay::Run;
 
     fn cap_cfg() -> GpuConfig {
         GpuConfig::default().with_sms(2).with_windows(5_000, 400_000)
@@ -113,6 +115,21 @@ mod tests {
         // Canonical encoding: a replay re-capture serializes identically.
         let rt = replay_reencode(&cfg, &std::sync::Arc::new(back), &baseline_factory()).unwrap();
         assert_eq!(rt, bytes);
+    }
+
+    #[test]
+    fn captured_stream_is_one_run_and_a_record_per_memory_op() {
+        let cfg = cap_cfg();
+        for trips in [1, 3, 5] {
+            let (_, rep) = capture_app("S1", &cfg, trips, &baseline_factory()).unwrap();
+            let body = &rep.stub.body;
+            let mem_insts = body.iter().filter(|i| !matches!(i.kind, InstKind::Alu { .. })).count();
+            assert!(mem_insts < body.len(), "S1 has ALU ops that must store nothing");
+            for s in &rep.streams {
+                assert_eq!(s.runs(), [Run { start: 0, count: trips * body.len() as u32 }]);
+                assert_eq!(s.n_accesses(), trips as usize * mem_insts);
+            }
+        }
     }
 
     #[test]

@@ -30,11 +30,16 @@
 //! (already interned) serialize to byte-identical files — the property the
 //! capture→replay→re-encode self-check in CI relies on.
 //!
+//! The wire lists every op, but a decoded [`WarpStream`] keeps only runs
+//! of consecutive body positions and one access record per memory op
+//! (layout in [`gpu_sim::replay`]); [`encode`] walks the runs through the
+//! stub body to write the op list back.
+//!
 //! [`decode`] is a single pass over the bytes. It checks each op once, as
 //! it parses it ([`TraceOp::check`]: body position in range, line slice
 //! inside the stream's pool, no lines on an ALU op), rejects an empty
-//! stream, and pushes the op straight into its stream's op words (layout
-//! in [`gpu_sim::replay`]). [`ReplayKernel::validate`] states the same
+//! stream, and only then extends the stream's last run or opens a new one
+//! ([`StreamBuilder`]). [`ReplayKernel::validate`] states the same
 //! invariants and is debug-asserted on every decoded kernel. The
 //! `decode_sweep` tests decode every prefix of a captured trace and
 //! thousands of seeded corruptions of it, and check that every kernel
@@ -49,7 +54,7 @@ use std::collections::HashMap;
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::AccessPattern;
-use gpu_sim::replay::{ReplayKernel, TraceOp, WarpStream, MAX_OP_POS};
+use gpu_sim::replay::{ReplayKernel, StreamBuilder, TraceOp, WarpStream};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 use lb_trace::put_uvarint;
 
@@ -259,7 +264,7 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
         interned.clear();
         let mut pool: Vec<LineAddr> = Vec::new();
         let mut slots: Vec<(u32, u32)> = Vec::with_capacity(s.len());
-        for op in s.ops() {
+        for op in s.ops(&stub.body) {
             if op.line_len == 0 {
                 slots.push((0, 0));
                 continue;
@@ -280,7 +285,7 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
             prev = cur;
         }
         put_uvarint(&mut out, s.len() as u64);
-        for (op, &(off, len)) in s.ops().zip(&slots) {
+        for (op, &(off, len)) in s.ops(&stub.body).zip(&slots) {
             put_uvarint(&mut out, u64::from(op.pos));
             put_uvarint(&mut out, u64::from(len));
             if len > 0 {
@@ -338,11 +343,7 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if n_body > buf.len() as u64 {
         return Err(ReplayError::UnexpectedEof { at: pos });
     }
-    if n_body > u64::from(MAX_OP_POS) + 1 {
-        return Err(ReplayError::Malformed(format!(
-            "static body of {n_body} instructions exceeds the 2^31 op-word limit"
-        )));
-    }
+    let body_len = as_u32(n_body, "static body length")?;
     let mut body = Vec::with_capacity(n_body as usize);
     for _ in 0..n_body {
         let pc = as_u32(get_uvarint(buf, &mut pos)?, "pc")?;
@@ -388,8 +389,8 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
         return Err(ReplayError::UnexpectedEof { at: pos });
     }
     let mut streams = Vec::with_capacity(n_streams as usize);
-    // Every stream's op words are built here, then copied out at exact size.
-    let mut scratch = WarpStream::default();
+    // Every stream is built here, then copied out at exact size.
+    let mut scratch = StreamBuilder::new(body_len);
     for si in 0..n_streams {
         streams.push(get_stream(buf, &mut pos, si, &stub.body, &mut scratch)?);
     }
@@ -404,13 +405,14 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
 }
 
 /// Reads stream `si`: its line pool, then its ops, each checked against the
-/// stub `body` and the pool as it is parsed and pushed onto `scratch`.
+/// stub `body` and the pool as it is parsed and then pushed onto `scratch`
+/// (with its access record if it is a memory op).
 fn get_stream(
     buf: &[u8],
     pos: &mut usize,
     si: u64,
     body: &[StaticInst],
-    scratch: &mut WarpStream,
+    scratch: &mut StreamBuilder,
 ) -> Result<WarpStream, ReplayError> {
     let n_lines = get_uvarint(buf, pos)?;
     if n_lines > buf.len() as u64 {
@@ -432,9 +434,10 @@ fn get_stream(
     }
     for oi in 0..n_ops {
         let op = get_op(buf, pos)?;
-        op.check(body, lines.len())
+        let mem = op
+            .check(body, lines.len())
             .map_err(|e| ReplayError::Malformed(format!("stream {si} op {oi}: {e}")))?;
-        scratch.push_ref(op.pos, op.line_off, op.line_len);
+        scratch.push_ref(op.pos, mem.then_some((op.line_off, op.line_len)));
     }
     Ok(scratch.take_with_pool(lines))
 }
@@ -465,13 +468,13 @@ mod tests {
             .unwrap();
         // Each stream repeats its first access — the encoder must intern it.
         let stream = |lines: &[LineAddr]| {
-            let mut s = WarpStream::default();
+            let mut s = StreamBuilder::new(3);
             for _ in 0..2 {
-                s.push(0, lines);
-                s.push(1, &[]);
-                s.push(2, &[]);
+                s.push(0, Some(lines));
+                s.push(1, None);
+                s.push(2, None);
             }
-            s
+            s.finish()
         };
         let s0 = stream(&[LineAddr(10), LineAddr(11)]);
         let s1 = stream(&[LineAddr(500)]);
@@ -491,7 +494,7 @@ mod tests {
         // is preserved exactly.
         for (a, b) in rep.streams.iter().zip(&back.streams) {
             assert_eq!(a.len(), b.len());
-            for (oa, ob) in a.ops().zip(b.ops()) {
+            for (oa, ob) in a.ops(&rep.stub.body).zip(b.ops(&back.stub.body)) {
                 assert_eq!(oa.pos, ob.pos);
                 assert_eq!(a.lines(oa), b.lines(ob));
             }
@@ -537,10 +540,10 @@ mod tests {
         // A record claiming more lines than any warp can coalesce must be
         // rejected by length, before validation ever sees it.
         let mut bad = sample();
-        let mut s = WarpStream::default();
-        s.push(0, &vec![LineAddr(1); MAX_LINES_PER_RECORD as usize + 1]);
-        s.push(1, &[]);
-        bad.streams[0] = s;
+        let mut s = StreamBuilder::new(3);
+        s.push(0, Some(&vec![LineAddr(1); MAX_LINES_PER_RECORD as usize + 1]));
+        s.push(1, None);
+        bad.streams[0] = s.finish();
         match decode(&encode(&bad)) {
             Err(ReplayError::OverlongRecord { lines, .. }) => {
                 assert_eq!(lines, MAX_LINES_PER_RECORD + 1);
@@ -576,7 +579,10 @@ mod tests {
         // An op indexing past the stub body decodes structurally but fails
         // validation with a typed error.
         let mut rep = sample();
-        rep.streams[0].push(99, &[]);
+        let mut s = StreamBuilder::new(3);
+        s.push(0, Some(&[LineAddr(10)]));
+        s.push(99, None);
+        rep.streams[0] = s.finish();
         let bytes = encode(&rep);
         match decode(&bytes) {
             Err(ReplayError::Malformed(msg)) => assert!(msg.contains("out of range")),

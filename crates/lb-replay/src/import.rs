@@ -31,27 +31,33 @@
 //! mode `1` followed by `base stride` (lane *i* at `base + i*stride`) —
 //! the two uncompressed encodings Accel-Sim's tracer emits. Per-lane byte
 //! addresses are coalesced to distinct 128 B lines in first-touch order.
+//! A memory instruction whose active mask is 0 (every lane predicated off)
+//! touches no line and imports as a lineless memory op.
 //!
 //! Normalization into `LBW1` terms:
 //! - Distinct PCs become the static body, in first-appearance order. `LD*`
 //!   opcodes map to loads, `ST*` to stores (each mem PC gets its own
 //!   load-spec slot, as the synthetic builder does), everything else to ALU
 //!   with a coarse latency model ([`opcode_latency`]). A body past
-//!   2^31 instructions ([`MAX_OP_POS`]) is a typed error.
+//!   `u32::MAX` instructions is a typed error.
+//! - Each warp's instructions are appended to its stream through a
+//!   [`StreamBuilder`] over a growing body ([`GROWING_BODY`]): a jump
+//!   (a taken branch) opens a new run.
 //! - Scoreboard edges are recovered from registers: at a PC's first dynamic
 //!   occurrence, a source register produced by a still-pending load gives
 //!   the static instruction its `wait_for` edge.
 //! - Thread blocks are CTAs in file order; `warp = N` indexes streams
 //!   within the block. A warp id at or past `block warps` is a typed error
 //!   ([`ReplayError::Malformed`]), as is a block count that disagrees with
-//!   `-grid dim`.
+//!   `-grid dim` and a warp that lists more or fewer instruction lines than
+//!   its `insts = N`.
 
 use std::collections::HashMap;
 use std::path::Path;
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::{coalesce_bytes, AccessPattern};
-use gpu_sim::replay::{ReplayKernel, WarpStream, MAX_OP_POS};
+use gpu_sim::replay::{ReplayKernel, StreamBuilder, GROWING_BODY};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 
 use crate::format::{ReplayError, MAX_LINES_PER_RECORD};
@@ -105,7 +111,10 @@ struct RawInst {
     dests: Vec<u32>,
     opcode: String,
     srcs: Vec<u32>,
-    /// Coalesced lines of a memory instruction; empty for ALU.
+    /// The line carries an address descriptor (`mem_width > 0`).
+    has_addresses: bool,
+    /// Coalesced lines of a memory instruction; empty for ALU and for a
+    /// memory instruction with every lane predicated off.
     lines: Vec<LineAddr>,
 }
 
@@ -144,9 +153,6 @@ fn parse_inst_line(line: &str, line_no: usize) -> Result<RawInst, ReplayError> {
     let mut lines = Vec::new();
     if mem_width > 0 {
         let active = u64::from(mask.count_ones().min(WARP_LANES));
-        if active == 0 {
-            return Err(malformed(line_no, "memory instruction with empty active mask"));
-        }
         let mode = next("address mode")?;
         let mut bytes = Vec::with_capacity(active as usize);
         match mode {
@@ -173,7 +179,7 @@ fn parse_inst_line(line: &str, line_no: usize) -> Result<RawInst, ReplayError> {
             return Err(ReplayError::OverlongRecord { at: line_no, lines: lines.len() as u64 });
         }
     }
-    Ok(RawInst { pc, dests, opcode, srcs, lines })
+    Ok(RawInst { pc, dests, opcode, srcs, has_addresses: mem_width > 0, lines })
 }
 
 /// Parses Accel-Sim-style trace text into a validated [`ReplayKernel`].
@@ -189,11 +195,14 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
     let mut loads: Vec<LoadSpec> = Vec::new();
     let mut pc_index: HashMap<u32, u32> = HashMap::new();
 
-    let mut streams: Vec<WarpStream> = Vec::new();
+    let mut streams: Vec<StreamBuilder> = Vec::new();
     let mut warps_per_cta = 0u32;
     let mut cta = -1i64;
     let mut cur_stream: Option<usize> = None;
+    // Instruction lines the current warp has yet to list, and the line
+    // number and count of its `insts = N`.
     let mut insts_left = 0u64;
+    let mut insts_decl = (0usize, 0u64);
     // Per-warp pending-load scoreboard: register → load id, reset per warp.
     let mut pending: HashMap<u32, LoadId> = HashMap::new();
 
@@ -236,14 +245,22 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
                 .map_err(|_| malformed(line_no, "block dim exceeds u32 warps"))?
                 .max(1);
             cta += 1;
-            streams.resize((cta as usize + 1) * warps_per_cta as usize, WarpStream::default());
+            streams.resize(
+                (cta as usize + 1) * warps_per_cta as usize,
+                StreamBuilder::new(GROWING_BODY),
+            );
             cur_stream = None;
             continue;
         }
-        if line == "#END_TB" || line.starts_with("thread block") {
+        if line == "#END_TB" {
+            check_listed(insts_left, insts_decl)?;
+            continue;
+        }
+        if line.starts_with("thread block") {
             continue;
         }
         if let Some(v) = line.strip_prefix("warp = ") {
+            check_listed(insts_left, insts_decl)?;
             if cta < 0 {
                 return Err(malformed(line_no, "warp header outside a thread block"));
             }
@@ -260,7 +277,9 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
             continue;
         }
         if let Some(v) = line.strip_prefix("insts = ") {
+            check_listed(insts_left, insts_decl)?;
             insts_left = v.trim().parse().map_err(|_| malformed(line_no, "bad inst count"))?;
+            insts_decl = (line_no, insts_left);
             continue;
         }
         // Anything else must be an instruction line of the current warp.
@@ -272,7 +291,7 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
         let inst = parse_inst_line(line, line_no)?;
         let is_load = inst.opcode.starts_with("LD");
         let is_store = inst.opcode.starts_with("ST");
-        if (is_load || is_store) && inst.lines.is_empty() {
+        if (is_load || is_store) && !inst.has_addresses {
             return Err(malformed(line_no, "memory opcode without addresses"));
         }
         let pos = *pc_index.entry(inst.pc).or_insert_with(|| {
@@ -298,8 +317,13 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
             body.push(StaticInst { pc: Pc(inst.pc), kind, wait_for });
             pos
         });
-        if pos > MAX_OP_POS {
-            return Err(malformed(line_no, "static body exceeds 2^31 instructions"));
+        if body.len() > u32::MAX as usize {
+            return Err(malformed(line_no, "static body exceeds u32::MAX instructions"));
+        }
+        // The body kind at this PC's first occurrence decides the op's kind.
+        let mem = !matches!(body[pos as usize].kind, InstKind::Alu { .. });
+        if !mem && inst.has_addresses {
+            return Err(malformed(line_no, "ALU instruction carries addresses"));
         }
         // Track register liveness for later wait_for discovery.
         if is_load {
@@ -313,8 +337,9 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
                 pending.remove(d);
             }
         }
-        streams[sid].push(pos, &inst.lines);
+        streams[sid].push(pos, mem.then_some(inst.lines.as_slice()));
     }
+    check_listed(insts_left, insts_decl)?;
 
     let declared = grid_ctas.ok_or_else(|| ReplayError::Malformed("missing grid dim".into()))?;
     let found = (cta + 1).max(0) as u64;
@@ -334,9 +359,21 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
         loads,
     )
     .map_err(ReplayError::Malformed)?;
+    let streams = streams.into_iter().map(StreamBuilder::finish).collect();
     let rep = ReplayKernel { stub, streams };
     rep.validate().map_err(ReplayError::Malformed)?;
     Ok(rep)
+}
+
+/// Fails when the warp whose `insts = N` sits at line `insts_decl.0` still
+/// has `left` of its `insts_decl.1` instruction lines unlisted.
+fn check_listed(left: u64, insts_decl: (usize, u64)) -> Result<(), ReplayError> {
+    let (line_no, n) = insts_decl;
+    if left == 0 {
+        Ok(())
+    } else {
+        Err(malformed(line_no, format!("warp declares {n} instructions but lists {}", n - left)))
+    }
 }
 
 /// Reads and imports a `kernel-*.traceg` text trace from `path`.
@@ -389,7 +426,7 @@ mod tests {
         assert_eq!(rep.stub.body[1].wait_for, Some(LoadId(0)));
         assert_eq!(rep.stub.body[2].wait_for, None);
         // 32 lanes, stride 4 → 128 consecutive bytes → 1 line per access.
-        assert_eq!(rep.streams[0].op_at(0).0.line_len, 1);
+        assert_eq!(rep.streams[0].access(0).len(), 1);
         // Each warp touches a distinct line.
         let first: Vec<LineAddr> = rep.streams.iter().map(|s| s.pool()[0]).collect();
         assert_eq!(first.len(), 4);
@@ -438,8 +475,84 @@ mod tests {
                  0010 ffffffff 1 R5 IADD3 2 R2 R2 0\n";
         let rep = import_str(t).unwrap();
         // Four lanes, lines 2, 3, 2, 4 → coalesced to three distinct lines.
-        assert_eq!(rep.streams[0].op_at(0).0.line_len, 3);
+        assert_eq!(rep.streams[0].access(0).len(), 3);
         assert_eq!(rep.streams[0].pool(), [LineAddr(2), LineAddr(3), LineAddr(4)]);
+    }
+
+    #[test]
+    fn short_warp_listing_rejected() {
+        // Warp 0 of block 0 declares 4 instructions at line 11 and lists 3;
+        // the shortfall shows at the next `warp =`, at `#END_TB`, or at the
+        // end of the input.
+        let drop_line = |t: &str, at: usize| {
+            t.lines().enumerate().filter(|&(i, _)| i != at).map(|(_, l)| format!("{l}\n")).collect()
+        };
+        let full = sample_trace();
+        let before_next_warp: String = drop_line(&full, 13);
+        let last = full.lines().count() - 2; // the last warp's last instruction
+        let before_end_tb: String = drop_line(&full, last);
+        let at_end_of_input = before_end_tb.trim_end().strip_suffix("#END_TB").unwrap().to_string();
+        // The last warp's `insts = 4` is line 32.
+        for (text, line) in [(before_next_warp, 11), (before_end_tb, 32), (at_end_of_input, 32)] {
+            match import_str(&text) {
+                Err(ReplayError::Malformed(msg)) => assert_eq!(
+                    msg,
+                    format!("line {line}: warp declares 4 instructions but lists 3"),
+                ),
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn masked_off_memory_op_imports_lineless() {
+        let t = sample_trace().replacen("0000 ffffffff 1 R2 LDG.E", "0000 00000000 1 R2 LDG.E", 1);
+        let rep = import_str(&t).unwrap();
+        assert_eq!(rep.streams[0].access(0), []);
+        assert_eq!(rep.streams[1].access(0).len(), 1);
+        // An ALU opcode with an address descriptor is not a memory op.
+        let bad = sample_trace().replacen("IMAD 2 R2 R5 0", "IMAD 2 R2 R5 4 1 0x0 4", 1);
+        match import_str(&bad) {
+            Err(ReplayError::Malformed(msg)) => assert!(msg.contains("ALU instruction"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn loop_fixture_round_trips_op_for_op() {
+        use gpu_sim::replay::Run;
+        let rep = import_file(&crate::testdata_dir().join("loop.traceg")).unwrap();
+        let run = |start, count| Run { start, count };
+        for s in &rep.streams {
+            // Prologue and first trip, then one run per taken backward
+            // branch; the epilogue follows on from the last trip.
+            assert_eq!(s.runs(), [run(0, 5), run(2, 3), run(2, 3), run(2, 5)]);
+            // Two prologue/epilogue accesses, one per trip (the third
+            // masked off), and nothing for the eight ALU ops.
+            assert_eq!(s.n_accesses(), 6);
+            assert_eq!(s.access(3), []);
+        }
+        let bytes = crate::format::encode(&rep);
+        let back = crate::format::decode(&bytes).unwrap();
+        assert_eq!(back.stub, rep.stub);
+        for (a, b) in rep.streams.iter().zip(&back.streams) {
+            let ops = |s: &'_ gpu_sim::replay::WarpStream| -> Vec<(u32, Vec<LineAddr>)> {
+                s.ops(&rep.stub.body).map(|op| (op.pos, s.lines(op).to_vec())).collect()
+            };
+            assert_eq!(ops(a), ops(b));
+            assert_eq!(ops(a).len(), 16);
+        }
+        assert_eq!(crate::format::encode(&back), bytes);
+        // `lb-replay selftest`: replaying while re-capturing re-encodes the
+        // same bytes.
+        let cfg = gpu_sim::GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
+        let re = crate::replay_reencode(
+            &cfg,
+            &std::sync::Arc::new(back),
+            &gpu_sim::policy::baseline_factory(),
+        )
+        .unwrap();
+        assert_eq!(re, bytes);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn run() -> Result<(), String> {
             // A memory op is one whose body instruction is a Load or Store;
             // sparse patterns leave many of them without lines.
             let (mut mem_ops, mut lineless) = (0u64, 0u64);
-            for op in rep.streams.iter().flat_map(|s| s.ops()) {
+            for op in rep.streams.iter().flat_map(|s| s.ops(&rep.stub.body)) {
                 if !matches!(rep.stub.body[op.pos as usize].kind, InstKind::Alu { .. }) {
                     mem_ops += 1;
                     lineless += u64::from(op.line_len == 0);

@@ -37,7 +37,7 @@ fn check_decoded(k: &ReplayKernel, case: &str) {
     assert_eq!(back.streams.len(), k.streams.len(), "{case}: stream count");
     for (si, (a, b)) in k.streams.iter().zip(&back.streams).enumerate() {
         assert_eq!(a.len(), b.len(), "{case}: stream {si} length");
-        for (oi, (oa, ob)) in a.ops().zip(b.ops()).enumerate() {
+        for (oi, (oa, ob)) in a.ops(&k.stub.body).zip(b.ops(&back.stub.body)).enumerate() {
             assert_eq!(oa.pos, ob.pos, "{case}: stream {si} op {oi} body position");
             assert_eq!(a.lines(oa), b.lines(ob), "{case}: stream {si} op {oi} lines");
         }

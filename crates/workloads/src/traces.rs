@@ -53,7 +53,7 @@ mod tests {
     use super::*;
     use gpu_sim::kernel::KernelBuilder;
     use gpu_sim::pattern::AccessPattern;
-    use gpu_sim::replay::WarpStream;
+    use gpu_sim::replay::StreamBuilder;
     use gpu_sim::types::LineAddr;
 
     fn tiny() -> Arc<ReplayKernel> {
@@ -62,10 +62,10 @@ mod tests {
             .load_then_use(AccessPattern::streaming(128), 0)
             .build()
             .unwrap();
-        let mut stream = WarpStream::default();
-        stream.push(0, &[LineAddr(1)]);
-        stream.push(1, &[]);
-        Arc::new(ReplayKernel { stub, streams: vec![stream] })
+        let mut stream = StreamBuilder::new(stub.body.len() as u32);
+        stream.push(0, Some(&[LineAddr(1)]));
+        stream.push(1, None);
+        Arc::new(ReplayKernel { stub, streams: vec![stream.finish()] })
     }
 
     #[test]
