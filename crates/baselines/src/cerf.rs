@@ -12,6 +12,12 @@
 //! * the unified structure puts cache traffic and operand traffic on the
 //!   same banks, roughly doubling bank conflicts (Figure 16: +52.4 % vs the
 //!   baseline against Linebacker's +29.1 %).
+//!
+//! The register-resident cache's tags are one set-major slab, as
+//! [`TagArray`]'s are: way `w` of set `s` lives at `s * 32 + w`, so a set is
+//! one contiguous stripe and the store is a single allocation.
+//!
+//! [`TagArray`]: gpu_sim::cache::TagArray
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::policy::{MissService, PolicyCtx, PolicyFactory, SmPolicy, WindowInfo};
@@ -28,8 +34,9 @@ struct CerfWay {
 /// CERF for one SM.
 #[derive(Debug)]
 pub struct CerfPolicy {
-    /// 48-set, 32-way tag store over the unified space.
-    sets: Vec<Vec<CerfWay>>,
+    /// 48-set, 32-way tag store over the unified space, set-major: way `w`
+    /// of set `s` is `ways[s * CERF_WAYS + w]`.
+    ways: Vec<CerfWay>,
     /// Maximum lines the register-resident cache may hold (recomputed each
     /// window from idle + rarely-used register space).
     capacity: u32,
@@ -50,7 +57,7 @@ impl CerfPolicy {
     /// register-resident cache beyond an L1 hit.
     pub fn new(_gpu: &GpuConfig) -> Self {
         CerfPolicy {
-            sets: (0..CERF_SETS).map(|_| vec![CerfWay::default(); CERF_WAYS]).collect(),
+            ways: vec![CerfWay::default(); CERF_SETS as usize * CERF_WAYS],
             capacity: 0,
             occupancy: 0,
             tick: 0,
@@ -70,8 +77,11 @@ impl CerfPolicy {
         self.reg_hits
     }
 
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 % CERF_SETS as u64) as usize
+    /// Slab range of the ways of `line`'s set. A range rather than a
+    /// slice, so the counters stay borrowable beside the stripe.
+    fn stripe(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let start = (line.0 % CERF_SETS as u64) as usize * CERF_WAYS;
+        start..start + CERF_WAYS
     }
 
     /// A pseudo register number for bank-conflict modelling: CERF spreads
@@ -83,8 +93,8 @@ impl CerfPolicy {
     fn lookup(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line);
-        for w in self.sets[set].iter_mut() {
+        let set = self.stripe(line);
+        for w in &mut self.ways[set] {
             if w.valid && w.line == line {
                 w.last_use = tick;
                 return true;
@@ -99,19 +109,19 @@ impl CerfPolicy {
         }
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line);
-        if self.sets[set].iter().any(|w| w.valid && w.line == line) {
+        let set = self.stripe(line);
+        if self.ways[set.clone()].iter().any(|w| w.valid && w.line == line) {
             return false;
         }
         // Free way while under capacity; otherwise evict set-LRU.
         if self.occupancy < self.capacity {
-            if let Some(w) = self.sets[set].iter_mut().find(|w| !w.valid) {
+            if let Some(w) = self.ways[set.clone()].iter_mut().find(|w| !w.valid) {
                 *w = CerfWay { valid: true, line, last_use: tick };
                 self.occupancy += 1;
                 return true;
             }
         }
-        let victim = self.sets[set].iter_mut().filter(|w| w.valid).min_by_key(|w| w.last_use);
+        let victim = self.ways[set].iter_mut().filter(|w| w.valid).min_by_key(|w| w.last_use);
         match victim {
             Some(w) => {
                 *w = CerfWay { valid: true, line, last_use: tick };
@@ -122,8 +132,8 @@ impl CerfPolicy {
     }
 
     fn invalidate(&mut self, line: LineAddr) {
-        let set = self.set_of(line);
-        for w in self.sets[set].iter_mut() {
+        let set = self.stripe(line);
+        for w in &mut self.ways[set] {
             if w.valid && w.line == line {
                 w.valid = false;
                 self.occupancy = self.occupancy.saturating_sub(1);
@@ -303,5 +313,41 @@ mod tests {
         // Lines beyond capacity in *new* sets are rejected; same-set LRU
         // replacement still works.
         assert!(p.occupancy >= 4);
+    }
+
+    /// The `n`-th line (from 0) mapping to `set`.
+    fn line_in(set: u64, n: u64) -> LineAddr {
+        LineAddr(set + n * CERF_SETS as u64)
+    }
+
+    #[test]
+    fn overfilling_a_set_never_evicts_a_neighbouring_set() {
+        let (mut p, _, _) = prepared();
+        let ways = CERF_WAYS as u64;
+        // In the slab, sets 0 and 2 flank set 1, and set 46 precedes the
+        // last set, 47.
+        let (flanks, overfilled) = ([0, 2, 46], [1, 47]);
+        for set in flanks {
+            for n in 0..ways {
+                assert!(p.insert(line_in(set, n)));
+            }
+        }
+        // 40 lines into a 32-way set: the last 8 each evict that set's LRU.
+        for set in overfilled {
+            for n in 0..40 {
+                assert!(p.insert(line_in(set, n)));
+            }
+        }
+        for set in flanks {
+            for n in 0..ways {
+                assert!(p.lookup(line_in(set, n)), "set {set} lost its line {n}");
+            }
+        }
+        for set in overfilled {
+            for n in 0..40 {
+                assert_eq!(p.lookup(line_in(set, n)), n >= 8, "set {set}, line {n}");
+            }
+        }
+        assert_eq!(p.occupancy, 5 * CERF_WAYS as u32);
     }
 }

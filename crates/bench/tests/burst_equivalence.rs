@@ -34,8 +34,8 @@ fn policies() -> Vec<(&'static str, Box<PolicyFactory<'static>>)> {
     ]
 }
 
-/// HashMap iteration order is per-instance; sort line counts before
-/// formatting so two equal details digest equally.
+/// Map iteration order depends on insertion history; sort line counts
+/// before formatting so two equal details digest equally.
 fn detail_digest(d: &LoadWindowDetail) -> String {
     let lines: BTreeMap<u64, u32> = d.line_counts.iter().map(|(k, v)| (*k, *v)).collect();
     format!("lines={lines:?} windows={:?}", d.windows)

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use crate::fastmap::FastMap;
 use crate::types::{AccessOutcome, LoadId, MissClass};
 
 /// Per-static-load counters.
@@ -30,8 +31,10 @@ pub struct LoadStats {
 /// `GpuConfig::detailed_load_stats` is set; feeds Figures 2 and 3).
 #[derive(Debug, Clone, Default)]
 pub struct LoadWindowDetail {
-    /// Per line: access count within the current window.
-    pub line_counts: HashMap<u64, u32>,
+    /// Per line: access count within the current window. Written on every
+    /// line touch, so it uses the integer-keyed [`FastMap`]; closing a
+    /// window only sums its counts, so no result depends on its order.
+    pub line_counts: FastMap<u64, u32>,
     /// Completed-window results: (reused_ws_bytes, streamed_bytes, accesses,
     /// distinct_lines).
     pub windows: Vec<WindowLocality>,

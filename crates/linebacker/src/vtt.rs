@@ -13,6 +13,14 @@
 //! ```text
 //! RN = Offset + N * entries_per_vp + X * ways + Y        (Offset = 511)
 //! ```
+//!
+//! The tag store is one partition-major slab, as [`TagArray`]'s is set-major:
+//! way `Y` of set `X` in partition `N` lives at `(N * sets + X) * ways + Y`,
+//! the same order Equation 2 numbers the backing registers in. A set's ways
+//! in one partition are one contiguous stripe, and a partition is one
+//! contiguous range, so flushing it is a single `fill`.
+//!
+//! [`TagArray`]: gpu_sim::cache::TagArray
 
 use gpu_sim::types::{Cycle, LineAddr, RegNum};
 
@@ -43,8 +51,9 @@ pub struct VttHit {
 #[derive(Debug)]
 pub struct Vtt {
     cfg: LbConfig,
-    /// `partitions[vp][set][way]`.
-    partitions: Vec<Vec<Vec<VttWay>>>,
+    /// Every partition's ways in one slab: way `way` of set `set` in
+    /// partition `vp` is `ways[(vp * vtt_sets + set) * vp_assoc + way]`.
+    ways: Vec<VttWay>,
     /// Partitions currently backed by idle register space (count, starting
     /// at `first_active`).
     active_vps: u32,
@@ -63,14 +72,9 @@ pub struct Vtt {
 impl Vtt {
     /// Creates the VTT with every partition present but none active.
     pub fn new(cfg: &LbConfig) -> Self {
-        let vps = cfg.max_vps() as usize;
-        let sets = cfg.vtt_sets as usize;
-        let ways = cfg.vp_assoc as usize;
         Vtt {
             cfg: cfg.clone(),
-            partitions: (0..vps)
-                .map(|_| (0..sets).map(|_| vec![VttWay::default(); ways]).collect())
-                .collect(),
+            ways: vec![VttWay::default(); (cfg.max_vps() * cfg.entries_per_vp()) as usize],
             active_vps: 0,
             first_active: cfg.max_vps(),
             tag_only: true,
@@ -158,17 +162,22 @@ impl Vtt {
     }
 
     fn flush_vp(&mut self, vp: u32) {
-        for set in &mut self.partitions[vp as usize] {
-            for way in set.iter_mut() {
-                *way = VttWay::default();
-            }
-        }
+        let per_vp = self.cfg.entries_per_vp() as usize;
+        let start = vp as usize * per_vp;
+        self.ways[start..start + per_vp].fill(VttWay::default());
     }
 
     fn flush_all(&mut self) {
-        for vp in 0..self.cfg.max_vps() {
-            self.flush_vp(vp);
-        }
+        self.ways.fill(VttWay::default());
+    }
+
+    /// Slab range of the ways of `set` in partition `vp`. A range rather
+    /// than a slice, so the counters stay borrowable beside the stripe.
+    #[inline]
+    fn stripe(&self, vp: u32, set: usize) -> std::ops::Range<usize> {
+        let assoc = self.cfg.vp_assoc as usize;
+        let start = (vp as usize * self.cfg.vtt_sets as usize + set) * assoc;
+        start..start + assoc
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
@@ -191,8 +200,8 @@ impl Vtt {
         let range = self.search_range();
         let first = range.start;
         for vp in range {
-            let ways = &mut self.partitions[vp as usize][set];
-            for (w, way) in ways.iter_mut().enumerate() {
+            let stripe = self.stripe(vp, set);
+            for (w, way) in self.ways[stripe].iter_mut().enumerate() {
                 if way.valid && !way.invalidated && way.line == line {
                     way.last_use = self.tick;
                     self.hits += 1;
@@ -227,7 +236,8 @@ impl Vtt {
 
         // Already present? Refresh it.
         for vp in range.clone() {
-            for way in self.partitions[vp as usize][set].iter_mut() {
+            let stripe = self.stripe(vp, set);
+            for way in &mut self.ways[stripe] {
                 if way.valid && way.line == line {
                     way.last_use = tick;
                     way.invalidated = false;
@@ -238,7 +248,8 @@ impl Vtt {
 
         // Priority 1: an invalidated or empty slot.
         for vp in range.clone() {
-            for (w, way) in self.partitions[vp as usize][set].iter_mut().enumerate() {
+            let stripe = self.stripe(vp, set);
+            for (w, way) in self.ways[stripe].iter_mut().enumerate() {
                 if !way.valid || way.invalidated {
                     *way = VttWay { valid: true, invalidated: false, line, last_use: tick };
                     self.insertions += 1;
@@ -250,7 +261,7 @@ impl Vtt {
         // Priority 2: global LRU across the set's active ways.
         let mut victim: Option<(u32, u32, Cycle)> = None;
         for vp in range {
-            for (w, way) in self.partitions[vp as usize][set].iter().enumerate() {
+            for (w, way) in self.ways[self.stripe(vp, set)].iter().enumerate() {
                 let lu = way.last_use;
                 if victim.map(|(_, _, best)| lu < best).unwrap_or(true) {
                     victim = Some((vp, w as u32, lu));
@@ -258,8 +269,8 @@ impl Vtt {
             }
         }
         let (vp, w, _) = victim.expect("nonempty range has ways");
-        self.partitions[vp as usize][set][w as usize] =
-            VttWay { valid: true, invalidated: false, line, last_use: tick };
+        let slot = self.stripe(vp, set).start + w as usize;
+        self.ways[slot] = VttWay { valid: true, invalidated: false, line, last_use: tick };
         self.insertions += 1;
         Some(self.cfg_reg(vp, set as u32, w))
     }
@@ -270,7 +281,8 @@ impl Vtt {
         let set = self.set_index(line);
         let range = self.search_range();
         for vp in range {
-            for way in self.partitions[vp as usize][set].iter_mut() {
+            let stripe = self.stripe(vp, set);
+            for way in &mut self.ways[stripe] {
                 if way.valid && !way.invalidated && way.line == line {
                     way.invalidated = true;
                     self.store_invalidations += 1;
@@ -288,7 +300,7 @@ impl Vtt {
 
     /// Valid, non-invalidated entries currently held.
     pub fn occupancy(&self) -> usize {
-        self.partitions.iter().flatten().flatten().filter(|w| w.valid && !w.invalidated).count()
+        self.ways.iter().filter(|w| w.valid && !w.invalidated).count()
     }
 
     /// Index of the first active partition.
@@ -446,6 +458,41 @@ mod tests {
         v.insert(LineAddr(7));
         assert_eq!(v.insert(LineAddr(7)), None, "duplicate insert is a refresh");
         assert_eq!(v.occupancy(), 1);
+    }
+
+    #[test]
+    fn deactivating_partitions_flushes_only_their_ways() {
+        let mut v = data_vtt(511);
+        let cfg = LbConfig::default();
+        let (vps, assoc) = (cfg.max_vps(), cfg.vp_assoc);
+        // Fill the edge sets 0 and 47 in every partition: the i-th line of
+        // a set lands in partition i / assoc, way i % assoc.
+        let line = |set: u32, i: u32| LineAddr((set + i * cfg.vtt_sets) as u64);
+        for set in [0, 47] {
+            for i in 0..vps * assoc {
+                assert_eq!(v.insert(line(set, i)), Some(v.reg_of(i / assoc, set, i % assoc)));
+            }
+        }
+        // Registers reclaimed below partition 3's range: 0..3 are flushed.
+        v.refresh_partitions(v.vp_first_rn(3).0);
+        assert_eq!((v.first_active(), v.active_vps()), (3, vps - 3));
+        assert_eq!(v.occupancy(), 2 * (vps as usize - 3) * assoc as usize);
+        // Re-activating every partition shows what the flush left behind.
+        for from_vp in [3, 0] {
+            v.refresh_partitions(v.vp_first_rn(from_vp).0);
+            for set in [0, 47] {
+                for i in 0..vps * assoc {
+                    let (vp, way) = (i / assoc, i % assoc);
+                    let hit = v.lookup(line(set, i));
+                    if vp < 3 {
+                        assert_eq!(hit, None, "set {set} of flushed partition {vp} kept a tag");
+                    } else {
+                        let rn = v.reg_of(vp, set, way);
+                        assert_eq!(hit, Some(VttHit { vp: vp - from_vp, rn }), "set {set}, {vp}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

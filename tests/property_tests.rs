@@ -3,10 +3,11 @@
 
 use testkit::check;
 
-use gpu_sim::cache::{MshrFile, MshrOutcome, TagArray};
+use gpu_sim::cache::{L1Cache, L1Lookup, MshrFile, MshrOutcome, TagArray};
 use gpu_sim::coalesce::coalesce;
+use gpu_sim::config::CacheConfig;
 use gpu_sim::regfile::RegFile;
-use gpu_sim::types::{hashed_pc5, Address, CtaId, LineAddr, Pc, RegNum};
+use gpu_sim::types::{hashed_pc5, Address, CtaId, LineAddr, MissClass, Pc, RegNum};
 use linebacker::{IpcMonitor, LbConfig, LoadMonitor, ThrottleDecision, Vtt};
 
 /// The coalescer never emits more requests than lanes, never duplicates
@@ -64,6 +65,62 @@ fn tag_array_lru_protects_recent() {
         t.probe(LineAddr(1000)); // protect
         let ev = t.fill(LineAddr(2000 + fresh), ()).expect("full set evicts");
         assert_ne!(ev.line, LineAddr(1000));
+    });
+}
+
+/// The L1 classifies every access (hit, cold miss, capacity/conflict
+/// miss) exactly as a reference that keeps each ever-filled line in a
+/// `HashSet`, over random fill/access/invalidate sequences drawn from dense
+/// runs, strided walks, wide trace-range addresses and one-bit twins.
+#[test]
+fn l1_miss_classes_match_hash_set_reference() {
+    check("l1_miss_classes_match_hash_set_reference", |r| {
+        // Lines come from up to five families; trace lines reach 2^57 - 1.
+        let mut pool = Vec::new();
+        for _ in 0..r.range_usize(1, 6) {
+            let base = r.range_u64(0, 1 << 57);
+            let len = r.range_u64(1, 200);
+            match r.range_u32(0, 3) {
+                0 => pool.extend((0..len).map(|i| (base + i) % (1 << 57))),
+                1 => {
+                    let stride = *r.pick(&[2u64, 48, 63, 64, 65, 4096, 1 << 20]);
+                    pool.extend((0..len).map(|i| (base + i * stride) % (1 << 57)));
+                }
+                _ => pool.extend((0..len).map(|_| r.u64() >> 7)),
+            }
+        }
+        // Twins one flipped bit away: a history that drops or folds any
+        // bit of the line confuses a line with its twin.
+        if r.bool() {
+            let twins: Vec<u64> = pool.iter().map(|&l| l ^ (1 << r.range_u64(0, 57))).collect();
+            pool.extend(twins);
+        }
+        let mut l1 = L1Cache::new(&CacheConfig::l1_default());
+        let mut seen = std::collections::HashSet::new();
+        let mut at = r.range_usize(0, pool.len());
+        for step in 0..r.range_usize(1, 800) {
+            // Half the steps stream on through the pool, half jump back.
+            at = if r.bool() { (at + 1) % pool.len() } else { r.range_usize(0, pool.len()) };
+            let line = LineAddr(pool[at]);
+            if r.range_u32(0, 8) == 0 {
+                // A store hit write-evicts the line; the history keeps it.
+                l1.invalidate(line);
+                continue;
+            }
+            let expect = if l1.contains(line) {
+                L1Lookup::Hit
+            } else if seen.contains(&line) {
+                L1Lookup::Miss(MissClass::CapacityConflict)
+            } else {
+                L1Lookup::Miss(MissClass::Cold)
+            };
+            assert_eq!(l1.access(line, 0), expect, "step {step}, line {:#x}", line.0);
+            // Most misses fill; the rest stay in flight past a later access.
+            if expect != L1Lookup::Hit && r.range_u32(0, 4) != 0 {
+                l1.fill(line, 0);
+                seen.insert(line);
+            }
+        }
     });
 }
 
