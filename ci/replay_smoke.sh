@@ -20,10 +20,12 @@
 #   5. transparency   - loading a trace must not perturb synthetic runs:
 #                       suite output with and without a trace registered is
 #                       byte-identical;
-#   6. hardening      - truncated and corrupted trace files are rejected
-#                       with a clean nonzero exit, never a panic;
+#   6. hardening      - truncated, corrupted and version-1 trace files
+#                       are rejected with a clean nonzero exit, never a
+#                       panic;
 #   7. info           - `lb-replay info` counts memory ops by instruction
-#                       kind, lineless sparse stores included.
+#                       kind, lineless sparse stores included, and one run
+#                       per captured stream.
 #
 #   usage: ci/replay_smoke.sh [lb-replay-binary] [lb-experiments-binary] [sanity-binary]
 set -eu
@@ -41,11 +43,17 @@ for f in "$CORPUS"/*.lbw1; do
     "$LBR" selftest "$f" --sms 2
 done
 
-echo "replay_smoke: info counts every Load/Store op"
+echo "replay_smoke: info counts every Load/Store op and run"
 # S1's result store is sparse: 512 of its 2304 memory ops carry no line.
+# Its 128 captured streams are one run each.
 "$LBR" info "$CORPUS/s1-reuse.lbw1" > "$T/info.txt"
 grep -qx "memory ops    2304 (512 without lines)" "$T/info.txt" || {
     echo "replay_smoke: FAIL - info miscounts memory ops" >&2
+    cat "$T/info.txt" >&2
+    exit 1
+}
+grep -qx "runs          128" "$T/info.txt" || {
+    echo "replay_smoke: FAIL - info miscounts runs" >&2
     cat "$T/info.txt" >&2
     exit 1
 }
@@ -93,7 +101,9 @@ cmp "$T/plain.txt" "$T/with_trace_prefix.txt" || {
 echo "replay_smoke: malformed files are rejected cleanly"
 head -c 40 "$T/ge.lbw1" > "$T/truncated.lbw1"
 printf 'NOPE' > "$T/badmagic.lbw1"
-for bad in "$T/truncated.lbw1" "$T/badmagic.lbw1"; do
+# Version 1 listed every op; it has no reader.
+printf 'LBW1\001\002v1\001\001' > "$T/version1.lbw1"
+for bad in "$T/truncated.lbw1" "$T/badmagic.lbw1" "$T/version1.lbw1"; do
     if "$LBR" info "$bad" > /dev/null 2> "$T/err.txt"; then
         echo "replay_smoke: FAIL - $bad was accepted" >&2
         exit 1
@@ -103,5 +113,10 @@ for bad in "$T/truncated.lbw1" "$T/badmagic.lbw1"; do
         exit 1
     }
 done
+
+"$LBR" info "$T/version1.lbw1" 2>&1 | grep -q "unsupported LBW1 version 1" || {
+    echo "replay_smoke: FAIL - a version-1 file is not reported as one" >&2
+    exit 1
+}
 
 echo "replay_smoke: OK"

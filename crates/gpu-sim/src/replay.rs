@@ -30,9 +30,21 @@
 //! Load/Store body position owns one access record `(line_off, line_len)`
 //! into the stream's line pool, in issue order; a memory op whose access
 //! touched no lines (a sparse pattern skipped the instance) owns a
-//! lineless one. Whether an op is a memory op is read from the stub body,
-//! so readers walk the runs through it: [`WarpStream::ops`] yields the
-//! decoded [`TraceOp`] view. Streams are built through [`StreamBuilder`].
+//! lineless one. Whether an op is a memory op is read from the stub body:
+//! [`WarpStream::ops`] walks the runs through it and yields the decoded
+//! [`TraceOp`] view, op by op. Streams are built through [`StreamBuilder`].
+//!
+//! # Checks
+//!
+//! [`ReplayKernel::validate`] and the `LBW1` decoder share two checks. The
+//! run check ([`RunCheck`]) takes each run: it must start inside the body
+//! and hold at least one op, and its memory ops (the access records it
+//! owns) are counted in O(1) from a prefix count of the body's Load/Store
+//! positions. The record check ([`check_record`]) takes each access
+//! record: at most [`MAX_LINES_PER_RECORD`] lines, in a slice inside the
+//! stream's pool. Neither walks ops, so a check costs what the stream
+//! stores, never what it declares: a run of 2^32 - 1 ops is checked as
+//! fast as a run of one.
 //!
 //! A replayed warp's `body_pos` column holds its real body position, as a
 //! synthetic warp's does; its run index, the ops left in that run and its
@@ -65,42 +77,6 @@ pub struct TraceOp {
     pub line_off: u32,
     /// Number of coalesced lines (0 for ALU operations).
     pub line_len: u32,
-}
-
-impl TraceOp {
-    /// Checks this op against the stub `body` and the size of its stream's
-    /// line pool: the body position is in range, the line slice lies inside
-    /// the pool, and an ALU op carries no lines. A memory op with zero lines
-    /// is legal: sparse patterns (e.g. `SparseStream`) skip most instances.
-    /// Returns whether the op is a memory op, i.e. owns an access record.
-    /// [`ReplayKernel::validate`] states the per-op invariants through this,
-    /// and the `LBW1` decoder runs it on each op as it parses it.
-    #[inline]
-    pub fn check(self, body: &[StaticInst], pool_len: usize) -> Result<bool, String> {
-        let Some(inst) = body.get(self.pos as usize) else {
-            return Err(self.fault(body, pool_len));
-        };
-        let mem = !matches!(inst.kind, InstKind::Alu { .. });
-        let end = u64::from(self.line_off) + u64::from(self.line_len);
-        if self.line_len == 0 || (mem && end <= pool_len as u64) {
-            Ok(mem)
-        } else {
-            Err(self.fault(body, pool_len))
-        }
-    }
-
-    /// Describes why [`TraceOp::check`] rejected this op.
-    #[cold]
-    fn fault(self, body: &[StaticInst], pool_len: usize) -> String {
-        let end = u64::from(self.line_off) + u64::from(self.line_len);
-        match body.get(self.pos as usize) {
-            None => format!("body position {} out of range", self.pos),
-            Some(_) if end > pool_len as u64 => {
-                format!("line slice {}..{end} exceeds pool of {pool_len}", self.line_off)
-            }
-            Some(_) => format!("ALU op carries {} lines", self.line_len),
-        }
-    }
 }
 
 /// `count` ops at consecutive body positions from `start`, wrapping to 0
@@ -206,9 +182,12 @@ impl WarpStream {
     }
 }
 
-/// Appends ops to a [`WarpStream`]: an op extends the last run when its
-/// body position follows the run's last one, and opens a run otherwise.
-/// Capture, import and the `LBW1` decoder all build streams through this.
+/// Appends to a [`WarpStream`]. A run extends the last one when it starts
+/// at the body position after the last run's last op, and opens a run
+/// otherwise, so any split of a walk into runs builds the same stream.
+/// Capture and import push op by op ([`StreamBuilder::push`]); the `LBW1`
+/// decoder pushes whole runs ([`StreamBuilder::push_run`]) and hands over
+/// its checked records ([`StreamBuilder::take_with`]).
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
     /// The stream built so far.
@@ -229,32 +208,29 @@ impl StreamBuilder {
 
     /// Appends an op at body position `pos`: `access` is `Some(lines)` for
     /// an op at a Load or Store position (`lines` may be empty) and `None`
-    /// for an ALU op. The lines are copied to the end of the pool. Capture
-    /// and import record through this.
+    /// for an ALU op. The lines are copied to the end of the pool.
     pub fn push(&mut self, pos: u32, access: Option<&[LineAddr]>) {
-        let record = access.map(|lines| {
-            let off = self.stream.lines.len() as u32;
+        self.push_run(Run { start: pos, count: 1 });
+        if let Some(lines) = access {
+            // A lineless record's offset carries nothing; keep it canonical.
+            let off = if lines.is_empty() { 0 } else { self.stream.lines.len() as u32 };
+            self.stream.accesses.push((off, lines.len() as u32));
             self.stream.lines.extend_from_slice(lines);
-            (off, lines.len() as u32)
-        });
-        self.push_ref(pos, record);
+        }
     }
 
-    /// Appends an op whose access record, if any, is `(line_off, line_len)`
-    /// of a pool supplied later by [`StreamBuilder::take_with_pool`]; the
-    /// `LBW1` decoder pushes its parsed ops through this.
-    #[inline]
-    pub fn push_ref(&mut self, pos: u32, record: Option<(u32, u32)>) {
-        let runs = &mut self.stream.runs;
-        match runs.last_mut() {
-            Some(r) if pos == self.next && r.count < u32::MAX => r.count += 1,
-            _ => runs.push(Run { start: pos, count: 1 }),
+    /// Appends `run`, merged into the last run when it continues it and
+    /// the merged count fits a `u32`.
+    pub fn push_run(&mut self, run: Run) {
+        match self.stream.runs.last_mut() {
+            Some(last) if run.start == self.next && last.count.checked_add(run.count).is_some() => {
+                last.count += run.count;
+            }
+            _ => self.stream.runs.push(run),
         }
-        self.next = next_pos(pos, self.body_len);
-        if let Some((off, len)) = record {
-            // A lineless record's offset carries nothing; keep it canonical.
-            self.stream.accesses.push(if len == 0 { (0, 0) } else { (off, len) });
-        }
+        // The position `count` steps of the body walk past `start`.
+        let after = u64::from(run.start) + u64::from(run.count);
+        self.next = (after % u64::from(self.body_len.max(1))) as u32;
     }
 
     /// The finished stream.
@@ -262,21 +238,122 @@ impl StreamBuilder {
         self.stream
     }
 
-    /// Returns the ops pushed so far as a new stream over `pool`, copied
-    /// out at exact size, and empties `self` but keeps its buffers. The
-    /// decoder builds every stream in one such scratch builder, so no
-    /// decoded stream carries a growing buffer's spare capacity.
-    pub fn take_with_pool(&mut self, pool: Vec<LineAddr>) -> WarpStream {
+    /// Returns the runs pushed so far, copied out at exact size, as a
+    /// stream whose access records `accesses` index `pool`, and empties
+    /// `self` but keeps its buffers. The decoder pushes every stream's runs
+    /// through one such scratch builder, so no decoded stream carries a
+    /// growing buffer's spare capacity.
+    pub fn take_with(&mut self, accesses: Vec<(u32, u32)>, pool: Vec<LineAddr>) -> WarpStream {
         let s = &mut self.stream;
-        debug_assert!(s.lines.is_empty(), "a scratch builder has no pool of its own");
-        let out = WarpStream {
-            runs: s.runs.as_slice().to_vec(),
-            accesses: s.accesses.as_slice().to_vec(),
-            lines: pool,
-        };
+        debug_assert!(
+            s.accesses.is_empty() && s.lines.is_empty(),
+            "a scratch builder holds runs only"
+        );
+        let out = WarpStream { runs: s.runs.as_slice().to_vec(), accesses, lines: pool };
         s.runs.clear();
-        s.accesses.clear();
         out
+    }
+}
+
+/// Upper bound on the coalesced lines of one access record: a 32-lane warp
+/// touching wide vectors stays far below it, so a longer record is corrupt
+/// or adversarial.
+pub const MAX_LINES_PER_RECORD: u64 = 1024;
+
+/// Why the run check ([`RunCheck::run`]) or the record check
+/// ([`check_record`]) rejected a run or an access record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamFault {
+    /// A run starts at `.0`, at or past the end of a body of `.1`
+    /// instructions.
+    RunStart(u32, u64),
+    /// A run holds no op.
+    EmptyRun,
+    /// A record claims `.0` lines, more than [`MAX_LINES_PER_RECORD`].
+    OverlongRecord(u64),
+    /// A record's line slice `.0 .. .0 + .1` ends past a pool of `.2`
+    /// lines.
+    PastPool(u64, u64, usize),
+}
+
+impl std::fmt::Display for StreamFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            StreamFault::RunStart(start, body_len) => {
+                write!(f, "run start {start} out of range (body of {body_len})")
+            }
+            StreamFault::EmptyRun => write!(f, "zero-length run"),
+            StreamFault::OverlongRecord(lines) => {
+                write!(f, "record claims {lines} lines (max {MAX_LINES_PER_RECORD})")
+            }
+            StreamFault::PastPool(off, len, pool_len) => {
+                let end = off.saturating_add(len);
+                write!(f, "line slice {off}..{end} exceeds pool of {pool_len}")
+            }
+        }
+    }
+}
+
+/// The run check, over one stub body (see the module docs).
+#[derive(Debug, Clone)]
+pub struct RunCheck {
+    /// `mem_before[p]`: Load/Store instructions among body positions
+    /// `0..p`, for `p` up to the body length.
+    mem_before: Vec<u64>,
+}
+
+impl RunCheck {
+    /// Prefix-counts the Load/Store positions of `body`.
+    pub fn new(body: &[StaticInst]) -> Self {
+        let mut mem_before = Vec::with_capacity(body.len() + 1);
+        let mut n = 0;
+        mem_before.push(n);
+        for inst in body {
+            n += u64::from(!matches!(inst.kind, InstKind::Alu { .. }));
+            mem_before.push(n);
+        }
+        RunCheck { mem_before }
+    }
+
+    /// Checks that `run` starts inside the body and holds at least one op,
+    /// and returns its memory ops, without walking it.
+    #[inline]
+    pub fn run(&self, run: Run) -> Result<u64, StreamFault> {
+        let body_len = self.mem_before.len() as u64 - 1;
+        let (start, count) = (u64::from(run.start), u64::from(run.count));
+        if start >= body_len {
+            return Err(StreamFault::RunStart(run.start, body_len));
+        }
+        if count == 0 {
+            return Err(StreamFault::EmptyRun);
+        }
+        let before = |p: u64| self.mem_before[p as usize];
+        // The walk up to the body's end, then whole trips, then a head.
+        let first = count.min(body_len - start);
+        let (trips, head) = ((count - first) / body_len, (count - first) % body_len);
+        Ok(before(start + first) - before(start) + trips * before(body_len) + before(head))
+    }
+}
+
+/// The record check: access record `(line_off, line_len)` of a stream
+/// whose pool holds `pool_len` lines claims at most
+/// [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool. Returns the
+/// record as a [`WarpStream`] stores it, `(0, 0)` when lineless.
+#[inline]
+pub fn check_record(
+    line_off: u64,
+    line_len: u64,
+    pool_len: usize,
+) -> Result<(u32, u32), StreamFault> {
+    if line_len > MAX_LINES_PER_RECORD {
+        return Err(StreamFault::OverlongRecord(line_len));
+    }
+    if line_len == 0 {
+        return Ok((0, 0));
+    }
+    match u32::try_from(line_off) {
+        Ok(off) if line_off + line_len <= pool_len as u64 => Ok((off, line_len as u32)),
+        _ => Err(StreamFault::PastPool(line_off, line_len, pool_len)),
     }
 }
 
@@ -303,9 +380,10 @@ impl ReplayKernel {
     }
 
     /// Validates internal consistency: the stub itself, the stream count
-    /// against the grid, no empty stream, every op of the walk against the
-    /// stub body and its stream's pool ([`TraceOp::check`]), and one access
-    /// record per memory op.
+    /// against the grid, and per stream at least one run, every run through
+    /// the run check ([`RunCheck`]), every access record through the record
+    /// check ([`check_record`]), and one record per memory op of the runs.
+    /// Its cost follows the runs and records stored, not the ops declared.
     pub fn validate(&self) -> Result<(), String> {
         self.stub.validate()?;
         if self.streams.len() != self.total_streams() {
@@ -316,23 +394,24 @@ impl ReplayKernel {
                 self.stub.warps_per_cta
             ));
         }
-        let body = &self.stub.body;
+        let check = RunCheck::new(&self.stub.body);
         for (si, s) in self.streams.iter().enumerate() {
             if s.is_empty() {
                 return Err(format!("stream {si} is empty"));
             }
-            let mut mem_ops = 0;
-            for (oi, op) in s.ops(body).enumerate() {
-                let mem = op
-                    .check(body, s.pool().len())
-                    .map_err(|e| format!("stream {si} op {oi}: {e}"))?;
-                mem_ops += usize::from(mem);
+            let mut mem_ops = 0u64;
+            for (ri, &run) in s.runs.iter().enumerate() {
+                mem_ops += check.run(run).map_err(|e| format!("stream {si} run {ri}: {e}"))?;
             }
-            if mem_ops != s.n_accesses() {
+            if mem_ops != s.accesses.len() as u64 {
                 return Err(format!(
                     "stream {si} has {} access records for {mem_ops} memory ops",
-                    s.n_accesses()
+                    s.accesses.len()
                 ));
+            }
+            for (ai, &(off, len)) in s.accesses.iter().enumerate() {
+                check_record(off.into(), len.into(), s.lines.len())
+                    .map_err(|e| format!("stream {si} record {ai}: {e}"))?;
             }
         }
         Ok(())
@@ -446,13 +525,27 @@ mod tests {
         assert!(rep_of(s).validate().unwrap_err().contains("out of range"));
     }
 
-    #[test]
-    fn line_slice_overflow_rejected() {
+    /// A stream over `stub()` from whole runs, access records and a pool
+    /// of `pool_len` lines, built the way the decoder builds one.
+    fn raw_stream(runs: &[Run], records: &[(u32, u32)], pool_len: usize) -> WarpStream {
         let mut b = StreamBuilder::new(2);
-        b.push_ref(0, Some((0, 7)));
-        b.push_ref(1, None);
-        let r = rep_of(b.take_with_pool(vec![LineAddr(42)]));
-        assert!(r.validate().unwrap_err().contains("exceeds pool"));
+        for &r in runs {
+            b.push_run(r);
+        }
+        b.take_with(records.to_vec(), vec![LineAddr(42); pool_len])
+    }
+
+    #[test]
+    fn bad_runs_and_records_rejected() {
+        let run = |start, count| Run { start, count };
+        let rejects = |runs: &[Run], records: &[(u32, u32)], want: &str| {
+            let err = rep_of(raw_stream(runs, records, 1)).validate().unwrap_err();
+            assert!(err.contains(want), "{want}: {err}");
+        };
+        rejects(&[run(0, 2)], &[(0, 7)], "record 0: line slice 0..7 exceeds pool of 1");
+        rejects(&[run(0, 2)], &[(0, 1025)], "record 0: record claims 1025 lines");
+        rejects(&[run(0, 2), run(2, 1)], &[(0, 1)], "run 1: run start 2 out of range");
+        rejects(&[run(0, 2), run(1, 0)], &[(0, 1)], "run 1: zero-length run");
     }
 
     #[test]
@@ -470,15 +563,50 @@ mod tests {
     }
 
     #[test]
-    fn check_reports_memory_ops_and_rejects_alu_lines() {
-        let body = stub().body;
-        let op = |pos, line_off, line_len| TraceOp { pos, line_off, line_len };
-        assert_eq!(op(0, 0, 1).check(&body, 1), Ok(true));
-        assert_eq!(op(0, 0, 0).check(&body, 0), Ok(true));
-        assert_eq!(op(1, 0, 0).check(&body, 1), Ok(false));
-        assert!(op(1, 0, 1).check(&body, 1).unwrap_err().contains("ALU op carries"));
-        assert!(op(0, 1, 1).check(&body, 1).unwrap_err().contains("exceeds pool"));
-        assert!(op(2, 0, 0).check(&body, 1).unwrap_err().contains("out of range"));
+    fn run_check_counts_memory_ops_without_walking() {
+        let check = RunCheck::new(&body4());
+        let run = |start, count| Run { start, count };
+        // Load at 0, store at 2: a walk from 1 of 6 ops passes 2, 0, 2.
+        assert_eq!(check.run(run(1, 6)), Ok(3));
+        assert_eq!(check.run(run(3, 1)), Ok(0));
+        // Two memory ops per trip of 4 (2^32 - 1 = 4 * (2^30 - 1) + 3, and
+        // the head 0, 1, 2 holds both).
+        assert_eq!(check.run(run(0, u32::MAX)), Ok(2 * (1 << 30)));
+        assert_eq!(check.run(run(4, 1)), Err(StreamFault::RunStart(4, 4)));
+        assert_eq!(check.run(run(0, 0)), Err(StreamFault::EmptyRun));
+        testkit::check_n("run_check_matches_walk", 300, |rng| {
+            let body: Vec<StaticInst> = (0..rng.range_u32(1, 9))
+                .map(|i| {
+                    let kind = if rng.range_u32(0, 2) == 0 {
+                        InstKind::Alu { latency: 1 }
+                    } else {
+                        InstKind::Load { load: LoadId(0) }
+                    };
+                    StaticInst { pc: Pc(16 * i), kind, wait_for: None }
+                })
+                .collect();
+            let len = body.len() as u32;
+            let r = run(rng.range_u32(0, len), rng.range_u32(1, 40));
+            let walked = std::iter::successors(Some(r.start), |&p| Some(next_pos(p, len)))
+                .take(r.count as usize)
+                .filter(|&p| !matches!(body[p as usize].kind, InstKind::Alu { .. }))
+                .count();
+            assert_eq!(RunCheck::new(&body).run(r), Ok(walked as u64), "{r:?}");
+        });
+    }
+
+    #[test]
+    fn record_check_bounds_length_and_slice() {
+        assert_eq!(check_record(3, 2, 5), Ok((3, 2)));
+        // A lineless record needs no pool and is stored canonical.
+        assert_eq!(check_record(9, 0, 0), Ok((0, 0)));
+        let past = |off, len| StreamFault::PastPool(off, len, 5);
+        assert_eq!(check_record(4, 2, 5), Err(past(4, 2)));
+        assert_eq!(check_record(u64::MAX, 1, 5), Err(past(u64::MAX, 1)));
+        assert_eq!(check_record(1 << 32, 1, 5), Err(past(1 << 32, 1)));
+        let lines = MAX_LINES_PER_RECORD + 1;
+        assert_eq!(check_record(0, lines, 4096), Err(StreamFault::OverlongRecord(lines)));
+        assert_eq!(check_record(0, MAX_LINES_PER_RECORD, 4096), Ok((0, 1024)));
     }
 
     /// A four-instruction body: load, ALU, store, ALU.
@@ -562,6 +690,17 @@ mod tests {
             }
             let (s, g) = (b.finish(), grow.finish());
             assert_eq!(s.runs().len(), jumps + 1, "a run per jump, none per wrap");
+            // Any split of the runs pushes back to the same runs.
+            let mut split = StreamBuilder::new(len);
+            for r in s.runs() {
+                let cut = rng.range_u32(1, r.count + 1);
+                split.push_run(Run { start: r.start, count: cut });
+                if cut < r.count {
+                    let start = (r.start + cut) % len;
+                    split.push_run(Run { start, count: r.count - cut });
+                }
+            }
+            assert_eq!(split.finish().runs(), s.runs());
             assert_eq!(s.len(), want.len());
             assert_eq!(
                 s.n_accesses(),
@@ -602,17 +741,33 @@ mod tests {
     }
 
     #[test]
-    fn take_with_pool_copies_out_and_resets_scratch() {
+    fn take_with_copies_out_runs_and_resets_scratch() {
         let mut scratch = StreamBuilder::new(2);
-        scratch.push_ref(0, Some((0, 1)));
-        scratch.push_ref(1, None);
-        let s = scratch.take_with_pool(vec![LineAddr(42)]);
+        scratch.push_run(Run { start: 0, count: 2 });
+        let s = scratch.take_with(vec![(0, 1)], vec![LineAddr(42)]);
         assert_eq!(s, valid_rep().streams[0]);
         // The next stream starts empty: a run of its own, no old records.
-        scratch.push_ref(1, None);
-        let t = scratch.take_with_pool(Vec::new());
+        scratch.push_run(Run { start: 1, count: 1 });
+        let t = scratch.take_with(Vec::new(), Vec::new());
         assert_eq!(t.runs(), [Run { start: 1, count: 1 }]);
         assert_eq!(t.n_accesses(), 0);
+    }
+
+    #[test]
+    fn push_run_merges_only_a_continuing_run_that_fits() {
+        let run = |start, count| Run { start, count };
+        let mut b = StreamBuilder::new(4);
+        // (1, 5) ends at 1 + 5 = 6 = 2 mod 4, so (2, 3) continues it.
+        b.push_run(run(1, 5));
+        b.push_run(run(2, 3));
+        b.push(1, None);
+        // (1, 9) ends before 2, so (3, 2) opens a run.
+        b.push_run(run(3, 2));
+        // (3, 2) ends before 1: this fills it to the largest count, and one
+        // more op opens a run.
+        b.push_run(run(1, u32::MAX - 2));
+        b.push_run(run(2, 1));
+        assert_eq!(b.finish().runs(), [run(1, 9), run(3, u32::MAX), run(2, 1)]);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! traces — except each body instruction's tag, which is one raw byte. The
 //! format is compact, endian-free and append-friendly.
 //!
-//! Layout:
+//! Layout (version 2):
 //!
 //! ```text
 //! magic   b"LBW1"
-//! version u8 (= 1)
+//! version u8 (= 2)
 //! name    uvarint len + UTF-8 bytes
 //! header  grid_ctas, warps_per_cta, regs_per_thread,
 //!         shared_mem_per_cta, iterations          (uvarints)
@@ -20,8 +20,16 @@
 //!         arg (ALU latency or load index), wait (0 = none, else id+1)
 //! streams n (must equal grid_ctas * warps_per_cta), then per stream:
 //!         n_lines + zigzag-delta line addresses,
-//!         n_ops + per op: pos, line_len, and (if line_len > 0) line_off
+//!         n_runs + per run: start, count,
+//!         then per memory op of the runs, in issue order:
+//!         line_len, and (if line_len > 0) line_off
 //! ```
+//!
+//! A stream is written in the shape a decoded [`WarpStream`] keeps (layout
+//! in [`gpu_sim::replay`]): runs of consecutive body positions, then one
+//! access record per op at a Load/Store position. The runs imply the
+//! record count, and an ALU op costs no byte. Version 1 listed every op; a
+//! version-1 file is rejected as [`ReplayError::BadVersion`].
 //!
 //! The encoder *interns* each stream's line pool: a memory op whose line
 //! slice already appeared earlier in the stream references the first
@@ -30,20 +38,17 @@
 //! (already interned) serialize to byte-identical files — the property the
 //! capture→replay→re-encode self-check in CI relies on.
 //!
-//! The wire lists every op, but a decoded [`WarpStream`] keeps only runs
-//! of consecutive body positions and one access record per memory op
-//! (layout in [`gpu_sim::replay`]); [`encode`] walks the runs through the
-//! stub body to write the op list back.
-//!
-//! [`decode`] is a single pass over the bytes. It checks each op once, as
-//! it parses it ([`TraceOp::check`]: body position in range, line slice
-//! inside the stream's pool, no lines on an ALU op), rejects an empty
-//! stream, and only then extends the stream's last run or opens a new one
-//! ([`StreamBuilder`]). [`ReplayKernel::validate`] states the same
-//! invariants and is debug-asserted on every decoded kernel. The
-//! `decode_sweep` tests decode every prefix of a captured trace and
-//! thousands of seeded corruptions of it, and check that every kernel
-//! decode accepts also passes `validate`.
+//! [`decode`] is a single pass over the bytes. It rejects a stream with no
+//! run, puts each run through the run check ([`RunCheck`]: start inside
+//! the body, at least one op, memory ops counted in O(1)) before
+//! [`StreamBuilder::push_run`] merges it, and each record through the
+//! record check ([`check_record`]: at most [`MAX_LINES_PER_RECORD`] lines,
+//! slice inside the stream's pool). [`ReplayKernel::validate`] runs the
+//! same two checks and is debug-asserted on every decoded kernel; neither
+//! walks ops. Every count is bounded by the remaining input before it sizes
+//! an allocation. The `decode_sweep` tests decode every prefix of a
+//! captured trace and thousands of seeded corruptions of it, and check that
+//! every kernel decode accepts also passes `validate`.
 //!
 //! Decoded kernel stubs carry a placeholder [`AccessPattern`] per load:
 //! replay never executes patterns, and every policy transform reads only
@@ -54,18 +59,18 @@ use std::collections::HashMap;
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::AccessPattern;
-use gpu_sim::replay::{ReplayKernel, StreamBuilder, TraceOp, WarpStream};
+use gpu_sim::replay::{
+    check_record, ReplayKernel, Run, RunCheck, StreamBuilder, StreamFault, WarpStream,
+};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 use lb_trace::put_uvarint;
+
+pub use gpu_sim::replay::MAX_LINES_PER_RECORD;
 
 /// File preamble identifying a workload trace.
 pub const MAGIC: [u8; 4] = *b"LBW1";
 /// Current format version.
-pub const VERSION: u8 = 1;
-/// Upper bound on coalesced lines per record: a 32-lane warp touching
-/// wide vectors stays far below this, so anything larger is a corrupt or
-/// adversarial record, rejected before it can size an allocation.
-pub const MAX_LINES_PER_RECORD: u64 = 1024;
+pub const VERSION: u8 = 2;
 
 /// Typed decode/import failure. Every malformed input maps to a variant —
 /// the decoder never panics and never over-allocates on hostile lengths.
@@ -180,39 +185,20 @@ fn as_u32(v: u64, what: &str) -> Result<u32, ReplayError> {
     u32::try_from(v).map_err(|_| ReplayError::Malformed(format!("{what} {v} exceeds u32")))
 }
 
-/// Reads one op record: `pos`, `line_len` and, if `line_len > 0`,
-/// `line_off`. When the next three bytes are one-byte varints the record
-/// is read with one bounds check; anything else takes the general path,
-/// which keeps every check.
-#[inline]
-fn get_op(buf: &[u8], pos: &mut usize) -> Result<TraceOp, ReplayError> {
-    if let Some(&[p, len, off]) = buf.get(*pos..*pos + 3) {
-        if (p | len | off) < 0x80 {
-            let (p, len, off) = (u32::from(p), u32::from(len), u32::from(off));
-            if len == 0 {
-                // `off` is the next record's first byte.
-                *pos += 2;
-                return Ok(TraceOp { pos: p, line_off: 0, line_len: 0 });
-            }
-            *pos += 3;
-            return Ok(TraceOp { pos: p, line_off: off, line_len: len });
-        }
+/// Fails unless `n` items of at least one byte each fit in the input left
+/// after `pos`, so a hostile count is a truncation before it sizes an
+/// allocation.
+fn fits(n: u64, buf: &[u8], pos: usize) -> Result<usize, ReplayError> {
+    if n > buf.len().saturating_sub(pos) as u64 {
+        return Err(ReplayError::UnexpectedEof { at: pos });
     }
-    let (op, next) = get_op_general(buf, *pos)?;
-    *pos = next;
-    Ok(op)
+    Ok(n as usize)
 }
 
-#[cold]
-fn get_op_general(buf: &[u8], start: usize) -> Result<(TraceOp, usize), ReplayError> {
-    let mut pos = start;
-    let p = as_u32(get_uvarint(buf, &mut pos)?, "body position")?;
-    let len = get_uvarint(buf, &mut pos)?;
-    if len > MAX_LINES_PER_RECORD {
-        return Err(ReplayError::OverlongRecord { at: start, lines: len });
-    }
-    let off = if len > 0 { as_u32(get_uvarint(buf, &mut pos)?, "line offset")? } else { 0 };
-    Ok((TraceOp { pos: p, line_off: off, line_len: len as u32 }, pos))
+/// Reads a count, checked with [`fits`].
+fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize, ReplayError> {
+    let n = get_uvarint(buf, pos)?;
+    fits(n, buf, *pos)
 }
 
 fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
@@ -257,26 +243,26 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
         put_uvarint(&mut out, inst.wait_for.map_or(0, |l| u64::from(l.0) + 1));
     }
     put_uvarint(&mut out, rep.streams.len() as u64);
-    let mut interned: HashMap<Vec<LineAddr>, u32> = HashMap::new();
+    let mut interned: HashMap<&[LineAddr], u32> = HashMap::new();
     for s in &rep.streams {
         // Canonical pool: first occurrence of each distinct line slice, in
-        // op order.
+        // record order.
         interned.clear();
         let mut pool: Vec<LineAddr> = Vec::new();
-        let mut slots: Vec<(u32, u32)> = Vec::with_capacity(s.len());
-        for op in s.ops(&stub.body) {
-            if op.line_len == 0 {
-                slots.push((0, 0));
-                continue;
-            }
-            let slice = s.lines(op);
-            let off = *interned.entry(slice.to_vec()).or_insert_with(|| {
-                let off = pool.len() as u32;
-                pool.extend_from_slice(slice);
-                off
-            });
-            slots.push((off, op.line_len));
-        }
+        let records: Vec<(u32, u32)> = (0..s.n_accesses() as u32)
+            .map(|i| {
+                let slice = s.access(i);
+                if slice.is_empty() {
+                    return (0, 0);
+                }
+                let off = *interned.entry(slice).or_insert_with(|| {
+                    let off = pool.len() as u32;
+                    pool.extend_from_slice(slice);
+                    off
+                });
+                (off, slice.len() as u32)
+            })
+            .collect();
         put_uvarint(&mut out, pool.len() as u64);
         let mut prev = 0i64;
         for line in &pool {
@@ -284,9 +270,12 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
             put_zigzag(&mut out, cur.wrapping_sub(prev));
             prev = cur;
         }
-        put_uvarint(&mut out, s.len() as u64);
-        for (op, &(off, len)) in s.ops(&stub.body).zip(&slots) {
-            put_uvarint(&mut out, u64::from(op.pos));
+        put_uvarint(&mut out, s.runs().len() as u64);
+        for r in s.runs() {
+            put_uvarint(&mut out, u64::from(r.start));
+            put_uvarint(&mut out, u64::from(r.count));
+        }
+        for &(off, len) in &records {
             put_uvarint(&mut out, u64::from(len));
             if len > 0 {
                 put_uvarint(&mut out, u64::from(off));
@@ -328,23 +317,17 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     let shared_mem_per_cta = get_uvarint(buf, &mut pos)?;
     let iterations = as_u32(get_uvarint(buf, &mut pos)?, "iterations")?;
 
-    let n_loads = get_uvarint(buf, &mut pos)?;
-    if n_loads > buf.len() as u64 {
-        return Err(ReplayError::UnexpectedEof { at: pos });
-    }
-    let mut loads = Vec::with_capacity(n_loads as usize);
+    let n_loads = get_count(buf, &mut pos)?;
+    let mut loads = Vec::with_capacity(n_loads);
     for i in 0..n_loads as u32 {
         let pc = as_u32(get_uvarint(buf, &mut pos)?, "load pc")?;
         // Replay never executes patterns; decoded stubs carry placeholders.
         loads.push(LoadSpec { id: LoadId(i), pc: Pc(pc), pattern: AccessPattern::streaming(128) });
     }
 
-    let n_body = get_uvarint(buf, &mut pos)?;
-    if n_body > buf.len() as u64 {
-        return Err(ReplayError::UnexpectedEof { at: pos });
-    }
-    let body_len = as_u32(n_body, "static body length")?;
-    let mut body = Vec::with_capacity(n_body as usize);
+    let n_body = get_count(buf, &mut pos)?;
+    let body_len = as_u32(n_body as u64, "static body length")?;
+    let mut body = Vec::with_capacity(n_body);
     for _ in 0..n_body {
         let pc = as_u32(get_uvarint(buf, &mut pos)?, "pc")?;
         let tag_at = pos;
@@ -385,61 +368,73 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if n_streams != expected {
         return Err(ReplayError::StreamCountMismatch { expected, found: n_streams });
     }
-    if n_streams > buf.len() as u64 {
-        return Err(ReplayError::UnexpectedEof { at: pos });
-    }
-    let mut streams = Vec::with_capacity(n_streams as usize);
-    // Every stream is built here, then copied out at exact size.
+    let mut streams = Vec::with_capacity(fits(n_streams, buf, pos)?);
+    let check = RunCheck::new(&stub.body);
+    // Every stream's runs are merged here, then copied out at exact size.
     let mut scratch = StreamBuilder::new(body_len);
     for si in 0..n_streams {
-        streams.push(get_stream(buf, &mut pos, si, &stub.body, &mut scratch)?);
+        streams.push(get_stream(buf, &mut pos, si, &check, &mut scratch)?);
     }
 
     let rep = ReplayKernel { stub, streams };
-    debug_assert_eq!(
-        rep.validate(),
-        Ok(()),
-        "decode's per-op checks let an invalid kernel through"
-    );
+    debug_assert_eq!(rep.validate(), Ok(()), "decode's checks let an invalid kernel through");
     Ok(rep)
 }
 
-/// Reads stream `si`: its line pool, then its ops, each checked against the
-/// stub `body` and the pool as it is parsed and then pushed onto `scratch`
-/// (with its access record if it is a memory op).
+/// Reads stream `si`: its line pool, its runs, each checked and merged in
+/// `scratch`, then the access records the runs imply, each checked against
+/// the pool.
 fn get_stream(
     buf: &[u8],
     pos: &mut usize,
     si: u64,
-    body: &[StaticInst],
+    check: &RunCheck,
     scratch: &mut StreamBuilder,
 ) -> Result<WarpStream, ReplayError> {
-    let n_lines = get_uvarint(buf, pos)?;
-    if n_lines > buf.len() as u64 {
-        return Err(ReplayError::UnexpectedEof { at: *pos });
-    }
-    let mut lines = Vec::with_capacity(n_lines as usize);
+    let n_lines = get_count(buf, pos)?;
+    let mut lines = Vec::with_capacity(n_lines);
     let mut prev = 0i64;
     for _ in 0..n_lines {
         let delta = get_zigzag(buf, pos)?;
         prev = prev.wrapping_add(delta);
         lines.push(LineAddr(prev as u64));
     }
-    let n_ops = get_uvarint(buf, pos)?;
-    if n_ops > buf.len() as u64 {
-        return Err(ReplayError::UnexpectedEof { at: *pos });
-    }
-    if n_ops == 0 {
+    let n_runs = get_count(buf, pos)?;
+    if n_runs == 0 {
         return Err(ReplayError::Malformed(format!("stream {si} is empty")));
     }
-    for oi in 0..n_ops {
-        let op = get_op(buf, pos)?;
-        let mem = op
-            .check(body, lines.len())
-            .map_err(|e| ReplayError::Malformed(format!("stream {si} op {oi}: {e}")))?;
-        scratch.push_ref(op.pos, mem.then_some((op.line_off, op.line_len)));
+    let mut mem_ops = 0u64;
+    for ri in 0..n_runs {
+        let at = *pos;
+        let start = as_u32(get_uvarint(buf, pos)?, "run start")?;
+        let count = as_u32(get_uvarint(buf, pos)?, "run count")?;
+        let run = Run { start, count };
+        let run_mem = check.run(run).map_err(|e| fault(e, at, format!("stream {si} run {ri}")))?;
+        mem_ops = mem_ops.saturating_add(run_mem);
+        scratch.push_run(run);
     }
-    Ok(scratch.take_with_pool(lines))
+    let n_records = fits(mem_ops, buf, *pos)?;
+    let mut records = Vec::with_capacity(n_records);
+    for ai in 0..n_records {
+        let at = *pos;
+        let len = get_uvarint(buf, pos)?;
+        let off = if len > 0 { get_uvarint(buf, pos)? } else { 0 };
+        records.push(
+            check_record(off, len, lines.len())
+                .map_err(|e| fault(e, at, format!("stream {si} record {ai}")))?,
+        );
+    }
+    Ok(scratch.take_with(records, lines))
+}
+
+/// The typed error for a run or record at byte `at`, named `what`, that
+/// failed its check.
+#[cold]
+fn fault(e: StreamFault, at: usize, what: String) -> ReplayError {
+    match e {
+        StreamFault::OverlongRecord(lines) => ReplayError::OverlongRecord { at, lines },
+        e => ReplayError::Malformed(format!("{what}: {e}")),
+    }
 }
 
 /// Reads and decodes a workload trace from `path`.
@@ -466,13 +461,15 @@ mod tests {
             .iterations(2)
             .build()
             .unwrap();
-        // Each stream repeats its first access — the encoder must intern it.
+        // Body: load, ALU, ALU, ALU. Each stream repeats its first access —
+        // the encoder must intern it.
         let stream = |lines: &[LineAddr]| {
-            let mut s = StreamBuilder::new(3);
+            let mut s = StreamBuilder::new(4);
             for _ in 0..2 {
                 s.push(0, Some(lines));
-                s.push(1, None);
-                s.push(2, None);
+                for pos in 1..4 {
+                    s.push(pos, None);
+                }
             }
             s.finish()
         };
@@ -530,9 +527,12 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = encode(&sample());
-        bytes[4] = 9;
-        assert_eq!(decode(&bytes), Err(ReplayError::BadVersion(9)));
+        // Version 1, which listed every op, has no reader any more.
+        for v in [1, 9] {
+            let mut bytes = encode(&sample());
+            bytes[4] = v;
+            assert_eq!(decode(&bytes), Err(ReplayError::BadVersion(v)));
+        }
     }
 
     #[test]
@@ -622,19 +622,59 @@ mod tests {
     }
 
     #[test]
-    fn fused_checks_reject_what_validate_rejects() {
-        // n_streams, then per stream: n_lines, lines..., n_ops, ops...
-        let cases: [(&[u64], &str); 4] = [
-            (&[1, 0, 0], "is empty"),
-            (&[1, 1, 0, 1, 9, 0], "out of range"),
-            (&[1, 1, 0, 1, 0, 2, 0], "exceeds pool"),
-            (&[1, 1, 0, 1, 1, 1, 0], "ALU op carries"),
+    fn run_and_record_checks_reject_bad_sections() {
+        // n_streams, then per stream: n_lines, lines..., n_runs, (start,
+        // count)..., then per memory op: line_len (, line_off). The body is
+        // the sample's: a load, then three ALU ops.
+        let cases: [(&[u64], &str); 6] = [
+            (&[1, 0, 0], "stream 0 is empty"),
+            (&[1, 0, 1, 0, 0], "stream 0 run 0: zero-length run"),
+            (&[1, 0, 1, 4, 1], "stream 0 run 0: run start 4 out of range"),
+            (&[1, 1, 0, 1, 0, 1, 2, 0], "stream 0 record 0: line slice 0..2 exceeds pool of 1"),
+            (&[1, 0, 1, 0, 1, 1025, 0], "claims 1025 lines"),
+            // A run of 5 wraps onto the load twice, but one record follows.
+            (&[1, 1, 0, 1, 0, 5, 1, 0], "truncated input"),
         ];
         for (section, want) in cases {
-            match decode(&with_stream_section(section)) {
-                Err(ReplayError::Malformed(msg)) => assert!(msg.contains(want), "{msg}"),
-                other => panic!("expected Malformed({want}), got {other:?}"),
-            }
+            let err = decode(&with_stream_section(section)).unwrap_err();
+            assert!(err.to_string().contains(want), "{want}: got {err:?}");
         }
+        let over = decode(&with_stream_section(cases[4].0));
+        assert!(matches!(over, Err(ReplayError::OverlongRecord { lines: 1025, .. })));
+        let short = decode(&with_stream_section(cases[5].0));
+        assert!(matches!(short, Err(ReplayError::UnexpectedEof { .. })));
+    }
+
+    #[test]
+    fn continuing_runs_decode_as_one_and_reencode_canonically() {
+        // Runs (0, 2) and (2, 6) walk 0, 1 then 2, 3, 0, 1, 2, 3: one walk
+        // of 8 ops from 0, passing the load twice.
+        let split = with_stream_section(&[1, 1, 10, 2, 0, 2, 2, 6, 1, 0, 1, 0]);
+        let rep = decode(&split).unwrap();
+        assert_eq!(rep.streams[0].runs(), [Run { start: 0, count: 8 }]);
+        assert_eq!(rep.streams[0].access(1), [LineAddr(5)]);
+        let canonical = with_stream_section(&[1, 1, 10, 1, 0, 8, 1, 0, 1, 0]);
+        assert_eq!(encode(&rep), canonical);
+        assert_eq!(decode(&canonical).unwrap(), rep);
+    }
+
+    #[test]
+    fn a_run_of_u32_max_ops_decodes_without_walking_it() {
+        // One warp whose body is one ALU op, running it 2^32 - 1 times: an
+        // eight-byte stream section. Decode and validate must not walk it.
+        let stub = KernelBuilder::new("spin").grid(1, 1).alu(1).build().unwrap();
+        let mut bytes = encode(&ReplayKernel { stub, streams: Vec::new() });
+        bytes.pop();
+        for v in [1, 0, 1, 0, u64::from(u32::MAX)] {
+            put_uvarint(&mut bytes, v);
+        }
+        let t = std::time::Instant::now();
+        let rep = decode(&bytes).unwrap();
+        rep.validate().unwrap();
+        assert_eq!(rep.dyn_insts(), 4_294_967_295);
+        assert_eq!(rep.streams[0].n_accesses(), 0);
+        // A walk of 2^32 ops takes minutes in a debug build.
+        assert!(t.elapsed() < std::time::Duration::from_secs(1), "took {:?}", t.elapsed());
+        assert_eq!(encode(&rep), bytes);
     }
 }

@@ -7,7 +7,6 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use gpu_sim::kernel::InstKind;
 use gpu_sim::policy::baseline_factory;
 use gpu_sim::GpuConfig;
 use lb_replay::format;
@@ -84,15 +83,16 @@ fn run() -> Result<(), String> {
         "info" => {
             let file = args.get(1).ok_or("info: missing FILE.lbw1")?;
             let rep = format::read_file(Path::new(file)).map_err(|e| e.to_string())?;
-            // A memory op is one whose body instruction is a Load or Store;
-            // sparse patterns leave many of them without lines.
-            let (mut mem_ops, mut lineless) = (0u64, 0u64);
-            for op in rep.streams.iter().flat_map(|s| s.ops(&rep.stub.body)) {
-                if !matches!(rep.stub.body[op.pos as usize].kind, InstKind::Alu { .. }) {
-                    mem_ops += 1;
-                    lineless += u64::from(op.line_len == 0);
-                }
-            }
+            // Every op at a Load or Store position owns one access record;
+            // sparse patterns leave many of them without lines. Counting
+            // records, never ops, keeps this linear in the file's size.
+            let runs: usize = rep.streams.iter().map(|s| s.runs().len()).sum();
+            let mem_ops: usize = rep.streams.iter().map(|s| s.n_accesses()).sum();
+            let lineless: usize = rep
+                .streams
+                .iter()
+                .map(|s| (0..s.n_accesses() as u32).filter(|&i| s.access(i).is_empty()).count())
+                .sum();
             let pool: usize = rep.streams.iter().map(|s| s.pool().len()).sum();
             println!("kernel        {}", rep.stub.name);
             println!(
@@ -103,6 +103,7 @@ fn run() -> Result<(), String> {
             println!("shared/CTA    {} B", rep.stub.shared_mem_per_cta);
             println!("static body   {} insts, {} loads", rep.stub.body.len(), rep.stub.loads.len());
             println!("dynamic insts {}", rep.dyn_insts());
+            println!("runs          {runs}");
             println!("memory ops    {mem_ops} ({lineless} without lines)");
             println!("line pool     {pool} entries");
             Ok(())

@@ -1,15 +1,18 @@
 //! Decode sweep over a captured trace: every prefix and thousands of seeded
 //! byte corruptions.
 //!
-//! `decode` checks each op once, as it parses it, instead of running
-//! `ReplayKernel::validate` afterwards. This sweep backs that up:
+//! `decode` puts each run and each access record through the run and
+//! record checks it shares with `ReplayKernel::validate` as it parses them,
+//! instead of running `validate` afterwards. This sweep backs that up:
 //!
 //! - decode returns `Ok` or a typed `ReplayError` and never panics;
-//! - every `Ok` kernel passes `validate()`, so the per-op checks are never
+//! - every `Ok` kernel passes `validate()`, so decode's checks are never
 //!   weaker than it;
-//! - every `Ok` kernel survives `decode(encode(k))` op for op, in body
-//!   position and line slice (pools may differ: interning canonicalises
-//!   them).
+//! - every `Ok` kernel survives `decode(encode(k))` op for op: the same
+//!   runs, and the same line slice in every access record (pools may
+//!   differ: interning canonicalises them). The comparison reads runs and
+//!   records, never walks ops, so a corruption that declares billions of
+//!   ALU ops costs it nothing.
 
 use std::cell::Cell;
 
@@ -18,7 +21,7 @@ use gpu_sim::replay::ReplayKernel;
 use gpu_sim::GpuConfig;
 use lb_replay::{capture_app, decode, encode, ReplayError};
 
-/// A 2-SM `S1` capture of two loop trips: about 11 KB of LBW1, holding
+/// A 2-SM `S1` capture of two loop trips: about 6.5 KB of LBW1, holding
 /// memory ops both with and without lines.
 fn captured() -> Vec<u8> {
     let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
@@ -36,10 +39,10 @@ fn check_decoded(k: &ReplayKernel, case: &str) {
     assert_eq!(back.stub, k.stub, "{case}: stub");
     assert_eq!(back.streams.len(), k.streams.len(), "{case}: stream count");
     for (si, (a, b)) in k.streams.iter().zip(&back.streams).enumerate() {
-        assert_eq!(a.len(), b.len(), "{case}: stream {si} length");
-        for (oi, (oa, ob)) in a.ops(&k.stub.body).zip(b.ops(&back.stub.body)).enumerate() {
-            assert_eq!(oa.pos, ob.pos, "{case}: stream {si} op {oi} body position");
-            assert_eq!(a.lines(oa), b.lines(ob), "{case}: stream {si} op {oi} lines");
+        assert_eq!(a.runs(), b.runs(), "{case}: stream {si} runs");
+        assert_eq!(a.n_accesses(), b.n_accesses(), "{case}: stream {si} records");
+        for i in 0..a.n_accesses() as u32 {
+            assert_eq!(a.access(i), b.access(i), "{case}: stream {si} record {i} lines");
         }
     }
 }

@@ -152,3 +152,22 @@ fn captured_trace_replays_identically() {
         }
     }
 }
+
+#[test]
+fn checked_in_trace_corpus_decodes_at_the_current_version() {
+    // Each corpus file: (dynamic insts, memory ops). A format change must
+    // re-encode the corpus, or this fails before any CI smoke runs.
+    let corpus =
+        [("bi-mixed", 7_680, 2_304), ("ge-stream", 7_680, 1_536), ("s1-reuse", 9_216, 2_304)];
+    for (name, insts, mem_ops) in corpus {
+        let path = lb_replay::testdata_dir().join(format!("{name}.lbw1"));
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[4], lb_replay::format::VERSION, "{name}: version byte");
+        let rep = lb_replay::decode(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        rep.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(lb_replay::encode(&rep), bytes, "{name}: re-encoding must be byte-identical");
+        assert_eq!(rep.dyn_insts(), insts, "{name}: dynamic insts");
+        let records: usize = rep.streams.iter().map(|s| s.n_accesses()).sum();
+        assert_eq!(records, mem_ops, "{name}: memory ops");
+    }
+}
