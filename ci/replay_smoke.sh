@@ -20,12 +20,16 @@
 #   5. transparency   - loading a trace must not perturb synthetic runs:
 #                       suite output with and without a trace registered is
 #                       byte-identical;
-#   6. hardening      - truncated, corrupted and version-1 trace files
-#                       are rejected with a clean nonzero exit, never a
-#                       panic;
+#   6. hardening      - truncated, corrupted, version-1 and version-2 trace
+#                       files, a trace declaring more streams than its
+#                       bytes can hold, a text trace declaring more warps
+#                       than it can list, and zero --sms/--iterations
+#                       counts are rejected with a clean error exit, never
+#                       a panic or an abort;
 #   7. info           - `lb-replay info` counts memory ops by instruction
-#                       kind, lineless sparse stores included, and one run
-#                       per captured stream.
+#                       kind, lineless sparse stores included, one run per
+#                       captured stream, the kernel's line pool and the
+#                       records that repeat a slice of it.
 #
 #   usage: ci/replay_smoke.sh [lb-replay-binary] [lb-experiments-binary] [sanity-binary]
 set -eu
@@ -43,20 +47,19 @@ for f in "$CORPUS"/*.lbw1; do
     "$LBR" selftest "$f" --sms 2
 done
 
-echo "replay_smoke: info counts every Load/Store op and run"
+echo "replay_smoke: info counts every Load/Store op, run and pool line"
 # S1's result store is sparse: 512 of its 2304 memory ops carry no line.
-# Its 128 captured streams are one run each.
+# Its 128 captured streams are one run each. Warps re-read each other's
+# lines: 522 records repeat a slice of the 1270-line kernel pool.
 "$LBR" info "$CORPUS/s1-reuse.lbw1" > "$T/info.txt"
-grep -qx "memory ops    2304 (512 without lines)" "$T/info.txt" || {
-    echo "replay_smoke: FAIL - info miscounts memory ops" >&2
-    cat "$T/info.txt" >&2
-    exit 1
-}
-grep -qx "runs          128" "$T/info.txt" || {
-    echo "replay_smoke: FAIL - info miscounts runs" >&2
-    cat "$T/info.txt" >&2
-    exit 1
-}
+for want in "memory ops    2304 (512 without lines)" "runs          128" \
+    "line pool     1270 entries" "repeats       522 records"; do
+    grep -qx "$want" "$T/info.txt" || {
+        echo "replay_smoke: FAIL - info does not print '$want'" >&2
+        cat "$T/info.txt" >&2
+        exit 1
+    }
+done
 
 echo "replay_smoke: fresh capture round-trips"
 "$LBR" capture GE "$T/ge.lbw1" --sms 2 --iterations 4
@@ -98,25 +101,46 @@ cmp "$T/plain.txt" "$T/with_trace_prefix.txt" || {
     exit 1
 }
 
-echo "replay_smoke: malformed files are rejected cleanly"
+echo "replay_smoke: malformed inputs and zero counts are rejected cleanly"
 head -c 40 "$T/ge.lbw1" > "$T/truncated.lbw1"
 printf 'NOPE' > "$T/badmagic.lbw1"
-# Version 1 listed every op; it has no reader.
+# Version 1 listed every op and version 2 kept a pool per stream; neither
+# has a reader.
 printf 'LBW1\001\002v1\001\001' > "$T/version1.lbw1"
-for bad in "$T/truncated.lbw1" "$T/badmagic.lbw1" "$T/version1.lbw1"; do
-    if "$LBR" info "$bad" > /dev/null 2> "$T/err.txt"; then
-        echo "replay_smoke: FAIL - $bad was accepted" >&2
+printf 'LBW1\002\002v2\001\001' > "$T/version2.lbw1"
+# A 2^20 x 2^20-warp grid declaring its 2^40 streams, then one valid
+# stream: the count must be checked against the input, not allocated for.
+printf 'LBW1\003\001h\200\200\100\200\200\100\001\000\001\000\001\000\000\001\000\200\200\200\200\200\040\001\000\001' \
+    > "$T/hugecount.lbw1"
+# 65536 x 65536 threads per block: more warps than three lines can list.
+printf -- '-grid dim = (1,1,1)\n-block dim = (65536,65536,1)\n#BEGIN_TB\n' > "$T/huge.traceg"
+# lb-replay exits 1 on a reported error; a panic exits 101 and an abort 134.
+rejects() {
+    status=0
+    "$@" > /dev/null 2> "$T/err.txt" || status=$?
+    if [ "$status" -ne 1 ] || grep -qi "panic" "$T/err.txt"; then
+        echo "replay_smoke: FAIL - '$*' exited $status instead of a clean error" >&2
+        cat "$T/err.txt" >&2
         exit 1
     fi
-    grep -qi "panic" "$T/err.txt" && {
-        echo "replay_smoke: FAIL - $bad caused a panic" >&2
+}
+for bad in truncated badmagic version1 version2 hugecount; do
+    rejects "$LBR" info "$T/$bad.lbw1"
+done
+rejects "$LBR" import "$T/huge.traceg" "$T/huge.lbw1"
+grep -q "more than the file's 3 lines can list" "$T/err.txt" || {
+    echo "replay_smoke: FAIL - the huge block is not reported as unlistable" >&2
+    exit 1
+}
+rejects "$LBR" capture GE "$T/zero.lbw1" --sms 0
+rejects "$LBR" capture GE "$T/zero.lbw1" --iterations 0
+rejects "$LBR" selftest "$CORPUS/s1-reuse.lbw1" --sms 0
+
+for v in 1 2; do
+    "$LBR" info "$T/version$v.lbw1" 2>&1 | grep -q "unsupported LBW1 version $v" || {
+        echo "replay_smoke: FAIL - a version-$v file is not reported as one" >&2
         exit 1
     }
 done
-
-"$LBR" info "$T/version1.lbw1" 2>&1 | grep -q "unsupported LBW1 version 1" || {
-    echo "replay_smoke: FAIL - a version-1 file is not reported as one" >&2
-    exit 1
-}
 
 echo "replay_smoke: OK"

@@ -12,7 +12,7 @@ use crate::mem::MemReq;
 use crate::partition::MemPartition;
 use crate::phase_timer;
 use crate::policy::{PolicyFactory, SmPolicy};
-use crate::replay::{CaptureError, ReplayKernel, WarpStream};
+use crate::replay::{CaptureError, ReplayKernel, StreamBuilder};
 use crate::sm::Sm;
 use crate::stats::{PartitionCounters, ProfileEvents, SimStats};
 use crate::types::{Cycle, SmId};
@@ -819,24 +819,34 @@ impl Gpu {
         total
     }
 
-    /// Collects the per-warp streams recorded by a capture run. Each stream
-    /// executes on exactly one SM, so the merge picks, per grid-wide stream
-    /// index, the single SM whose recorder holds its ops; a stream no SM
-    /// recorded (its CTA never launched) stays empty for the caller's
-    /// completeness check.
-    fn take_capture(&mut self) -> Vec<WarpStream> {
+    /// Collects the per-warp streams a completed capture run recorded into
+    /// a [`ReplayKernel`] of `stub`. Each stream executes on exactly one SM,
+    /// so the merge picks, per grid-wide stream index, the single SM whose
+    /// recorder holds its ops. Fails if the run hit the cycle cap or a
+    /// stream has no op (its CTA never launched).
+    fn take_capture(
+        &mut self,
+        stats: &SimStats,
+        stub: KernelSpec,
+    ) -> Result<ReplayKernel, CaptureError> {
+        if !stats.completed {
+            return Err(CaptureError::Incomplete { cycles: stats.cycles });
+        }
         let n = self.kernel.grid_ctas as usize * self.kernel.warps_per_cta as usize;
-        let mut merged = vec![WarpStream::default(); n];
+        let mut merged: Vec<Option<StreamBuilder>> = (0..n).map(|_| None).collect();
         for sm in &mut self.sms {
-            if let Some(cap) = sm.take_capture() {
-                for (i, s) in cap.into_iter().enumerate() {
-                    if !s.is_empty() {
-                        merged[i] = s;
-                    }
+            for (i, s) in sm.take_capture().into_iter().flatten().enumerate() {
+                if !s.is_empty() {
+                    merged[i] = Some(s);
                 }
             }
         }
-        merged
+        let streams = merged
+            .into_iter()
+            .enumerate()
+            .map(|(stream, s)| s.ok_or(CaptureError::EmptyStream { stream }))
+            .collect::<Result<_, _>>()?;
+        Ok(ReplayKernel::from_streams(stub, streams))
     }
 }
 
@@ -919,14 +929,8 @@ pub fn capture_kernel(
     let stub = kernel.clone();
     let mut gpu = Gpu::new_inner(cfg, kernel, None, true, factory, Tracer::off());
     let stats = gpu.run();
-    if !stats.completed {
-        return Err(CaptureError::Incomplete { cycles: stats.cycles });
-    }
-    let streams = gpu.take_capture();
-    if let Some(i) = streams.iter().position(WarpStream::is_empty) {
-        return Err(CaptureError::EmptyStream { stream: i });
-    }
-    Ok((stats, ReplayKernel { stub, streams }))
+    let rep = gpu.take_capture(&stats, stub)?;
+    Ok((stats, rep))
 }
 
 /// Replays `rep` while re-capturing the executed streams. A faithful replay
@@ -941,14 +945,8 @@ pub fn run_replay_capture(
     let mut gpu =
         Gpu::new_inner(cfg, rep.stub.clone(), Some(Arc::clone(rep)), true, factory, Tracer::off());
     let stats = gpu.run();
-    if !stats.completed {
-        return Err(CaptureError::Incomplete { cycles: stats.cycles });
-    }
-    let streams = gpu.take_capture();
-    if let Some(i) = streams.iter().position(WarpStream::is_empty) {
-        return Err(CaptureError::EmptyStream { stream: i });
-    }
-    Ok((stats, ReplayKernel { stub: rep.stub.clone(), streams }))
+    let recaptured = gpu.take_capture(&stats, rep.stub.clone())?;
+    Ok((stats, recaptured))
 }
 
 #[cfg(test)]

@@ -6,10 +6,9 @@
 //! run ([`crate::gpu::capture_kernel`]) or imported from an external
 //! SASS-style text trace (the `lb-replay` crate). A [`ReplayKernel`] pairs a
 //! plain [`KernelSpec`] *stub* (grid shape, resources, static body — the
-//! header every policy transform reads) with one [`WarpStream`] per warp of
-//! the grid: the warp's dynamic instruction sequence as indices into the
-//! stub body, plus the coalesced line addresses of its memory operations,
-//! interned in a per-stream line pool and referenced by (offset, length).
+//! header every policy transform reads) with one stream per warp of the
+//! grid: the warp's dynamic instruction sequence as runs of stub body
+//! positions, plus the coalesced line addresses of its memory operations.
 //!
 //! Stream identity is by *CTA dispatch ordinal*: the k-th CTA the GPU
 //! launches (grid-wide, across SMs) executes streams
@@ -21,18 +20,35 @@
 //!
 //! # Stream layout
 //!
-//! A [`WarpStream`] stores nothing per ALU op. Its ops are a list of
-//! [`Run`]s: a run `(start, count)` is `count` ops at consecutive body
-//! positions from `start`, wrapping to 0 past the body's end — the walk
+//! A stream stores nothing per ALU op. Its ops are a list of [`Run`]s: a
+//! run `(start, count)` is `count` ops at consecutive body positions from
+//! `start`, wrapping to 0 past the body's end — the walk
 //! [`WarpSlab::advance`](crate::warp::WarpSlab::advance) makes for a
 //! synthetic warp. A captured stream of any trip count is therefore one
 //! run, and an imported trace adds one run per taken branch. Each op at a
-//! Load/Store body position owns one access record `(line_off, line_len)`
-//! into the stream's line pool, in issue order; a memory op whose access
-//! touched no lines (a sparse pattern skipped the instance) owns a
-//! lineless one. Whether an op is a memory op is read from the stub body:
-//! [`WarpStream::ops`] walks the runs through it and yields the decoded
-//! [`TraceOp`] view, op by op. Streams are built through [`StreamBuilder`].
+//! Load/Store body position owns one access record `(line_off, line_len)`,
+//! a slice of the kernel's line pool, in issue order; a memory op whose
+//! access touched no lines (a sparse pattern skipped the instance) owns a
+//! lineless one, `(0, 0)`. Whether an op is a memory op is read from the
+//! stub body: [`WarpStream::ops`] walks the runs through it and yields the
+//! decoded [`TraceOp`] view, op by op.
+//!
+//! # Kernel-wide arrays
+//!
+//! A [`ReplayKernel`] keeps all its streams in five flat arrays: the runs
+//! of every stream back to back, their access records back to back, one
+//! line pool that every record indexes, and per stream the offset of its
+//! first run and of its first record. Any record may share pool lines
+//! with any earlier one, whichever stream it belongs to: a decoded `LBW1`
+//! trace holds each distinct line slice once, while capture and import
+//! append the lines of every access. [`ReplayKernel::stream`] lends one
+//! stream out as a [`WarpStream`], a view whose [`WarpStream::runs`],
+//! [`WarpStream::access`] and [`WarpStream::ops`] read the arrays in place.
+//! Capture and import record each stream in a [`StreamBuilder`] of its own,
+//! and [`ReplayKernel::from_streams`] lays the finished streams out; the
+//! `LBW1` decoder appends to the arrays directly
+//! ([`ReplayKernel::push_line`], [`ReplayKernel::push_record`],
+//! [`ReplayKernel::push_stream`]).
 //!
 //! # Checks
 //!
@@ -40,11 +56,12 @@
 //! run check ([`RunCheck`]) takes each run: it must start inside the body
 //! and hold at least one op, and its memory ops (the access records it
 //! owns) are counted in O(1) from a prefix count of the body's Load/Store
-//! positions. The record check ([`check_record`]) takes each access
-//! record: at most [`MAX_LINES_PER_RECORD`] lines, in a slice inside the
-//! stream's pool. Neither walks ops, so a check costs what the stream
-//! stores, never what it declares: a run of 2^32 - 1 ops is checked as
-//! fast as a run of one.
+//! positions. The same prefix count gives each record's body position
+//! ([`RunCheck::mem_indices`]) without walking ALU ops. The record check
+//! ([`check_record`]) takes each access record: at most
+//! [`MAX_LINES_PER_RECORD`] lines, in a slice inside the kernel's pool.
+//! Neither walks ops, so a check costs what the kernel stores, never what
+//! it declares: a run of 2^32 - 1 ops is checked as fast as a run of one.
 //!
 //! A replayed warp's `body_pos` column holds its real body position, as a
 //! synthetic warp's does; its run index, the ops left in that run and its
@@ -67,13 +84,13 @@ pub const GROWING_BODY: u32 = u32::MAX;
 /// `pos` indexes the stub kernel's `body`; the static instruction there
 /// supplies the kind, latency, PC and scoreboard edge. Memory operations
 /// carry their coalesced line addresses as a `line_off .. line_off +
-/// line_len` slice of the owning stream's line pool; an op without lines
-/// has `line_off == line_len == 0`.
+/// line_len` slice of the kernel's line pool; an op without lines has
+/// `line_off == line_len == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Index into the stub kernel's `body`.
     pub pos: u32,
-    /// First line of this access in the stream's line pool.
+    /// First line of this access in the kernel's line pool.
     pub line_off: u32,
     /// Number of coalesced lines (0 for ALU operations).
     pub line_len: u32,
@@ -101,49 +118,52 @@ pub(crate) fn next_pos(pos: u32, body_len: u32) -> u32 {
     }
 }
 
-/// The recorded execution of one warp: its dynamic instructions as runs of
-/// body positions, one access record per memory op, and the line pool the
-/// records reference (layout in the module docs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WarpStream {
-    /// Runs of ops in issue order.
-    runs: Vec<Run>,
-    /// `(line_off, line_len)` of each memory op, in issue order.
-    accesses: Vec<(u32, u32)>,
-    /// Line pool referenced by the access records. Capture appends raw
-    /// per-access slices; the `LBW1` encoder interns duplicates, so a
-    /// decoded stream shares repeated accesses.
-    lines: Vec<LineAddr>,
+/// The recorded execution of one warp, borrowed from its kernel's arrays:
+/// its runs of body positions and one access record per memory op (layout
+/// in the module docs). [`ReplayKernel::stream`] lends it out.
+#[derive(Debug, Clone, Copy)]
+pub struct WarpStream<'a> {
+    /// The kernel whose arrays hold the stream.
+    rep: &'a ReplayKernel,
+    /// The stream's index in the kernel.
+    id: usize,
 }
 
-impl WarpStream {
+impl<'a> WarpStream<'a> {
     /// Number of ops (dynamic instructions).
     pub fn len(&self) -> usize {
-        self.runs.iter().map(|r| r.count as usize).sum()
+        self.runs().iter().map(|r| r.count as usize).sum()
     }
 
     /// True when the stream holds no op.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.runs().is_empty()
     }
 
     /// The runs in issue order.
     #[inline]
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
+    pub fn runs(&self) -> &'a [Run] {
+        let b = &self.rep.run_bounds;
+        &self.rep.runs[b[self.id] as usize..b[self.id + 1] as usize]
+    }
+
+    /// The access records in issue order, as `(line_off, line_len)` slices
+    /// of the kernel's line pool.
+    #[inline]
+    fn records(&self) -> &'a [(u32, u32)] {
+        let b = &self.rep.record_bounds;
+        &self.rep.records[b[self.id] as usize..b[self.id + 1] as usize]
     }
 
     /// Number of access records (memory ops).
     pub fn n_accesses(&self) -> usize {
-        self.accesses.len()
+        self.records().len()
     }
 
     /// The coalesced lines of access record `i`.
     #[inline]
-    pub fn access(&self, i: u32) -> &[LineAddr] {
-        let (off, len) = self.accesses[i as usize];
-        let off = off as usize;
-        &self.lines[off..off + len as usize]
+    pub fn access(&self, i: u32) -> &'a [LineAddr] {
+        self.rep.lines(self.records()[i as usize])
     }
 
     /// The ops in issue order, walked through the stub `body`: each run
@@ -151,10 +171,10 @@ impl WarpStream {
     /// the next access record. Never panics; on a stream that does not fit
     /// `body`, which [`ReplayKernel::validate`] rejects, the ops past a
     /// missing record read as lineless.
-    pub fn ops<'a>(&'a self, body: &'a [StaticInst]) -> impl Iterator<Item = TraceOp> + 'a {
+    pub fn ops(&self, body: &'a [StaticInst]) -> impl Iterator<Item = TraceOp> + 'a {
         let body_len = body.len() as u32;
-        let mut records = self.accesses.iter();
-        self.runs
+        let mut records = self.records().iter();
+        self.runs()
             .iter()
             .flat_map(move |r| {
                 std::iter::successors(Some(r.start), move |&p| Some(next_pos(p, body_len)))
@@ -171,27 +191,27 @@ impl WarpStream {
 
     /// The coalesced lines of `op`, one of this stream's ops.
     #[inline]
-    pub fn lines(&self, op: TraceOp) -> &[LineAddr] {
-        let off = op.line_off as usize;
-        &self.lines[off..off + op.line_len as usize]
-    }
-
-    /// The whole line pool.
-    pub fn pool(&self) -> &[LineAddr] {
-        &self.lines
+    pub fn lines(&self, op: TraceOp) -> &'a [LineAddr] {
+        self.rep.lines((op.line_off, op.line_len))
     }
 }
 
-/// Appends to a [`WarpStream`]. A run extends the last one when it starts
-/// at the body position after the last run's last op, and opens a run
-/// otherwise, so any split of a walk into runs builds the same stream.
-/// Capture and import push op by op ([`StreamBuilder::push`]); the `LBW1`
-/// decoder pushes whole runs ([`StreamBuilder::push_run`]) and hands over
-/// its checked records ([`StreamBuilder::take_with`]).
+/// Records one stream op by op, for capture and import, where the ops of
+/// all warps arrive interleaved. A run extends the last one when it starts at the
+/// body position after the last run's last op, and opens a run otherwise,
+/// so any split of a walk into runs builds the same stream. Capture and
+/// import push op by op ([`StreamBuilder::push`]) and hand the finished
+/// builders to [`ReplayKernel::from_streams`]; the `LBW1` decoder merges
+/// each stream's runs in one reused builder ([`StreamBuilder::push_run`])
+/// and appends them with [`ReplayKernel::push_stream`].
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
-    /// The stream built so far.
-    stream: WarpStream,
+    /// Runs in issue order.
+    runs: Vec<Run>,
+    /// `(line_off, line_len)` of each memory op into `lines`.
+    records: Vec<(u32, u32)>,
+    /// The lines of every access, appended in issue order.
+    lines: Vec<LineAddr>,
     /// Body length runs wrap at ([`GROWING_BODY`] while the body grows).
     body_len: u32,
     /// Body position that extends the last run.
@@ -203,55 +223,50 @@ impl StreamBuilder {
     /// wrap to 0 past its end. Import, whose body grows while it reads,
     /// passes [`GROWING_BODY`]: a run that never wraps is still a run.
     pub fn new(body_len: u32) -> Self {
-        StreamBuilder { stream: WarpStream::default(), body_len, next: 0 }
+        StreamBuilder {
+            runs: Vec::new(),
+            records: Vec::new(),
+            lines: Vec::new(),
+            body_len,
+            next: 0,
+        }
+    }
+
+    /// True when no op has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The runs pushed so far.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
     /// Appends an op at body position `pos`: `access` is `Some(lines)` for
     /// an op at a Load or Store position (`lines` may be empty) and `None`
-    /// for an ALU op. The lines are copied to the end of the pool.
+    /// for an ALU op. The lines are copied to the end of the builder's pool.
     pub fn push(&mut self, pos: u32, access: Option<&[LineAddr]>) {
         self.push_run(Run { start: pos, count: 1 });
         if let Some(lines) = access {
             // A lineless record's offset carries nothing; keep it canonical.
-            let off = if lines.is_empty() { 0 } else { self.stream.lines.len() as u32 };
-            self.stream.accesses.push((off, lines.len() as u32));
-            self.stream.lines.extend_from_slice(lines);
+            let off = if lines.is_empty() { 0 } else { self.lines.len() as u32 };
+            self.records.push((off, lines.len() as u32));
+            self.lines.extend_from_slice(lines);
         }
     }
 
     /// Appends `run`, merged into the last run when it continues it and
     /// the merged count fits a `u32`.
     pub fn push_run(&mut self, run: Run) {
-        match self.stream.runs.last_mut() {
+        match self.runs.last_mut() {
             Some(last) if run.start == self.next && last.count.checked_add(run.count).is_some() => {
                 last.count += run.count;
             }
-            _ => self.stream.runs.push(run),
+            _ => self.runs.push(run),
         }
         // The position `count` steps of the body walk past `start`.
         let after = u64::from(run.start) + u64::from(run.count);
         self.next = (after % u64::from(self.body_len.max(1))) as u32;
-    }
-
-    /// The finished stream.
-    pub fn finish(self) -> WarpStream {
-        self.stream
-    }
-
-    /// Returns the runs pushed so far, copied out at exact size, as a
-    /// stream whose access records `accesses` index `pool`, and empties
-    /// `self` but keeps its buffers. The decoder pushes every stream's runs
-    /// through one such scratch builder, so no decoded stream carries a
-    /// growing buffer's spare capacity.
-    pub fn take_with(&mut self, accesses: Vec<(u32, u32)>, pool: Vec<LineAddr>) -> WarpStream {
-        let s = &mut self.stream;
-        debug_assert!(
-            s.accesses.is_empty() && s.lines.is_empty(),
-            "a scratch builder holds runs only"
-        );
-        let out = WarpStream { runs: s.runs.as_slice().to_vec(), accesses, lines: pool };
-        s.runs.clear();
-        out
     }
 }
 
@@ -333,12 +348,35 @@ impl RunCheck {
         let (trips, head) = ((count - first) / body_len, (count - first) % body_len);
         Ok(before(start + first) - before(start) + trips * before(body_len) + before(head))
     }
+
+    /// Number of Load/Store positions in the body.
+    #[inline]
+    pub fn n_mem(&self) -> usize {
+        self.mem_before[self.mem_before.len() - 1] as usize
+    }
+
+    /// The memory index of each memory op of `run`, in issue order: its
+    /// rank among the body's Load/Store positions, in body order. The
+    /// first is the rank of the first Load/Store at or after `run.start`,
+    /// and each later one the next rank, wrapping to 0 as the walk wraps
+    /// the body, so each access record's body position follows from its
+    /// run without walking ALU ops. Empty for a run the check rejects.
+    pub fn mem_indices(&self, run: Run) -> impl Iterator<Item = usize> {
+        let n_mem = self.n_mem();
+        let n = self.run(run).unwrap_or(0);
+        let first = match self.mem_before.get(run.start as usize) {
+            Some(&k) if n > 0 && (k as usize) < n_mem => k as usize,
+            _ => 0,
+        };
+        std::iter::successors(Some(first), move |&k| Some(if k + 1 == n_mem { 0 } else { k + 1 }))
+            .take(usize::try_from(n).unwrap_or(usize::MAX))
+    }
 }
 
-/// The record check: access record `(line_off, line_len)` of a stream
+/// The record check: access record `(line_off, line_len)` of a kernel
 /// whose pool holds `pool_len` lines claims at most
 /// [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool. Returns the
-/// record as a [`WarpStream`] stores it, `(0, 0)` when lineless.
+/// record as a [`ReplayKernel`] stores it, `(0, 0)` when lineless.
 #[inline]
 pub fn check_record(
     line_off: u64,
@@ -357,18 +395,148 @@ pub fn check_record(
     }
 }
 
-/// A trace-driven workload: a kernel stub plus one stream per warp.
+/// `n` as a `u32` offset into a kernel array; the decoder bounds what it
+/// appends, and capture cannot hold 2^32 entries in memory.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("replay kernel arrays hold fewer than 2^32 entries")
+}
+
+/// A trace-driven workload: a kernel stub plus one stream per warp, held
+/// in kernel-wide arrays (layout in the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayKernel {
     /// Grid shape, resources and static body. Policy transforms and
     /// occupancy read only this; the stub's `AccessPattern`s are never
     /// executed in replay (imported kernels carry placeholders).
     pub stub: KernelSpec,
-    /// One stream per warp, indexed `cta_ordinal * warps_per_cta + lane`.
-    pub streams: Vec<WarpStream>,
+    /// Every stream's runs, stream after stream.
+    runs: Vec<Run>,
+    /// Every stream's access records, stream after stream, as
+    /// `(line_off, line_len)` slices of `pool`.
+    records: Vec<(u32, u32)>,
+    /// The line pool the records index.
+    pool: Vec<LineAddr>,
+    /// Stream `i`'s runs are `runs[run_bounds[i]..run_bounds[i + 1]]`.
+    run_bounds: Vec<u32>,
+    /// Stream `i`'s records are `records[record_bounds[i]..record_bounds[i + 1]]`.
+    record_bounds: Vec<u32>,
 }
 
 impl ReplayKernel {
+    /// A kernel of `stub` with no stream yet.
+    pub fn new(stub: KernelSpec) -> Self {
+        ReplayKernel {
+            stub,
+            runs: Vec::new(),
+            records: Vec::new(),
+            pool: Vec::new(),
+            run_bounds: vec![0],
+            record_bounds: vec![0],
+        }
+    }
+
+    /// A kernel of `stub` whose streams, indexed `cta_ordinal *
+    /// warps_per_cta + lane`, are the ones `streams` recorded, laid out in
+    /// arrays of exact size.
+    pub fn from_streams(stub: KernelSpec, streams: Vec<StreamBuilder>) -> Self {
+        let mut rep = ReplayKernel::new(stub);
+        let total = |f: fn(&StreamBuilder) -> usize| streams.iter().map(f).sum::<usize>();
+        rep.runs.reserve_exact(total(|b| b.runs.len()));
+        rep.records.reserve_exact(total(|b| b.records.len()));
+        rep.pool.reserve_exact(total(|b| b.lines.len()));
+        rep.run_bounds.reserve_exact(streams.len());
+        rep.record_bounds.reserve_exact(streams.len());
+        for mut b in streams {
+            rep.push_stream(&mut b);
+        }
+        rep
+    }
+
+    /// Appends a line to the pool.
+    #[inline]
+    pub fn push_line(&mut self, line: LineAddr) {
+        self.pool.push(line);
+    }
+
+    /// Appends access record `(line_off, line_len)`, a slice of the pool,
+    /// to the stream the next [`ReplayKernel::push_stream`] closes.
+    #[inline]
+    pub fn push_record(&mut self, line_off: u32, line_len: u32) {
+        self.records.push((line_off, line_len));
+    }
+
+    /// Closes the next stream: its records are the ones pushed since the
+    /// last stream closed, then the records `b` holds, whose lines are
+    /// appended to the pool; its runs are `b`'s. Empties `b` but keeps its
+    /// buffers, so one builder can carry every stream's runs.
+    pub fn push_stream(&mut self, b: &mut StreamBuilder) {
+        let base = offset(self.pool.len());
+        self.runs.extend_from_slice(&b.runs);
+        self.records.extend(b.records.iter().map(|&(off, len)| match len {
+            0 => (0, 0),
+            _ => (base.checked_add(off).expect("pool offsets fit a u32"), len),
+        }));
+        self.pool.extend_from_slice(&b.lines);
+        self.run_bounds.push(offset(self.runs.len()));
+        self.record_bounds.push(offset(self.records.len()));
+        b.runs.clear();
+        b.records.clear();
+        b.lines.clear();
+    }
+
+    /// Reserves room for `streams` more streams holding `records` more
+    /// access records and `lines` more pool lines.
+    pub fn reserve(&mut self, streams: usize, records: usize, lines: usize) {
+        self.run_bounds.reserve(streams);
+        self.record_bounds.reserve(streams);
+        self.runs.reserve(streams);
+        self.records.reserve(records);
+        self.pool.reserve(lines);
+    }
+
+    /// Releases the arrays' spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.runs.shrink_to_fit();
+        self.records.shrink_to_fit();
+        self.pool.shrink_to_fit();
+        self.run_bounds.shrink_to_fit();
+        self.record_bounds.shrink_to_fit();
+    }
+
+    /// Number of streams held.
+    pub fn n_streams(&self) -> usize {
+        self.run_bounds.len() - 1
+    }
+
+    /// Stream `i`, indexed `cta_ordinal * warps_per_cta + lane`. Reading
+    /// a stream past [`ReplayKernel::n_streams`] panics.
+    #[inline]
+    pub fn stream(&self, i: usize) -> WarpStream<'_> {
+        WarpStream { rep: self, id: i }
+    }
+
+    /// Every stream, in index order.
+    pub fn streams(&self) -> impl Iterator<Item = WarpStream<'_>> {
+        (0..self.n_streams()).map(|i| self.stream(i))
+    }
+
+    /// Every stream's access records, stream after stream.
+    pub fn records(&self) -> &[(u32, u32)] {
+        &self.records
+    }
+
+    /// The line pool the access records index.
+    pub fn pool(&self) -> &[LineAddr] {
+        &self.pool
+    }
+
+    /// The lines of access record `(line_off, line_len)`.
+    #[inline]
+    pub fn lines(&self, (line_off, line_len): (u32, u32)) -> &[LineAddr] {
+        let off = line_off as usize;
+        &self.pool[off..off + line_len as usize]
+    }
+
     /// Total warps in the grid (`grid_ctas * warps_per_cta`).
     pub fn total_streams(&self) -> usize {
         self.stub.grid_ctas as usize * self.stub.warps_per_cta as usize
@@ -376,7 +544,7 @@ impl ReplayKernel {
 
     /// Total dynamic instructions across all streams.
     pub fn dyn_insts(&self) -> u64 {
-        self.streams.iter().map(|s| s.len() as u64).sum()
+        self.runs.iter().map(|r| u64::from(r.count)).sum()
     }
 
     /// Validates internal consistency: the stub itself, the stream count
@@ -386,31 +554,31 @@ impl ReplayKernel {
     /// Its cost follows the runs and records stored, not the ops declared.
     pub fn validate(&self) -> Result<(), String> {
         self.stub.validate()?;
-        if self.streams.len() != self.total_streams() {
+        if self.n_streams() != self.total_streams() {
             return Err(format!(
                 "stream count {} does not match grid {} CTAs x {} warps",
-                self.streams.len(),
+                self.n_streams(),
                 self.stub.grid_ctas,
                 self.stub.warps_per_cta
             ));
         }
         let check = RunCheck::new(&self.stub.body);
-        for (si, s) in self.streams.iter().enumerate() {
+        for (si, s) in self.streams().enumerate() {
             if s.is_empty() {
                 return Err(format!("stream {si} is empty"));
             }
             let mut mem_ops = 0u64;
-            for (ri, &run) in s.runs.iter().enumerate() {
+            for (ri, &run) in s.runs().iter().enumerate() {
                 mem_ops += check.run(run).map_err(|e| format!("stream {si} run {ri}: {e}"))?;
             }
-            if mem_ops != s.accesses.len() as u64 {
+            if mem_ops != s.n_accesses() as u64 {
                 return Err(format!(
                     "stream {si} has {} access records for {mem_ops} memory ops",
-                    s.accesses.len()
+                    s.n_accesses()
                 ));
             }
-            for (ai, &(off, len)) in s.accesses.iter().enumerate() {
-                check_record(off.into(), len.into(), s.lines.len())
+            for (ai, &(off, len)) in s.records().iter().enumerate() {
+                check_record(off.into(), len.into(), self.pool.len())
                     .map_err(|e| format!("stream {si} record {ai}: {e}"))?;
             }
         }
@@ -484,17 +652,17 @@ mod tests {
             .unwrap()
     }
 
-    fn rep_of(stream: WarpStream) -> ReplayKernel {
-        ReplayKernel { stub: stub(), streams: vec![stream] }
+    fn rep_of(stream: StreamBuilder) -> ReplayKernel {
+        ReplayKernel::from_streams(stub(), vec![stream])
     }
 
     /// A stream over `stub()` from `(pos, access)` ops (`None`: ALU op).
-    fn stream(ops: &[(u32, Option<&[LineAddr]>)]) -> WarpStream {
+    fn stream(ops: &[(u32, Option<&[LineAddr]>)]) -> StreamBuilder {
         let mut b = StreamBuilder::new(2);
         for &(pos, access) in ops {
             b.push(pos, access);
         }
-        b.finish()
+        b
     }
 
     fn valid_rep() -> ReplayKernel {
@@ -508,14 +676,14 @@ mod tests {
 
     #[test]
     fn stream_count_mismatch_rejected() {
-        let mut r = valid_rep();
-        r.streams.push(WarpStream::default());
+        let s = || stream(&[(0, Some(&[LineAddr(42)])), (1, None)]);
+        let r = ReplayKernel::from_streams(stub(), vec![s(), s()]);
         assert!(r.validate().unwrap_err().contains("stream count"));
     }
 
     #[test]
     fn empty_stream_rejected() {
-        let r = rep_of(WarpStream::default());
+        let r = rep_of(StreamBuilder::new(2));
         assert!(r.validate().unwrap_err().contains("is empty"));
     }
 
@@ -525,21 +693,29 @@ mod tests {
         assert!(rep_of(s).validate().unwrap_err().contains("out of range"));
     }
 
-    /// A stream over `stub()` from whole runs, access records and a pool
-    /// of `pool_len` lines, built the way the decoder builds one.
-    fn raw_stream(runs: &[Run], records: &[(u32, u32)], pool_len: usize) -> WarpStream {
+    /// A one-stream kernel over `stub()` from whole runs, access records
+    /// and a pool of `pool_len` lines, built the way the decoder builds one.
+    fn raw_kernel(runs: &[Run], records: &[(u32, u32)], pool_len: usize) -> ReplayKernel {
+        let mut rep = ReplayKernel::new(stub());
+        for _ in 0..pool_len {
+            rep.push_line(LineAddr(42));
+        }
+        for &(off, len) in records {
+            rep.push_record(off, len);
+        }
         let mut b = StreamBuilder::new(2);
         for &r in runs {
             b.push_run(r);
         }
-        b.take_with(records.to_vec(), vec![LineAddr(42); pool_len])
+        rep.push_stream(&mut b);
+        rep
     }
 
     #[test]
     fn bad_runs_and_records_rejected() {
         let run = |start, count| Run { start, count };
         let rejects = |runs: &[Run], records: &[(u32, u32)], want: &str| {
-            let err = rep_of(raw_stream(runs, records, 1)).validate().unwrap_err();
+            let err = raw_kernel(runs, records, 1).validate().unwrap_err();
             assert!(err.contains(want), "{want}: {err}");
         };
         rejects(&[run(0, 2)], &[(0, 7)], "record 0: line slice 0..7 exceeds pool of 1");
@@ -562,6 +738,24 @@ mod tests {
         assert!(rep_of(stream(&[(0, Some(&[])), (1, None)])).validate().is_ok());
     }
 
+    /// A random body of 1 to 8 instructions, each ALU, Load or Store.
+    fn random_body(rng: &mut testkit::Rng) -> Vec<StaticInst> {
+        let kinds = [
+            InstKind::Alu { latency: 1 },
+            InstKind::Load { load: LoadId(0) },
+            InstKind::Store { load: LoadId(0) },
+        ];
+        (0..rng.range_u32(1, 9))
+            .map(|i| StaticInst { pc: Pc(16 * i), kind: *rng.pick(&kinds), wait_for: None })
+            .collect()
+    }
+
+    /// The body positions a run visits, walked op by op.
+    fn walk(r: Run, body_len: u32) -> impl Iterator<Item = u32> {
+        std::iter::successors(Some(r.start), move |&p| Some(next_pos(p, body_len)))
+            .take(r.count as usize)
+    }
+
     #[test]
     fn run_check_counts_memory_ops_without_walking() {
         let check = RunCheck::new(&body4());
@@ -575,23 +769,40 @@ mod tests {
         assert_eq!(check.run(run(4, 1)), Err(StreamFault::RunStart(4, 4)));
         assert_eq!(check.run(run(0, 0)), Err(StreamFault::EmptyRun));
         testkit::check_n("run_check_matches_walk", 300, |rng| {
-            let body: Vec<StaticInst> = (0..rng.range_u32(1, 9))
-                .map(|i| {
-                    let kind = if rng.range_u32(0, 2) == 0 {
-                        InstKind::Alu { latency: 1 }
-                    } else {
-                        InstKind::Load { load: LoadId(0) }
-                    };
-                    StaticInst { pc: Pc(16 * i), kind, wait_for: None }
-                })
-                .collect();
+            let body = random_body(rng);
             let len = body.len() as u32;
             let r = run(rng.range_u32(0, len), rng.range_u32(1, 40));
-            let walked = std::iter::successors(Some(r.start), |&p| Some(next_pos(p, len)))
-                .take(r.count as usize)
+            let walked =
+                walk(r, len).filter(|&p| !matches!(body[p as usize].kind, InstKind::Alu { .. }));
+            assert_eq!(RunCheck::new(&body).run(r), Ok(walked.count() as u64), "{r:?}");
+        });
+    }
+
+    #[test]
+    fn mem_indices_give_each_record_its_body_position() {
+        let check = RunCheck::new(&body4());
+        let ranks = |start, count| check.mem_indices(Run { start, count }).collect::<Vec<_>>();
+        // Memory positions 0 and 2: a run from 1 meets 2 first, a run from
+        // 3 wraps to 0; a rejected run has none.
+        assert_eq!(check.n_mem(), 2);
+        assert_eq!(ranks(1, 6), [1, 0, 1]);
+        assert_eq!(ranks(3, 4), [0, 1]);
+        assert_eq!(ranks(3, 1), []);
+        assert_eq!(ranks(4, 1), []);
+        // Lazy: a run of 2^32 - 1 ops yields its first ranks at once.
+        let long = check.mem_indices(Run { start: 0, count: u32::MAX });
+        assert_eq!(long.take(3).collect::<Vec<_>>(), [0, 1, 0]);
+        testkit::check_n("mem_indices_match_walk", 300, |rng| {
+            let body = random_body(rng);
+            let len = body.len() as u32;
+            let mem_pos: Vec<u32> = (0..len)
                 .filter(|&p| !matches!(body[p as usize].kind, InstKind::Alu { .. }))
-                .count();
-            assert_eq!(RunCheck::new(&body).run(r), Ok(walked as u64), "{r:?}");
+                .collect();
+            let r = Run { start: rng.range_u32(0, len), count: rng.range_u32(1, 40) };
+            let walked: Vec<u32> = walk(r, len).filter(|p| mem_pos.contains(p)).collect();
+            let counted: Vec<u32> =
+                RunCheck::new(&body).mem_indices(r).map(|k| mem_pos[k]).collect();
+            assert_eq!(counted, walked, "{r:?}");
         });
     }
 
@@ -635,7 +846,8 @@ mod tests {
             b.push(p, access);
             grow.push(p, access);
         }
-        let (s, g) = (b.finish(), grow.finish());
+        let rep = ReplayKernel::from_streams(stub(), vec![b, grow]);
+        let (s, g) = (rep.stream(0), rep.stream(1));
         let run = |start, count| Run { start, count };
         // 2,3 wrap to 0,1,2; a jump back to 0 opens a run, and so does 1 -> 3.
         assert_eq!(s.runs(), [run(2, 5), run(0, 2), run(3, 1)]);
@@ -646,72 +858,78 @@ mod tests {
         // store nothing.
         assert_eq!(s.n_accesses(), 4);
         let ops: Vec<TraceOp> = s.ops(&body).collect();
-        assert_eq!(ops, g.ops(&body).collect::<Vec<_>>());
         assert_eq!(ops.iter().map(|o| o.pos).collect::<Vec<_>>(), positions);
         assert_eq!(s.lines(ops[2]), [LineAddr(7), LineAddr(8)]);
         assert_eq!(ops[0], TraceOp { pos: 2, line_off: 0, line_len: 0 });
         assert_eq!(s.access(1), [LineAddr(7), LineAddr(8)]);
         assert_eq!(s.access(3), s.lines(ops[5]));
+        // The second stream's records index the pool past the first's lines.
+        let g_ops: Vec<TraceOp> = g.ops(&body).collect();
+        assert_eq!(g_ops[2], TraceOp { pos: 0, line_off: 4, line_len: 2 });
+        assert_eq!(g.access(1), s.access(1));
+        assert_eq!(rep.pool().len(), 8);
     }
 
     #[test]
     fn random_op_sequences_walk_back_op_for_op() {
         testkit::check_n("stream_walk_round_trip", 300, |rng| {
-            let kinds = [
-                InstKind::Alu { latency: 1 },
-                InstKind::Load { load: LoadId(0) },
-                InstKind::Store { load: LoadId(0) },
-            ];
-            let body: Vec<StaticInst> = (0..rng.range_u32(1, 9))
-                .map(|i| StaticInst { pc: Pc(16 * i), kind: *rng.pick(&kinds), wait_for: None })
-                .collect();
+            let body = random_body(rng);
             let len = body.len() as u32;
-            let mut b = StreamBuilder::new(len);
-            let mut grow = StreamBuilder::new(GROWING_BODY);
-            let mut want: Vec<(u32, Vec<LineAddr>)> = Vec::new();
-            let mut pos = rng.range_u32(0, len);
-            let mut jumps = 0;
-            for i in 0..rng.range_usize(1, 200) {
-                if i > 0 {
-                    // Mostly step (wrapping at the body end), sometimes jump.
-                    let step = next_pos(pos, len);
-                    pos = if rng.range_u32(0, 8) == 0 { rng.range_u32(0, len) } else { step };
-                    jumps += usize::from(pos != step);
+            let mut builders = Vec::new();
+            let mut wants: Vec<Vec<(u32, Vec<LineAddr>)>> = Vec::new();
+            let mut jumps = Vec::new();
+            for _ in 0..rng.range_usize(1, 4) {
+                let mut b = StreamBuilder::new(len);
+                let mut grow = StreamBuilder::new(GROWING_BODY);
+                let mut want: Vec<(u32, Vec<LineAddr>)> = Vec::new();
+                let mut pos = rng.range_u32(0, len);
+                let mut n_jumps = 0;
+                for i in 0..rng.range_usize(1, 200) {
+                    if i > 0 {
+                        // Mostly step (wrapping at the body end), sometimes jump.
+                        let step = next_pos(pos, len);
+                        pos = if rng.range_u32(0, 8) == 0 { rng.range_u32(0, len) } else { step };
+                        n_jumps += usize::from(pos != step);
+                    }
+                    let mem = !matches!(body[pos as usize].kind, InstKind::Alu { .. });
+                    let lines: Vec<LineAddr> = if mem {
+                        (0..rng.range_u64(0, 4)).map(|_| LineAddr(rng.range_u64(0, 64))).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    b.push(pos, mem.then_some(lines.as_slice()));
+                    grow.push(pos, mem.then_some(lines.as_slice()));
+                    want.push((pos, lines));
                 }
-                let mem = !matches!(body[pos as usize].kind, InstKind::Alu { .. });
-                let lines: Vec<LineAddr> = if mem {
-                    (0..rng.range_u64(0, 4)).map(|_| LineAddr(rng.range_u64(0, 64))).collect()
-                } else {
-                    Vec::new()
-                };
-                b.push(pos, mem.then_some(lines.as_slice()));
-                grow.push(pos, mem.then_some(lines.as_slice()));
-                want.push((pos, lines));
+                builders.extend([b, grow]);
+                wants.extend([want.clone(), want]);
+                jumps.push(n_jumps);
             }
-            let (s, g) = (b.finish(), grow.finish());
-            assert_eq!(s.runs().len(), jumps + 1, "a run per jump, none per wrap");
-            // Any split of the runs pushes back to the same runs.
-            let mut split = StreamBuilder::new(len);
-            for r in s.runs() {
-                let cut = rng.range_u32(1, r.count + 1);
-                split.push_run(Run { start: r.start, count: cut });
-                if cut < r.count {
-                    let start = (r.start + cut) % len;
-                    split.push_run(Run { start, count: r.count - cut });
+            let rep = ReplayKernel::from_streams(stub(), builders);
+            for (si, want) in wants.iter().enumerate() {
+                let s = rep.stream(si);
+                if si % 2 == 0 {
+                    assert_eq!(s.runs().len(), jumps[si / 2] + 1, "a run per jump, none per wrap");
+                    // Any split of the runs pushes back to the same runs.
+                    let mut split = StreamBuilder::new(len);
+                    for r in s.runs() {
+                        let cut = rng.range_u32(1, r.count + 1);
+                        split.push_run(Run { start: r.start, count: cut });
+                        if cut < r.count {
+                            let start = (r.start + cut) % len;
+                            split.push_run(Run { start, count: r.count - cut });
+                        }
+                    }
+                    assert_eq!(split.runs(), s.runs());
                 }
-            }
-            assert_eq!(split.finish().runs(), s.runs());
-            assert_eq!(s.len(), want.len());
-            assert_eq!(
-                s.n_accesses(),
-                want.iter()
-                    .filter(|(p, _)| { !matches!(body[*p as usize].kind, InstKind::Alu { .. }) })
-                    .count()
-            );
-            for stream in [&s, &g] {
+                assert_eq!(s.len(), want.len());
+                let mem = want
+                    .iter()
+                    .filter(|(p, _)| !matches!(body[*p as usize].kind, InstKind::Alu { .. }));
+                assert_eq!(s.n_accesses(), mem.count());
                 let got: Vec<(u32, Vec<LineAddr>)> =
-                    stream.ops(&body).map(|op| (op.pos, stream.lines(op).to_vec())).collect();
-                assert_eq!(got, want);
+                    s.ops(&body).map(|op| (op.pos, s.lines(op).to_vec())).collect();
+                assert_eq!(&got, want);
             }
         });
     }
@@ -731,7 +949,7 @@ mod tests {
             let (_, rep) =
                 crate::gpu::capture_kernel(cfg.clone(), k, &crate::policy::baseline_factory())
                     .unwrap();
-            for s in &rep.streams {
+            for s in rep.streams() {
                 assert_eq!(s.runs(), [Run { start: 0, count: 3 * body_len }]);
                 // Three trips of one load and one store, however many ALU
                 // ops the body holds.
@@ -741,16 +959,27 @@ mod tests {
     }
 
     #[test]
-    fn take_with_copies_out_runs_and_resets_scratch() {
+    fn push_stream_appends_and_resets_the_builder() {
+        // The decoder's way: lines and kernel-pool records, then the runs
+        // of one reused builder.
+        let mut rep = ReplayKernel::new(stub());
         let mut scratch = StreamBuilder::new(2);
+        rep.push_line(LineAddr(42));
+        rep.push_record(0, 1);
         scratch.push_run(Run { start: 0, count: 2 });
-        let s = scratch.take_with(vec![(0, 1)], vec![LineAddr(42)]);
-        assert_eq!(s, valid_rep().streams[0]);
-        // The next stream starts empty: a run of its own, no old records.
-        scratch.push_run(Run { start: 1, count: 1 });
-        let t = scratch.take_with(Vec::new(), Vec::new());
-        assert_eq!(t.runs(), [Run { start: 1, count: 1 }]);
-        assert_eq!(t.n_accesses(), 0);
+        rep.push_stream(&mut scratch);
+        assert!(scratch.is_empty());
+        assert_eq!(rep, valid_rep());
+        // The next stream starts empty: a run of its own, and a record that
+        // repeats the first stream's line.
+        rep.push_record(0, 1);
+        scratch.push_run(Run { start: 0, count: 1 });
+        rep.push_stream(&mut scratch);
+        assert_eq!(rep.n_streams(), 2);
+        assert_eq!(rep.stream(1).runs(), [Run { start: 0, count: 1 }]);
+        assert_eq!(rep.stream(1).access(0), [LineAddr(42)]);
+        assert_eq!(rep.stream(0).n_accesses(), 1);
+        assert_eq!(rep.pool().len(), 1);
     }
 
     #[test]
@@ -767,7 +996,7 @@ mod tests {
         // more op opens a run.
         b.push_run(run(1, u32::MAX - 2));
         b.push_run(run(2, 1));
-        assert_eq!(b.finish().runs(), [run(1, 9), run(3, u32::MAX), run(2, 1)]);
+        assert_eq!(b.runs(), [run(1, 9), run(3, u32::MAX), run(2, 1)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::pattern::{AccessCtx, DecodeCtx, LineDesc};
 use crate::phase_timer;
 use crate::policy::{MissService, PolicyCtx, PreAccess, SmPolicy, WindowInfo};
 use crate::regfile::RegFile;
-use crate::replay::{ReplayKernel, StreamBuilder, WarpStream};
+use crate::replay::{ReplayKernel, StreamBuilder};
 use crate::scheduler::{CandList, GtoScheduler};
 use crate::stats::{RfSpaceSample, SimStats};
 use crate::types::{
@@ -341,8 +341,8 @@ impl Sm {
 
     /// Takes the captured streams (empty entries belong to CTAs launched on
     /// other SMs); `None` when capture was never enabled.
-    pub fn take_capture(&mut self) -> Option<Vec<WarpStream>> {
-        Some(self.capture.take()?.into_iter().map(StreamBuilder::finish).collect())
+    pub fn take_capture(&mut self) -> Option<Vec<StreamBuilder>> {
+        self.capture.take()
     }
 
     /// Sets the grid-wide dispatch ordinal of the next CTA launched here
@@ -433,8 +433,8 @@ impl Sm {
             self.rot3 = (0..kernel.body.len() as u32).map(|p| (p * 3) % span).collect();
             let entries = self.warps.len() * kernel.loads.len();
             // Replay never decodes patterns (lines come from the trace, and
-            // the stream's interned line pool already plays the descriptor
-            // role), so the table would only cost memory and stats noise.
+            // the kernel's line pool already plays the descriptor role), so
+            // the table would only cost memory and stats noise.
             if self.replay.is_none()
                 && cfg.desc_cache
                 && entries > 0
@@ -500,10 +500,8 @@ impl Sm {
             );
             let sid = stream_base + i as u64;
             if let Some(rep) = &rep {
-                let first = *rep.streams[sid as usize]
-                    .runs()
-                    .first()
-                    .expect("replay streams are non-empty");
+                let first =
+                    *rep.stream(sid as usize).runs().first().expect("replay streams are non-empty");
                 self.warps.start_replay(wid as usize, kernel, sid as u32, first);
             } else if self.capture.is_some() {
                 self.warps.set_stream(wid as usize, sid as u32);
@@ -1322,7 +1320,7 @@ impl Sm {
         match &self.replay {
             None => self.warps.advance(slot, kernel),
             Some(rep) => {
-                let runs = rep.streams[self.warps.stream(slot) as usize].runs();
+                let runs = rep.stream(self.warps.stream(slot) as usize).runs();
                 self.warps.advance_replay(slot, kernel, runs);
             }
         }
@@ -1349,7 +1347,7 @@ impl Sm {
                     self.gen_access_lines(slot, load, idx, kernel);
                 }
                 Some(rep) => {
-                    let stream = &rep.streams[self.warps.stream(slot) as usize];
+                    let stream = rep.stream(self.warps.stream(slot) as usize);
                     self.line_buf.clear();
                     self.line_buf.extend_from_slice(stream.access(self.warps.next_record(slot)));
                 }

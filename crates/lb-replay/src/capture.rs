@@ -46,7 +46,8 @@ pub fn one_wave_kernel(
 
 /// Captures a named synthetic application (`workloads::app` abbreviation)
 /// into a [`ReplayKernel`] under the baseline policy, returning the capture
-/// run's stats alongside the trace.
+/// run's stats alongside the trace. A trip count of 0 is clamped to 1, as
+/// [`one_wave_kernel`] clamps it.
 pub fn capture_app(
     abbrev: &str,
     cfg: &GpuConfig,
@@ -55,6 +56,8 @@ pub fn capture_app(
 ) -> Result<(SimStats, ReplayKernel), ReplayError> {
     let app = workloads::app(abbrev)
         .ok_or_else(|| ReplayError::Malformed(format!("unknown application '{abbrev}'")))?;
+    // The app's kernel builder rejects a zero trip count; clamp it first.
+    let iterations = iterations.max(1);
     let kernel = one_wave_kernel(cfg, app.kernel_with(cfg.n_sms, iterations), iterations)?;
     capture_spec(cfg, kernel, factory)
 }
@@ -100,7 +103,7 @@ mod tests {
         let cfg = cap_cfg();
         let (_, rep) = capture_app("S1", &cfg, 6, &baseline_factory()).unwrap();
         rep.validate().unwrap();
-        assert_eq!(rep.total_streams(), rep.streams.len());
+        assert_eq!(rep.total_streams(), rep.n_streams());
         let bytes = crate::format::encode(&rep);
         let back = crate::format::decode(&bytes).unwrap();
         // Decoded stubs carry placeholder patterns (never executed); every
@@ -125,11 +128,19 @@ mod tests {
             let body = &rep.stub.body;
             let mem_insts = body.iter().filter(|i| !matches!(i.kind, InstKind::Alu { .. })).count();
             assert!(mem_insts < body.len(), "S1 has ALU ops that must store nothing");
-            for s in &rep.streams {
+            for s in rep.streams() {
                 assert_eq!(s.runs(), [Run { start: 0, count: trips * body.len() as u32 }]);
                 assert_eq!(s.n_accesses(), trips as usize * mem_insts);
             }
         }
+    }
+
+    #[test]
+    fn zero_iterations_capture_one_trip() {
+        let cfg = cap_cfg();
+        let (_, zero) = capture_app("S1", &cfg, 0, &baseline_factory()).unwrap();
+        let (_, one) = capture_app("S1", &cfg, 1, &baseline_factory()).unwrap();
+        assert_eq!(zero, one);
     }
 
     #[test]

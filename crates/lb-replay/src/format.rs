@@ -7,11 +7,11 @@
 //! traces — except each body instruction's tag, which is one raw byte. The
 //! format is compact, endian-free and append-friendly.
 //!
-//! Layout (version 2):
+//! Layout (version 3):
 //!
 //! ```text
 //! magic   b"LBW1"
-//! version u8 (= 2)
+//! version u8 (= 3)
 //! name    uvarint len + UTF-8 bytes
 //! header  grid_ctas, warps_per_cta, regs_per_thread,
 //!         shared_mem_per_cta, iterations          (uvarints)
@@ -19,58 +19,83 @@
 //! body    n, then per inst: pc, tag u8 (0 ALU / 1 LOAD / 2 STORE),
 //!         arg (ALU latency or load index), wait (0 = none, else id+1)
 //! streams n (must equal grid_ctas * warps_per_cta), then per stream:
-//!         n_lines + zigzag-delta line addresses,
 //!         n_runs + per run: start, count,
-//!         then per memory op of the runs, in issue order:
-//!         line_len, and (if line_len > 0) line_off
+//!         then one record per memory op of the runs, in issue order:
+//!           h = 0           lineless
+//!           h = 2·len + 1   fresh: len zigzag line deltas follow, and the
+//!                           lines are appended to the kernel's pool
+//!           h = 2·len       repeat: off follows, and the lines are
+//!                           pool[off .. off + len] of the pool so far
 //! ```
 //!
-//! A stream is written in the shape a decoded [`WarpStream`] keeps (layout
-//! in [`gpu_sim::replay`]): runs of consecutive body positions, then one
+//! A stream is written in the shape a decoded kernel keeps it (layout in
+//! [`gpu_sim::replay`]): runs of consecutive body positions, then one
 //! access record per op at a Load/Store position. The runs imply the
-//! record count, and an ALU op costs no byte. Version 1 listed every op; a
-//! version-1 file is rejected as [`ReplayError::BadVersion`].
+//! record count, and an ALU op costs no byte.
 //!
-//! The encoder *interns* each stream's line pool: a memory op whose line
-//! slice already appeared earlier in the stream references the first
-//! occurrence instead of appending a copy. Interning runs at encode time,
-//! so a raw capture (which appends every access) and a decoded trace
-//! (already interned) serialize to byte-identical files — the property the
-//! capture→replay→re-encode self-check in CI relies on.
+//! # One line pool per kernel
 //!
-//! [`decode`] is a single pass over the bytes. It rejects a stream with no
-//! run, puts each run through the run check ([`RunCheck`]: start inside
-//! the body, at least one op, memory ops counted in O(1)) before
-//! [`StreamBuilder::push_run`] merges it, and each record through the
-//! record check ([`check_record`]: at most [`MAX_LINES_PER_RECORD`] lines,
-//! slice inside the stream's pool). [`ReplayKernel::validate`] runs the
-//! same two checks and is debug-asserted on every decoded kernel; neither
-//! walks ops. Every count is bounded by the remaining input before it sizes
-//! an allocation. The `decode_sweep` tests decode every prefix of a
-//! captured trace and thousands of seeded corruptions of it, and check that
-//! every kernel decode accepts also passes `validate`.
+//! Every record of every stream indexes one kernel-wide line pool, filled
+//! in record order: a fresh record appends its lines, and a repeat names a
+//! slice of the pool so far, wherever it came from — warps re-read each
+//! other's lines. A fresh record's first line is written as a zigzag delta
+//! against the first line of the previous non-empty record, fresh or
+//! repeat, at the same body position (0 before any); each later line
+//! against the line before it. Successive accesses of one instruction lie
+//! close together even when the regions of two instructions lie far apart,
+//! so most deltas take one or two bytes.
+//!
+//! # Canonical encoding
+//!
+//! A record has exactly one header: `h = 1`, a fresh record of no lines,
+//! is malformed. [`encode`] writes a record as a repeat when its lines
+//! equal those of a fresh record it wrote before, found in a compact table
+//! sized from the record count; it never looks at how the kernel lays its
+//! pool out. The bytes are therefore a function of the runs and of each
+//! record's lines, so a raw capture (which appends every access's lines)
+//! and a decoded trace (which holds each distinct slice once) serialize to
+//! byte-identical files: `encode(decode(f)) == f` for every file `encode`
+//! wrote — the property the capture→replay→re-encode self-check in CI
+//! relies on.
+//!
+//! Version 2 gave each stream a pool of its own, every line coded against
+//! the line before it; version 1 listed every op. Neither has a reader: a
+//! file of either version is rejected as [`ReplayError::BadVersion`].
+//!
+//! [`decode`] is a single pass over the bytes into the kernel's flat
+//! arrays. It rejects a stream with no run, puts each run through the run
+//! check ([`RunCheck`]: start inside the body, at least one op, memory ops
+//! counted in O(1)) before [`StreamBuilder::push_run`] merges it, takes
+//! each record's body position from the same prefix count
+//! ([`RunCheck::mem_indices`], O(records), no ALU op walked), and puts each
+//! record through the record check ([`check_record`]: at most
+//! [`MAX_LINES_PER_RECORD`] lines; a repeat's slice inside the pool so
+//! far). [`ReplayKernel::validate`] runs the same checks and is
+//! debug-asserted on every decoded kernel. Every count is bounded by the
+//! remaining input before it sizes an allocation, and every failure is a
+//! typed [`ReplayError`]. The `decode_sweep` tests decode every prefix of
+//! a captured trace and thousands of seeded corruptions of it, and check
+//! that every kernel decode accepts also passes `validate`.
 //!
 //! Decoded kernel stubs carry a placeholder [`AccessPattern`] per load:
 //! replay never executes patterns, and every policy transform reads only
 //! the header fields (registers, warps, shared memory), which round-trip
 //! exactly.
 
-use std::collections::HashMap;
-
+use gpu_sim::fastmap::FxHasher64;
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::AccessPattern;
-use gpu_sim::replay::{
-    check_record, ReplayKernel, Run, RunCheck, StreamBuilder, StreamFault, WarpStream,
-};
+use gpu_sim::replay::{check_record, ReplayKernel, Run, RunCheck, StreamBuilder, StreamFault};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 use lb_trace::put_uvarint;
+use std::hash::Hasher;
 
 pub use gpu_sim::replay::MAX_LINES_PER_RECORD;
 
 /// File preamble identifying a workload trace.
 pub const MAGIC: [u8; 4] = *b"LBW1";
 /// Current format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Typed decode/import failure. Every malformed input maps to a variant —
 /// the decoder never panics and never over-allocates on hostile lengths.
@@ -140,38 +165,27 @@ impl From<std::io::Error> for ReplayError {
 }
 
 /// LEB128 reader twin of `lb_trace::get_uvarint`, reporting positions in
-/// [`ReplayError`] terms so decode failures carry a byte offset. A one-byte
-/// varint, by far the most common, is read inline.
+/// [`ReplayError`] terms so decode failures carry a byte offset.
 #[inline]
 fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, ReplayError> {
-    match buf.get(*pos) {
-        Some(&b) if b < 0x80 => {
-            *pos += 1;
-            Ok(u64::from(b))
-        }
-        _ => {
-            let (v, next) = get_uvarint_long(buf, *pos)?;
-            *pos = next;
-            Ok(v)
-        }
-    }
-}
-
-/// Reads the varint at `start` whatever its length, returning it with the
-/// position after it.
-fn get_uvarint_long(buf: &[u8], start: usize) -> Result<(u64, usize), ReplayError> {
+    let start = *pos;
     let mut v = 0u64;
-    // A u64 takes at most ten bytes; the tenth may only hold bit 63.
-    for (i, &b) in buf.get(start..).unwrap_or_default().iter().take(10).enumerate() {
-        if i == 9 && b > 1 {
+    let mut shift = 0;
+    loop {
+        let Some(&b) = buf.get(*pos) else {
+            return Err(ReplayError::UnexpectedEof { at: buf.len() });
+        };
+        // A u64 takes at most ten bytes; the tenth may only hold bit 63.
+        if shift == 63 && b > 1 {
             return Err(ReplayError::VarintOverflow { at: start });
         }
-        v |= u64::from(b & 0x7f) << (7 * i);
-        if b & 0x80 == 0 {
-            return Ok((v, start + i + 1));
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Ok(v);
         }
+        shift += 7;
     }
-    Err(ReplayError::UnexpectedEof { at: buf.len() })
 }
 
 fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, ReplayError> {
@@ -211,12 +225,78 @@ fn get_zigzag(buf: &[u8], pos: &mut usize) -> Result<i64, ReplayError> {
     Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
 }
 
-/// Serializes `rep` to `LBW1` bytes. Interns each stream's line pool (see
-/// the module docs), so the output is canonical: encoding a decoded trace
-/// reproduces the file byte for byte.
+/// Slots [`FreshSlices`] probes for one slice before writing it fresh.
+const PROBES: usize = 16;
+
+/// An empty [`FreshSlices`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// The encoder's index of the fresh records written so far, to find
+/// repeats: an open-addressed table of `(record, pool offset)` slots, one
+/// per kernel record rounded up to a power of two, allocated once before
+/// encoding starts. A slice is looked up in at most [`PROBES`] slots from
+/// its hash and checked against the kernel's lines; a new slice whose
+/// window is full is written fresh and left out. Every decision depends on
+/// the records' lines alone, so the encoding stays canonical, and since
+/// colliding slices can only lengthen the output, never slow a lookup, an
+/// unkeyed hash is safe here.
+struct FreshSlices {
+    /// `(kernel record index, pool offset)` of an indexed fresh record, or
+    /// `(EMPTY, 0)`.
+    slots: Vec<(u32, u32)>,
+    /// Right shift taking a hash to a slot index (its top bits).
+    shift: u32,
+    /// Lines the fresh records written so far appended: the decoder's pool
+    /// length at this point.
+    pool_len: u64,
+}
+
+impl FreshSlices {
+    fn new(n_records: usize) -> Self {
+        let n = n_records.next_power_of_two().max(PROBES);
+        FreshSlices { slots: vec![(EMPTY, 0); n], shift: 64 - n.trailing_zeros(), pool_len: 0 }
+    }
+
+    /// The pool offset of an earlier fresh record holding `lines`, record
+    /// `rec` of `rep`; otherwise indexes `rec` as a fresh record and
+    /// returns `None`.
+    fn repeat_of(&mut self, rep: &ReplayKernel, rec: usize, lines: &[LineAddr]) -> Option<u64> {
+        let mut hasher = FxHasher64::default();
+        for l in lines {
+            hasher.write_u64(l.0);
+        }
+        let hash = hasher.finish();
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> self.shift) as usize;
+        for _ in 0..PROBES {
+            let (r, off) = self.slots[i];
+            if r == EMPTY {
+                // A slice starting past pool offset u32::MAX stays
+                // unindexed: its repeats are written fresh.
+                if let Ok(off) = u32::try_from(self.pool_len) {
+                    self.slots[i] = (rec as u32, off);
+                }
+                break;
+            }
+            if rep.lines(rep.records()[r as usize]) == lines {
+                return Some(u64::from(off));
+            }
+            i = (i + 1) & mask;
+        }
+        self.pool_len += lines.len() as u64;
+        None
+    }
+}
+
+/// Serializes `rep` to `LBW1` bytes: each record is written fresh or as a
+/// repeat of an earlier fresh record (see the module docs), so the output
+/// is canonical: encoding a decoded trace reproduces the file byte for
+/// byte. A kernel whose runs fail [`ReplayKernel::validate`] still
+/// encodes, to bytes that [`decode`] rejects; its records must lie inside
+/// its pool.
 pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
     let stub = &rep.stub;
-    let mut out = Vec::with_capacity(64 + rep.streams.len() * 32);
+    let mut out = Vec::with_capacity(64 + rep.records().len() * 2);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     put_uvarint(&mut out, stub.name.len() as u64);
@@ -242,44 +322,40 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
         put_uvarint(&mut out, arg);
         put_uvarint(&mut out, inst.wait_for.map_or(0, |l| u64::from(l.0) + 1));
     }
-    put_uvarint(&mut out, rep.streams.len() as u64);
-    let mut interned: HashMap<&[LineAddr], u32> = HashMap::new();
-    for s in &rep.streams {
-        // Canonical pool: first occurrence of each distinct line slice, in
-        // record order.
-        interned.clear();
-        let mut pool: Vec<LineAddr> = Vec::new();
-        let records: Vec<(u32, u32)> = (0..s.n_accesses() as u32)
-            .map(|i| {
-                let slice = s.access(i);
-                if slice.is_empty() {
-                    return (0, 0);
-                }
-                let off = *interned.entry(slice).or_insert_with(|| {
-                    let off = pool.len() as u32;
-                    pool.extend_from_slice(slice);
-                    off
-                });
-                (off, slice.len() as u32)
-            })
-            .collect();
-        put_uvarint(&mut out, pool.len() as u64);
-        let mut prev = 0i64;
-        for line in &pool {
-            let cur = line.0 as i64;
-            put_zigzag(&mut out, cur.wrapping_sub(prev));
-            prev = cur;
-        }
+    put_uvarint(&mut out, rep.n_streams() as u64);
+    let check = RunCheck::new(&stub.body);
+    // One delta base per Load/Store position, and a last one for records
+    // an invalid kernel's runs leave without a position.
+    let mut base = vec![0u64; check.n_mem() + 1];
+    let unplaced = check.n_mem();
+    let mut fresh = FreshSlices::new(rep.records().len());
+    let mut records = rep.records().iter().enumerate();
+    for s in rep.streams() {
         put_uvarint(&mut out, s.runs().len() as u64);
         for r in s.runs() {
             put_uvarint(&mut out, u64::from(r.start));
             put_uvarint(&mut out, u64::from(r.count));
         }
-        for &(off, len) in &records {
-            put_uvarint(&mut out, u64::from(len));
-            if len > 0 {
-                put_uvarint(&mut out, u64::from(off));
+        let places = s.runs().iter().flat_map(|&r| check.mem_indices(r));
+        let places = places.chain(std::iter::repeat(unplaced));
+        for ((ri, &record), k) in records.by_ref().take(s.n_accesses()).zip(places) {
+            let lines = rep.lines(record);
+            let Some(&first) = lines.first() else {
+                out.push(0);
+                continue;
+            };
+            let h = 2 * lines.len() as u64;
+            if let Some(off) = fresh.repeat_of(rep, ri, lines) {
+                put_uvarint(&mut out, h);
+                put_uvarint(&mut out, off);
+            } else {
+                put_uvarint(&mut out, h + 1);
+                put_zigzag(&mut out, first.0.wrapping_sub(base[k]) as i64);
+                for w in lines.windows(2) {
+                    put_zigzag(&mut out, w[1].0.wrapping_sub(w[0].0) as i64);
+                }
             }
+            base[k] = first.0;
         }
     }
     out
@@ -368,37 +444,45 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     if n_streams != expected {
         return Err(ReplayError::StreamCountMismatch { expected, found: n_streams });
     }
-    let mut streams = Vec::with_capacity(fits(n_streams, buf, pos)?);
+    // Each stream takes at least a byte.
+    fits(n_streams, buf, pos)?;
     let check = RunCheck::new(&stub.body);
-    // Every stream's runs are merged here, then copied out at exact size.
+    // Per Load/Store position, the first line of the last non-empty record
+    // there: the delta base of the next fresh record.
+    let mut base = vec![0; check.n_mem()];
+    // Every stream's runs are merged here, then copied to the kernel.
     let mut scratch = StreamBuilder::new(body_len);
+    let mut rep = ReplayKernel::new(stub);
     for si in 0..n_streams {
-        streams.push(get_stream(buf, &mut pos, si, &check, &mut scratch)?);
+        get_stream(buf, &mut pos, si, &check, &mut scratch, &mut base, &mut rep)?;
+        if si == 0 {
+            // A one-wave capture runs every warp the same trips, so room
+            // for the rest at the first stream's size spares the arrays
+            // their doubling copies; shrinking to fit returns what goes
+            // unused. Each record and pool line takes at least a byte of
+            // input, and the stream count was checked against it above.
+            let (rest, left) = (n_streams as usize - 1, buf.len() - pos);
+            let per = |n: usize| n.saturating_mul(rest).min(left);
+            rep.reserve(rest, per(rep.records().len()), per(rep.pool().len()));
+        }
     }
-
-    let rep = ReplayKernel { stub, streams };
+    rep.shrink_to_fit();
     debug_assert_eq!(rep.validate(), Ok(()), "decode's checks let an invalid kernel through");
     Ok(rep)
 }
 
-/// Reads stream `si`: its line pool, its runs, each checked and merged in
-/// `scratch`, then the access records the runs imply, each checked against
-/// the pool.
+/// Reads stream `si` into `rep`: its runs, each checked and merged in
+/// `scratch`, then the access records the runs imply, each checked as it
+/// is read; fresh lines are coded against `base`.
 fn get_stream(
     buf: &[u8],
     pos: &mut usize,
     si: u64,
     check: &RunCheck,
     scratch: &mut StreamBuilder,
-) -> Result<WarpStream, ReplayError> {
-    let n_lines = get_count(buf, pos)?;
-    let mut lines = Vec::with_capacity(n_lines);
-    let mut prev = 0i64;
-    for _ in 0..n_lines {
-        let delta = get_zigzag(buf, pos)?;
-        prev = prev.wrapping_add(delta);
-        lines.push(LineAddr(prev as u64));
-    }
+    base: &mut [u64],
+    rep: &mut ReplayKernel,
+) -> Result<(), ReplayError> {
     let n_runs = get_count(buf, pos)?;
     if n_runs == 0 {
         return Err(ReplayError::Malformed(format!("stream {si} is empty")));
@@ -413,18 +497,49 @@ fn get_stream(
         mem_ops = mem_ops.saturating_add(run_mem);
         scratch.push_run(run);
     }
-    let n_records = fits(mem_ops, buf, *pos)?;
-    let mut records = Vec::with_capacity(n_records);
-    for ai in 0..n_records {
-        let at = *pos;
-        let len = get_uvarint(buf, pos)?;
-        let off = if len > 0 { get_uvarint(buf, pos)? } else { 0 };
-        records.push(
-            check_record(off, len, lines.len())
-                .map_err(|e| fault(e, at, format!("stream {si} record {ai}")))?,
-        );
+    // Each record takes at least a byte.
+    fits(mem_ops, buf, *pos)?;
+    // Names the record being read, for errors.
+    let first = rep.records().len();
+    let what = |rep: &ReplayKernel| format!("stream {si} record {}", rep.records().len() - first);
+    for &run in scratch.runs() {
+        for k in check.mem_indices(run) {
+            let at = *pos;
+            let h = get_uvarint(buf, pos)?;
+            let len = h >> 1;
+            let (off, len) = if h & 1 == 0 {
+                // Lineless, or a repeat: `off` must name lines already in
+                // the pool.
+                let off = if len > 0 { get_uvarint(buf, pos)? } else { 0 };
+                check_record(off, len, rep.pool().len())
+            } else {
+                // Fresh: room for `len` more lines at the pool's end.
+                let end = rep.pool().len();
+                check_record(end as u64, len, end.saturating_add(len as usize))
+            }
+            .map_err(|e| fault(e, at, what(rep)))?;
+            if h & 1 == 1 {
+                if len == 0 {
+                    return Err(ReplayError::Malformed(format!(
+                        "{}: fresh record of no lines (h = 1)",
+                        what(rep)
+                    )));
+                }
+                let mut line = base[k].wrapping_add(get_zigzag(buf, pos)? as u64);
+                base[k] = line;
+                rep.push_line(LineAddr(line));
+                for _ in 1..len {
+                    line = line.wrapping_add(get_zigzag(buf, pos)? as u64);
+                    rep.push_line(LineAddr(line));
+                }
+            } else if len > 0 {
+                base[k] = rep.pool()[off as usize].0;
+            }
+            rep.push_record(off, len);
+        }
     }
-    Ok(scratch.take_with(records, lines))
+    rep.push_stream(scratch);
+    Ok(())
 }
 
 /// The typed error for a run or record at byte `at`, named `what`, that
@@ -435,6 +550,25 @@ fn fault(e: StreamFault, at: usize, what: String) -> ReplayError {
         StreamFault::OverlongRecord(lines) => ReplayError::OverlongRecord { at, lines },
         e => ReplayError::Malformed(format!("{what}: {e}")),
     }
+}
+
+/// How many of `rep`'s access records its `LBW1` file writes as repeats,
+/// for a kernel [`decode`] returned: a fresh record's lines start where
+/// the records before it left the pool's end, and a repeat's lie inside.
+pub fn repeat_records(rep: &ReplayKernel) -> usize {
+    let mut end = 0u64;
+    let mut repeats = 0;
+    for &(off, len) in rep.records() {
+        if len == 0 {
+            continue;
+        }
+        if u64::from(off) == end {
+            end += u64::from(len);
+        } else {
+            repeats += 1;
+        }
+    }
+    repeats
 }
 
 /// Reads and decodes a workload trace from `path`.
@@ -452,30 +586,49 @@ mod tests {
     use super::*;
     use gpu_sim::kernel::KernelBuilder;
 
-    fn sample() -> ReplayKernel {
-        let stub = KernelBuilder::new("fmt")
+    /// Body: a load, then three ALU ops.
+    fn stub4() -> KernelSpec {
+        KernelBuilder::new("fmt")
             .grid(1, 2)
             .regs_per_thread(16)
             .load_then_use(AccessPattern::streaming(128), 1)
             .alu(3)
             .iterations(2)
             .build()
-            .unwrap();
-        // Body: load, ALU, ALU, ALU. Each stream repeats its first access —
-        // the encoder must intern it.
-        let stream = |lines: &[LineAddr]| {
+            .unwrap()
+    }
+
+    fn sample() -> ReplayKernel {
+        // Each stream repeats its first access, and the second stream's
+        // second access repeats the first stream's line 11 — the encoder
+        // must write both as repeats.
+        let stream = |accesses: [&[LineAddr]; 2]| {
             let mut s = StreamBuilder::new(4);
-            for _ in 0..2 {
+            for lines in accesses {
                 s.push(0, Some(lines));
                 for pos in 1..4 {
                     s.push(pos, None);
                 }
             }
-            s.finish()
+            s
         };
-        let s0 = stream(&[LineAddr(10), LineAddr(11)]);
-        let s1 = stream(&[LineAddr(500)]);
-        ReplayKernel { stub, streams: vec![s0, s1] }
+        let pair = [LineAddr(10), LineAddr(11)];
+        let s0 = stream([&pair, &pair]);
+        let s1 = stream([&[LineAddr(500)], &pair]);
+        ReplayKernel::from_streams(stub4(), vec![s0, s1])
+    }
+
+    /// Asserts that `a` and `b` hold the same runs and, record by record,
+    /// the same lines.
+    fn assert_same_streams(a: &ReplayKernel, b: &ReplayKernel) {
+        assert_eq!(a.n_streams(), b.n_streams());
+        for (sa, sb) in a.streams().zip(b.streams()) {
+            assert_eq!(sa.runs(), sb.runs());
+            assert_eq!(sa.n_accesses(), sb.n_accesses());
+            for i in 0..sa.n_accesses() as u32 {
+                assert_eq!(sa.access(i), sb.access(i), "record {i}");
+            }
+        }
     }
 
     #[test]
@@ -486,17 +639,17 @@ mod tests {
         let back = decode(&bytes).unwrap();
         back.validate().unwrap();
         assert_eq!(back.stub, rep.stub);
-        assert_eq!(back.streams.len(), rep.streams.len());
-        // Interning dedups the repeated slices but the per-op line content
-        // is preserved exactly.
-        for (a, b) in rep.streams.iter().zip(&back.streams) {
-            assert_eq!(a.len(), b.len());
+        assert_same_streams(&rep, &back);
+        for (a, b) in rep.streams().zip(back.streams()) {
             for (oa, ob) in a.ops(&rep.stub.body).zip(b.ops(&back.stub.body)) {
                 assert_eq!(oa.pos, ob.pos);
                 assert_eq!(a.lines(oa), b.lines(ob));
             }
         }
-        assert!(back.streams[0].pool().len() < rep.streams[0].pool().len());
+        // The pool holds each distinct slice once, across streams.
+        assert_eq!(rep.pool().len(), 7);
+        assert_eq!(back.pool(), [LineAddr(10), LineAddr(11), LineAddr(500)]);
+        assert_eq!((repeat_records(&back), back.records().len()), (2, 4));
     }
 
     #[test]
@@ -527,8 +680,9 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        // Version 1, which listed every op, has no reader any more.
-        for v in [1, 9] {
+        // Version 1 listed every op and version 2 kept a pool per stream;
+        // neither has a reader any more.
+        for v in [1, 2, 9] {
             let mut bytes = encode(&sample());
             bytes[4] = v;
             assert_eq!(decode(&bytes), Err(ReplayError::BadVersion(v)));
@@ -539,11 +693,10 @@ mod tests {
     fn overlong_record_rejected() {
         // A record claiming more lines than any warp can coalesce must be
         // rejected by length, before validation ever sees it.
-        let mut bad = sample();
-        let mut s = StreamBuilder::new(3);
+        let mut s = StreamBuilder::new(4);
         s.push(0, Some(&vec![LineAddr(1); MAX_LINES_PER_RECORD as usize + 1]));
         s.push(1, None);
-        bad.streams[0] = s.finish();
+        let bad = ReplayKernel::from_streams(stub4(), vec![s, sample_stream()]);
         match decode(&encode(&bad)) {
             Err(ReplayError::OverlongRecord { lines, .. }) => {
                 assert_eq!(lines, MAX_LINES_PER_RECORD + 1);
@@ -552,12 +705,20 @@ mod tests {
         }
     }
 
+    /// A valid stream over `stub4()`: one load of one line, then the ALU ops.
+    fn sample_stream() -> StreamBuilder {
+        let mut s = StreamBuilder::new(4);
+        s.push(0, Some(&[LineAddr(10)]));
+        for pos in 1..4 {
+            s.push(pos, None);
+        }
+        s
+    }
+
     #[test]
     fn stream_count_mismatch_rejected() {
-        let mut rep = sample();
-        rep.streams.pop();
-        let bytes = encode(&rep);
-        match decode(&bytes) {
+        let rep = ReplayKernel::from_streams(stub4(), vec![sample_stream()]);
+        match decode(&encode(&rep)) {
             Err(ReplayError::StreamCountMismatch { expected: 2, found: 1 }) => {}
             other => panic!("expected StreamCountMismatch, got {other:?}"),
         }
@@ -576,28 +737,25 @@ mod tests {
 
     #[test]
     fn semantic_garbage_rejected_not_panicking() {
-        // An op indexing past the stub body decodes structurally but fails
-        // validation with a typed error.
-        let mut rep = sample();
-        let mut s = StreamBuilder::new(3);
+        // An op indexing past the stub body encodes without panicking and
+        // fails decode's run check with a typed error.
+        let mut s = StreamBuilder::new(4);
         s.push(0, Some(&[LineAddr(10)]));
         s.push(99, None);
-        rep.streams[0] = s.finish();
-        let bytes = encode(&rep);
-        match decode(&bytes) {
+        let rep = ReplayKernel::from_streams(stub4(), vec![s, sample_stream()]);
+        match decode(&encode(&rep)) {
             Err(ReplayError::Malformed(msg)) => assert!(msg.contains("out of range")),
             other => panic!("expected Malformed, got {other:?}"),
         }
     }
 
-    /// The sample's header re-gridded to one warp, followed by a stream
-    /// section given as raw uvarints.
-    fn with_stream_section(section: &[u64]) -> Vec<u8> {
-        let mut stub = sample().stub;
+    /// `stub`'s header re-gridded to one warp, followed by a stream section
+    /// given as raw uvarints.
+    fn section_for(mut stub: KernelSpec, section: &[u64]) -> Vec<u8> {
         stub.grid_ctas = 1;
         stub.warps_per_cta = 1;
         // With no streams, the header is followed by a one-byte count.
-        let mut bytes = encode(&ReplayKernel { stub, streams: Vec::new() });
+        let mut bytes = encode(&ReplayKernel::new(stub));
         bytes.pop();
         for &v in section {
             put_uvarint(&mut bytes, v);
@@ -605,16 +763,23 @@ mod tests {
         bytes
     }
 
+    /// [`section_for`] over `stub4()`: a load, then three ALU ops.
+    fn with_stream_section(section: &[u64]) -> Vec<u8> {
+        section_for(stub4(), section)
+    }
+
     #[test]
     fn huge_stream_count_rejected_before_allocating() {
         // A header may declare any grid; a stream count that matches it
         // must still fit the input before it sizes an allocation.
-        let mut stub = sample().stub;
+        let mut stub = stub4();
         stub.grid_ctas = 1 << 20;
         stub.warps_per_cta = 1 << 20;
-        let mut bytes = encode(&ReplayKernel { stub, streams: Vec::new() });
+        let mut bytes = encode(&ReplayKernel::new(stub));
         bytes.pop();
         put_uvarint(&mut bytes, 1 << 40);
+        // A valid first stream: one run over an ALU position, no records.
+        bytes.extend_from_slice(&[1, 1, 1]);
         match decode(&bytes) {
             Err(ReplayError::UnexpectedEof { .. }) => {}
             other => panic!("expected UnexpectedEof, got {other:?}"),
@@ -623,58 +788,180 @@ mod tests {
 
     #[test]
     fn run_and_record_checks_reject_bad_sections() {
-        // n_streams, then per stream: n_lines, lines..., n_runs, (start,
-        // count)..., then per memory op: line_len (, line_off). The body is
-        // the sample's: a load, then three ALU ops.
-        let cases: [(&[u64], &str); 6] = [
-            (&[1, 0, 0], "stream 0 is empty"),
-            (&[1, 0, 1, 0, 0], "stream 0 run 0: zero-length run"),
-            (&[1, 0, 1, 4, 1], "stream 0 run 0: run start 4 out of range"),
-            (&[1, 1, 0, 1, 0, 1, 2, 0], "stream 0 record 0: line slice 0..2 exceeds pool of 1"),
-            (&[1, 0, 1, 0, 1, 1025, 0], "claims 1025 lines"),
-            // A run of 5 wraps onto the load twice, but one record follows.
-            (&[1, 1, 0, 1, 0, 5, 1, 0], "truncated input"),
+        // n_streams, then per stream: n_runs, (start, count)..., then per
+        // memory op a header h (0 lineless, 2 len + 1 fresh and its deltas,
+        // 2 len repeat and its offset). The body is a load, then three ALU
+        // ops, so a run (0, 5) passes the load twice.
+        let cases: [(&[u64], &str); 10] = [
+            (&[1, 0], "stream 0 is empty"),
+            (&[1, 1, 0, 0], "stream 0 run 0: zero-length run"),
+            (&[1, 1, 4, 1], "stream 0 run 0: run start 4 out of range"),
+            // A repeat with no pool before it, and one past the pool so far.
+            (&[1, 1, 0, 1, 2, 0], "stream 0 record 0: line slice 0..1 exceeds pool of 0"),
+            (&[1, 1, 0, 5, 3, 20, 4, 0], "stream 0 record 1: line slice 0..2 exceeds pool of 1"),
+            (&[1, 1, 0, 1, 1], "stream 0 record 0: fresh record of no lines (h = 1)"),
+            (&[1, 1, 0, 1, 2 * 1025 + 1, 20], "claims 1025 lines"),
+            (&[1, 1, 0, 1, 2 * 1025, 0], "claims 1025 lines"),
+            // Fresh deltas that run past the input: three lines, two deltas.
+            (&[1, 1, 0, 1, 7, 20, 2], "truncated input"),
+            // A run of 5 passes the load twice, but one record follows.
+            (&[1, 1, 0, 5, 3, 20], "truncated input"),
         ];
         for (section, want) in cases {
             let err = decode(&with_stream_section(section)).unwrap_err();
             assert!(err.to_string().contains(want), "{want}: got {err:?}");
         }
-        let over = decode(&with_stream_section(cases[4].0));
-        assert!(matches!(over, Err(ReplayError::OverlongRecord { lines: 1025, .. })));
-        let short = decode(&with_stream_section(cases[5].0));
-        assert!(matches!(short, Err(ReplayError::UnexpectedEof { .. })));
+        for over in [cases[6].0, cases[7].0] {
+            let err = decode(&with_stream_section(over));
+            assert!(matches!(err, Err(ReplayError::OverlongRecord { lines: 1025, .. })));
+        }
+        for short in [cases[8].0, cases[9].0] {
+            let err = decode(&with_stream_section(short));
+            assert!(matches!(err, Err(ReplayError::UnexpectedEof { .. })), "{err:?}");
+        }
+        for malformed in [cases[3].0, cases[4].0, cases[5].0] {
+            let err = decode(&with_stream_section(malformed));
+            assert!(matches!(err, Err(ReplayError::Malformed(_))), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn fresh_deltas_start_from_the_last_record_at_the_same_position() {
+        // Two loads, at positions 0 and 1, with regions 2^40 bytes apart.
+        let stub = KernelBuilder::new("two")
+            .grid(1, 1)
+            .load(AccessPattern::streaming(128))
+            .load(AccessPattern::streaming(128))
+            .build()
+            .unwrap();
+        let far = 1u64 << 40;
+        let zz = |d: i64| ((d << 1) ^ (d >> 63)) as u64;
+        // One run of 7 ops: positions 0, 1, 0, 1, 0, 1, 0.
+        let section = [
+            1,
+            1,
+            0,
+            7,
+            5,
+            zz(1000),
+            zz(1), // pos 0: fresh 1000, 1001 (base 0)
+            3,
+            zz(far as i64), // pos 1: fresh 2^40 (base 0)
+            3,
+            zz(4), // pos 0: fresh 1004 (base 1000)
+            3,
+            zz(4), // pos 1: fresh 2^40 + 4 (base 2^40)
+            4,
+            0, // pos 0: repeat pool[0..2] = 1000, 1001
+            2,
+            2, // pos 1: repeat pool[2..3] = 2^40
+            3,
+            zz(2), // pos 0: fresh 1002 (base 1000, from the repeat)
+        ];
+        let bytes = section_for(stub, &section);
+        let rep = decode(&bytes).unwrap();
+        let s = rep.stream(0);
+        let lines: Vec<Vec<u64>> =
+            (0..s.n_accesses() as u32).map(|i| s.access(i).iter().map(|l| l.0).collect()).collect();
+        let want: [&[u64]; 7] =
+            [&[1000, 1001], &[far], &[1004], &[far + 4], &[1000, 1001], &[far], &[1002]];
+        assert_eq!(lines, want);
+        assert_eq!((rep.pool().len(), repeat_records(&rep)), (6, 2));
+        assert_eq!(encode(&rep), bytes, "the encoder writes the same records");
     }
 
     #[test]
     fn continuing_runs_decode_as_one_and_reencode_canonically() {
         // Runs (0, 2) and (2, 6) walk 0, 1 then 2, 3, 0, 1, 2, 3: one walk
-        // of 8 ops from 0, passing the load twice.
-        let split = with_stream_section(&[1, 1, 10, 2, 0, 2, 2, 6, 1, 0, 1, 0]);
+        // of 8 ops from 0, passing the load twice. Line 5 is fresh, then
+        // repeated.
+        let split = with_stream_section(&[1, 2, 0, 2, 2, 6, 3, 10, 2, 0]);
         let rep = decode(&split).unwrap();
-        assert_eq!(rep.streams[0].runs(), [Run { start: 0, count: 8 }]);
-        assert_eq!(rep.streams[0].access(1), [LineAddr(5)]);
-        let canonical = with_stream_section(&[1, 1, 10, 1, 0, 8, 1, 0, 1, 0]);
+        assert_eq!(rep.stream(0).runs(), [Run { start: 0, count: 8 }]);
+        assert_eq!(rep.stream(0).access(1), [LineAddr(5)]);
+        let canonical = with_stream_section(&[1, 1, 0, 8, 3, 10, 2, 0]);
         assert_eq!(encode(&rep), canonical);
         assert_eq!(decode(&canonical).unwrap(), rep);
     }
 
     #[test]
     fn a_run_of_u32_max_ops_decodes_without_walking_it() {
-        // One warp whose body is one ALU op, running it 2^32 - 1 times: an
-        // eight-byte stream section. Decode and validate must not walk it.
+        // One warp whose body is one ALU op, running it 2^32 - 1 times: a
+        // seven-byte stream section. Decode and validate must not walk it.
         let stub = KernelBuilder::new("spin").grid(1, 1).alu(1).build().unwrap();
-        let mut bytes = encode(&ReplayKernel { stub, streams: Vec::new() });
-        bytes.pop();
-        for v in [1, 0, 1, 0, u64::from(u32::MAX)] {
-            put_uvarint(&mut bytes, v);
-        }
+        let bytes = section_for(stub, &[1, 1, 0, u64::from(u32::MAX)]);
         let t = std::time::Instant::now();
         let rep = decode(&bytes).unwrap();
         rep.validate().unwrap();
         assert_eq!(rep.dyn_insts(), 4_294_967_295);
-        assert_eq!(rep.streams[0].n_accesses(), 0);
+        assert_eq!(rep.stream(0).n_accesses(), 0);
         // A walk of 2^32 ops takes minutes in a debug build.
         assert!(t.elapsed() < std::time::Duration::from_secs(1), "took {:?}", t.elapsed());
         assert_eq!(encode(&rep), bytes);
+    }
+
+    #[test]
+    fn random_kernels_round_trip_through_one_pool() {
+        let repeats = std::cell::Cell::new(0);
+        testkit::check_n("lbw1_v3_round_trip", 300, |rng| {
+            let mut b = KernelBuilder::new("rand").grid(rng.range_u32(1, 4), rng.range_u32(1, 4));
+            for _ in 0..rng.range_u32(1, 9) {
+                b = match rng.range_u32(0, 3) {
+                    0 => b.alu(1),
+                    1 => b.load(AccessPattern::streaming(128)),
+                    _ => b.store(AccessPattern::streaming(128)),
+                };
+            }
+            let stub = b.build().unwrap();
+            let body = stub.body.clone();
+            let len = body.len() as u32;
+            // A few slices that warps share, multi-line ones and lines far
+            // apart among them, for cross-stream repeats.
+            let shared: Vec<Vec<LineAddr>> = (0..rng.range_usize(1, 6))
+                .map(|_| {
+                    let base = rng.range_u64(0, 4) << 40 | rng.range_u64(0, 1 << 20);
+                    (0..rng.range_u64(1, 5))
+                        .map(|i| LineAddr(base + i * rng.range_u64(1, 3)))
+                        .collect()
+                })
+                .collect();
+            let mut streams = Vec::new();
+            for _ in 0..stub.grid_ctas * stub.warps_per_cta {
+                let mut s = StreamBuilder::new(len);
+                let mut pos = rng.range_u32(0, len);
+                for i in 0..rng.range_usize(1, 60) {
+                    if i > 0 {
+                        // Mostly step, wrapping at the body's end; sometimes
+                        // branch, as an imported trace does.
+                        let step = (pos + 1) % len;
+                        pos = if rng.range_u32(0, 6) == 0 { rng.range_u32(0, len) } else { step };
+                    }
+                    if matches!(body[pos as usize].kind, InstKind::Alu { .. }) {
+                        s.push(pos, None);
+                        continue;
+                    }
+                    let lines: Vec<LineAddr> = match rng.range_u32(0, 4) {
+                        0 => Vec::new(),
+                        1 => (0..rng.range_u64(1, 4))
+                            .map(|_| LineAddr(rng.u64() >> rng.range_u32(0, 64)))
+                            .collect(),
+                        _ => rng.pick(&shared).clone(),
+                    };
+                    s.push(pos, Some(&lines));
+                }
+                streams.push(s);
+            }
+            let raw = ReplayKernel::from_streams(stub, streams);
+            raw.validate().unwrap();
+            let bytes = encode(&raw);
+            let back = decode(&bytes).unwrap();
+            back.validate().unwrap();
+            assert_eq!(back.stub, raw.stub);
+            assert_same_streams(&raw, &back);
+            assert_eq!(encode(&back), bytes, "the raw and the decoded form encode alike");
+            assert!(back.pool().len() <= raw.pool().len());
+            repeats.set(repeats.get() + repeat_records(&back));
+        });
+        assert!(repeats.get() > 0, "no kernel wrote a repeat, so none was checked");
     }
 }

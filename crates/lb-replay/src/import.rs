@@ -50,7 +50,9 @@
 //!   within the block. A warp id at or past `block warps` is a typed error
 //!   ([`ReplayError::Malformed`]), as is a block count that disagrees with
 //!   `-grid dim` and a warp that lists more or fewer instruction lines than
-//!   its `insts = N`.
+//!   its `insts = N`. So is a block that brings the grid to more warps than
+//!   the file has lines: every warp lists at least one instruction, and the
+//!   check comes before the warps' streams are allocated.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -206,6 +208,7 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
     // Per-warp pending-load scoreboard: register → load id, reset per warp.
     let mut pending: HashMap<u32, LoadId> = HashMap::new();
 
+    let n_lines = text.lines().count();
     for (idx, raw_line) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw_line.trim();
@@ -245,10 +248,18 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
                 .map_err(|_| malformed(line_no, "block dim exceeds u32 warps"))?
                 .max(1);
             cta += 1;
-            streams.resize(
-                (cta as usize + 1) * warps_per_cta as usize,
-                StreamBuilder::new(GROWING_BODY),
-            );
+            // Every warp lists at least one instruction line, so the file's
+            // lines bound the warps it can list before they size anything.
+            let warps = (cta as u64 + 1) * u64::from(warps_per_cta);
+            if warps > n_lines as u64 {
+                return Err(malformed(
+                    line_no,
+                    format!(
+                        "{warps} warps declared, more than the file's {n_lines} lines can list"
+                    ),
+                ));
+            }
+            streams.resize(warps as usize, StreamBuilder::new(GROWING_BODY));
             cur_stream = None;
             continue;
         }
@@ -359,8 +370,7 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
         loads,
     )
     .map_err(ReplayError::Malformed)?;
-    let streams = streams.into_iter().map(StreamBuilder::finish).collect();
-    let rep = ReplayKernel { stub, streams };
+    let rep = ReplayKernel::from_streams(stub, streams);
     rep.validate().map_err(ReplayError::Malformed)?;
     Ok(rep)
 }
@@ -421,14 +431,14 @@ mod tests {
         assert_eq!(rep.stub.warps_per_cta, 2);
         assert_eq!(rep.stub.body.len(), 4);
         assert_eq!(rep.stub.loads.len(), 2); // one load slot, one store slot
-        assert_eq!(rep.streams.len(), 4);
+        assert_eq!(rep.n_streams(), 4);
         // The IMAD consumes R2, the LDG dest → scoreboard edge recovered.
         assert_eq!(rep.stub.body[1].wait_for, Some(LoadId(0)));
         assert_eq!(rep.stub.body[2].wait_for, None);
         // 32 lanes, stride 4 → 128 consecutive bytes → 1 line per access.
-        assert_eq!(rep.streams[0].access(0).len(), 1);
+        assert_eq!(rep.stream(0).access(0).len(), 1);
         // Each warp touches a distinct line.
-        let first: Vec<LineAddr> = rep.streams.iter().map(|s| s.pool()[0]).collect();
+        let first: Vec<LineAddr> = rep.streams().map(|s| s.access(0)[0]).collect();
         assert_eq!(first.len(), 4);
         assert!(first.windows(2).all(|w| w[0] != w[1]));
     }
@@ -461,6 +471,34 @@ mod tests {
     }
 
     #[test]
+    fn block_too_large_for_the_file_rejected_before_allocating() {
+        // 65536 x 65536 threads are 2^27 warps per block; a short file
+        // cannot list them, so this fails before sizing their streams.
+        let t = "-kernel name = huge\n\
+                 -grid dim = (1,1,1)\n\
+                 -block dim = (65536,65536,1)\n\
+                 #BEGIN_TB\n\
+                 warp = 0\n\
+                 insts = 1\n\
+                 0000 ffffffff 1 R1 IADD3 2 R2 R3 0\n";
+        match import_str(t) {
+            Err(ReplayError::Malformed(msg)) => assert_eq!(
+                msg,
+                "line 4: 134217728 warps declared, more than the file's 7 lines can list"
+            ),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // The sample's blocks of two warps each fit its lines.
+        let sample = sample_trace();
+        let lines = sample.lines().count();
+        let wide = sample.replace("(64,1,1)", &format!("({},1,1)", 32 * (lines / 2 + 1)));
+        match import_str(&wide) {
+            Err(ReplayError::Malformed(msg)) => assert!(msg.contains("more than the file's")),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn explicit_address_list_mode_supported() {
         let t = "-kernel name = gather\n\
                  -grid dim = (1,1,1)\n\
@@ -475,8 +513,8 @@ mod tests {
                  0010 ffffffff 1 R5 IADD3 2 R2 R2 0\n";
         let rep = import_str(t).unwrap();
         // Four lanes, lines 2, 3, 2, 4 → coalesced to three distinct lines.
-        assert_eq!(rep.streams[0].access(0).len(), 3);
-        assert_eq!(rep.streams[0].pool(), [LineAddr(2), LineAddr(3), LineAddr(4)]);
+        assert_eq!(rep.stream(0).access(0).len(), 3);
+        assert_eq!(rep.pool(), [LineAddr(2), LineAddr(3), LineAddr(4)]);
     }
 
     #[test]
@@ -508,8 +546,8 @@ mod tests {
     fn masked_off_memory_op_imports_lineless() {
         let t = sample_trace().replacen("0000 ffffffff 1 R2 LDG.E", "0000 00000000 1 R2 LDG.E", 1);
         let rep = import_str(&t).unwrap();
-        assert_eq!(rep.streams[0].access(0), []);
-        assert_eq!(rep.streams[1].access(0).len(), 1);
+        assert_eq!(rep.stream(0).access(0), []);
+        assert_eq!(rep.stream(1).access(0).len(), 1);
         // An ALU opcode with an address descriptor is not a memory op.
         let bad = sample_trace().replacen("IMAD 2 R2 R5 0", "IMAD 2 R2 R5 4 1 0x0 4", 1);
         match import_str(&bad) {
@@ -523,7 +561,7 @@ mod tests {
         use gpu_sim::replay::Run;
         let rep = import_file(&crate::testdata_dir().join("loop.traceg")).unwrap();
         let run = |start, count| Run { start, count };
-        for s in &rep.streams {
+        for s in rep.streams() {
             // Prologue and first trip, then one run per taken backward
             // branch; the epilogue follows on from the last trip.
             assert_eq!(s.runs(), [run(0, 5), run(2, 3), run(2, 3), run(2, 5)]);
@@ -535,8 +573,8 @@ mod tests {
         let bytes = crate::format::encode(&rep);
         let back = crate::format::decode(&bytes).unwrap();
         assert_eq!(back.stub, rep.stub);
-        for (a, b) in rep.streams.iter().zip(&back.streams) {
-            let ops = |s: &'_ gpu_sim::replay::WarpStream| -> Vec<(u32, Vec<LineAddr>)> {
+        for (a, b) in rep.streams().zip(back.streams()) {
+            let ops = |s: gpu_sim::replay::WarpStream<'_>| -> Vec<(u32, Vec<LineAddr>)> {
                 s.ops(&rep.stub.body).map(|op| (op.pos, s.lines(op).to_vec())).collect()
             };
             assert_eq!(ops(a), ops(b));

@@ -4,8 +4,8 @@
 //!
 //! - [`format`] — the `LBW1` wire format: a serialized
 //!   [`ReplayKernel`](gpu_sim::replay::ReplayKernel) (kernel-stub header +
-//!   per-warp instruction/line streams) with a canonical, interned
-//!   encoding and typed decode errors.
+//!   per-warp instruction/line streams over one kernel-wide line pool)
+//!   with a canonical encoding and typed decode errors.
 //! - [`capture`] — run any synthetic workload one-wave-gridded and record
 //!   its exact issue-order streams, producing a self-contained replay
 //!   corpus with no external inputs.

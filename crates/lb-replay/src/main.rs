@@ -21,21 +21,22 @@ USAGE:
   lb-replay import <IN.traceg> <OUT.lbw1>
       Normalize an Accel-Sim-style text kernel trace into LBW1.
   lb-replay info <FILE.lbw1>
-      Print the trace's header and stream summary.
+      Print the trace's header and stream summary, with the kernel's line
+      pool and the records that repeat a slice of it.
   lb-replay selftest <FILE.lbw1> [--sms N]
       Replay the trace while re-capturing it; verify the re-encoded
       bytes match the file exactly (exit 1 on mismatch).
 
 Captures default to 4 SMs and 12 iterations.";
 
+/// The value of count flag `name` (`--sms`, `--iterations`), which must be
+/// at least 1: a GPU of no SM or a kernel of no trip has nothing to run.
 fn parse_flag(args: &[String], name: &str) -> Result<Option<u32>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a numeric value")),
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    match args.get(i + 1).and_then(|v| v.parse().ok()) {
+        Some(0) => Err(format!("{name} must be at least 1")),
+        Some(n) => Ok(Some(n)),
+        None => Err(format!("{name} needs a numeric value")),
     }
 }
 
@@ -86,14 +87,9 @@ fn run() -> Result<(), String> {
             // Every op at a Load or Store position owns one access record;
             // sparse patterns leave many of them without lines. Counting
             // records, never ops, keeps this linear in the file's size.
-            let runs: usize = rep.streams.iter().map(|s| s.runs().len()).sum();
-            let mem_ops: usize = rep.streams.iter().map(|s| s.n_accesses()).sum();
-            let lineless: usize = rep
-                .streams
-                .iter()
-                .map(|s| (0..s.n_accesses() as u32).filter(|&i| s.access(i).is_empty()).count())
-                .sum();
-            let pool: usize = rep.streams.iter().map(|s| s.pool().len()).sum();
+            let runs: usize = rep.streams().map(|s| s.runs().len()).sum();
+            let mem_ops = rep.records().len();
+            let lineless = rep.records().iter().filter(|&&(_, len)| len == 0).count();
             println!("kernel        {}", rep.stub.name);
             println!(
                 "grid          {} CTAs x {} warps",
@@ -105,7 +101,8 @@ fn run() -> Result<(), String> {
             println!("dynamic insts {}", rep.dyn_insts());
             println!("runs          {runs}");
             println!("memory ops    {mem_ops} ({lineless} without lines)");
-            println!("line pool     {pool} entries");
+            println!("line pool     {} entries", rep.pool().len());
+            println!("repeats       {} records", format::repeat_records(&rep));
             Ok(())
         }
         "selftest" => {
@@ -136,5 +133,22 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    #[test]
+    fn count_flags_reject_zero_and_non_numbers() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let a = args(&["capture", "S1", "o.lbw1", "--sms", "0", "--iterations", "3"]);
+        assert_eq!(parse_flag(&a, "--sms"), Err("--sms must be at least 1".into()));
+        assert_eq!(parse_flag(&a, "--iterations"), Ok(Some(3)));
+        let a = args(&["selftest", "f.lbw1", "--iterations", "0", "--sms"]);
+        assert_eq!(parse_flag(&a, "--iterations"), Err("--iterations must be at least 1".into()));
+        assert_eq!(parse_flag(&a, "--sms"), Err("--sms needs a numeric value".into()));
+        assert_eq!(parse_flag(&args(&["info", "f.lbw1"]), "--sms"), Ok(None));
     }
 }

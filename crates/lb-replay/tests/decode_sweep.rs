@@ -10,9 +10,9 @@
 //!   weaker than it;
 //! - every `Ok` kernel survives `decode(encode(k))` op for op: the same
 //!   runs, and the same line slice in every access record (pools may
-//!   differ: interning canonicalises them). The comparison reads runs and
-//!   records, never walks ops, so a corruption that declares billions of
-//!   ALU ops costs it nothing.
+//!   differ: a corrupted file may write fresh what the encoder writes as a
+//!   repeat). The comparison reads runs and records, never walks ops, so a
+//!   corruption that declares billions of ALU ops costs it nothing.
 
 use std::cell::Cell;
 
@@ -21,8 +21,9 @@ use gpu_sim::replay::ReplayKernel;
 use gpu_sim::GpuConfig;
 use lb_replay::{capture_app, decode, encode, ReplayError};
 
-/// A 2-SM `S1` capture of two loop trips: about 6.5 KB of LBW1, holding
-/// memory ops both with and without lines.
+/// A 2-SM `S1` capture of two loop trips: about 2.8 KB of LBW1, holding
+/// memory ops without lines, with fresh lines, and repeating a slice of
+/// the pool (82 of its 768 records).
 fn captured() -> Vec<u8> {
     let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
     let (_, rep) = capture_app("S1", &cfg, 2, &baseline_factory()).unwrap();
@@ -37,8 +38,8 @@ fn check_decoded(k: &ReplayKernel, case: &str) {
     }
     let back = decode(&encode(k)).unwrap_or_else(|e| panic!("{case}: re-decode failed: {e}"));
     assert_eq!(back.stub, k.stub, "{case}: stub");
-    assert_eq!(back.streams.len(), k.streams.len(), "{case}: stream count");
-    for (si, (a, b)) in k.streams.iter().zip(&back.streams).enumerate() {
+    assert_eq!(back.n_streams(), k.n_streams(), "{case}: stream count");
+    for (si, (a, b)) in k.streams().zip(back.streams()).enumerate() {
         assert_eq!(a.runs(), b.runs(), "{case}: stream {si} runs");
         assert_eq!(a.n_accesses(), b.n_accesses(), "{case}: stream {si} records");
         for i in 0..a.n_accesses() as u32 {

@@ -65,7 +65,7 @@ mod tests {
         let mut stream = StreamBuilder::new(stub.body.len() as u32);
         stream.push(0, Some(&[LineAddr(1)]));
         stream.push(1, None);
-        Arc::new(ReplayKernel { stub, streams: vec![stream.finish()] })
+        Arc::new(ReplayKernel::from_streams(stub, vec![stream]))
     }
 
     #[test]

@@ -167,7 +167,7 @@ fn checked_in_trace_corpus_decodes_at_the_current_version() {
         rep.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(lb_replay::encode(&rep), bytes, "{name}: re-encoding must be byte-identical");
         assert_eq!(rep.dyn_insts(), insts, "{name}: dynamic insts");
-        let records: usize = rep.streams.iter().map(|s| s.n_accesses()).sum();
+        let records: usize = rep.streams().map(|s| s.n_accesses()).sum();
         assert_eq!(records, mem_ops, "{name}: memory ops");
     }
 }
