@@ -11,8 +11,9 @@
 #                      with exit code 0;
 #   3. conservation  - the `partition` sensitivity sweep renders its full
 #                      table and every P=1 row reports conserved totals;
-#   4. validation    - non-power-of-two partition counts are rejected with
-#                      exit code 2.
+#   4. validation    - non-power-of-two partition counts, and a power of
+#                      two the 16 DRAM banks cannot split across, are
+#                      rejected with exit code 2.
 #
 #   usage: ci/partition_smoke.sh [lb-experiments-binary]
 set -eu
@@ -49,7 +50,7 @@ bad=$(awk '$2 == 1 && $NF != "yes"' "$T/sweep.txt")
 }
 
 echo "partition_smoke: invalid partition counts are rejected"
-for n in 0 3; do
+for n in 0 3 64; do
     if "$LBX" --scale quick --partitions "$n" fig01 > /dev/null 2>&1; then
         echo "partition_smoke: FAIL - --partitions $n was accepted" >&2
         exit 1

@@ -9,7 +9,9 @@
 #                       to the exact file bytes (canonical encoding);
 #   2. fresh capture  - a capture made here and now round-trips the same
 #                       way, so the property isn't an artifact of the
-#                       committed files;
+#                       committed files; S1 is also captured and
+#                       selftested at 64 SMs, so many-SM capture and
+#                       capture during replay run here;
 #   3. import         - the handcrafted Accel-Sim-style text traces (a
 #                       straight-line kernel and a loop with a lineless
 #                       memory op) import, and each imported .lbw1 passes
@@ -28,8 +30,9 @@
 #                       a panic or an abort;
 #   7. info           - `lb-replay info` counts memory ops by instruction
 #                       kind, lineless sparse stores included, one run per
-#                       captured stream, the kernel's line pool and the
-#                       records that repeat a slice of it.
+#                       captured stream, the kernel's line pool, the
+#                       records that repeat a slice of it and the bytes the
+#                       decoded kernel's arrays hold.
 #
 #   usage: ci/replay_smoke.sh [lb-replay-binary] [lb-experiments-binary] [sanity-binary]
 set -eu
@@ -50,10 +53,14 @@ done
 echo "replay_smoke: info counts every Load/Store op, run and pool line"
 # S1's result store is sparse: 512 of its 2304 memory ops carry no line.
 # Its 128 captured streams are one run each. Warps re-read each other's
-# lines: 522 records repeat a slice of the 1270-line kernel pool.
+# lines: 522 records repeat a slice of the 1270-line kernel pool. Decoded,
+# each record is one 4-byte word (none spans two lines), each pool line and
+# run 8 bytes, and the two stream bounds 4 bytes per stream and one more:
+# 2304 * 4 + 1270 * 8 + 128 * 8 + 2 * 129 * 4 = 21432.
 "$LBR" info "$CORPUS/s1-reuse.lbw1" > "$T/info.txt"
 for want in "memory ops    2304 (512 without lines)" "runs          128" \
-    "line pool     1270 entries" "repeats       522 records"; do
+    "line pool     1270 entries" "repeats       522 records" \
+    "decoded       21432 bytes"; do
     grep -qx "$want" "$T/info.txt" || {
         echo "replay_smoke: FAIL - info does not print '$want'" >&2
         cat "$T/info.txt" >&2
@@ -64,6 +71,10 @@ done
 echo "replay_smoke: fresh capture round-trips"
 "$LBR" capture GE "$T/ge.lbw1" --sms 2 --iterations 4
 "$LBR" selftest "$T/ge.lbw1" --sms 2
+
+echo "replay_smoke: 64-SM capture round-trips"
+"$LBR" capture S1 "$T/s1-64.lbw1" --sms 64
+"$LBR" selftest "$T/s1-64.lbw1" --sms 64
 
 echo "replay_smoke: text-trace import + selftest"
 for t in sample loop; do

@@ -81,7 +81,7 @@ fn main() {
             "--partitions" => {
                 let v = args.next().unwrap_or_default();
                 partitions = match v.parse::<u32>() {
-                    Ok(n) if n >= 1 && n.is_power_of_two() => Some(n),
+                    Ok(n) => Some(n),
                     _ => {
                         eprintln!("--partitions expects a power of two (1, 2, 4, ...), got '{v}'");
                         std::process::exit(2);
@@ -124,6 +124,12 @@ fn main() {
                 return;
             }
             other => ids.push(other.to_string()),
+        }
+    }
+    if let Some(n) = partitions {
+        if let Err(e) = scale.config().check_mem_partitions(n) {
+            eprintln!("--partitions: {e}");
+            std::process::exit(2);
         }
     }
     // Bare `--workload trace:PATH` runs just the trace study; otherwise an

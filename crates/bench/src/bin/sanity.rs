@@ -59,7 +59,7 @@ fn main() {
             "--partitions" => {
                 let v = args.next().unwrap_or_default();
                 partitions = match v.parse::<u32>() {
-                    Ok(n) if n.is_power_of_two() => Some(n),
+                    Ok(n) => Some(n),
                     _ => {
                         eprintln!("--partitions expects a power of two (1, 2, 4, ...), got '{v}'");
                         std::process::exit(2);
@@ -88,17 +88,20 @@ fn main() {
             other => only.push(other.to_string()),
         }
     }
-    if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir).expect("create trace dir");
-    }
-
     let mut cfg = if quick {
         GpuConfig::default().with_sms(4).with_windows(5_000, 60_000)
     } else {
         GpuConfig::default().with_sms(4).with_windows(10_000, 240_000)
     };
     if let Some(n) = partitions {
+        if let Err(e) = cfg.check_mem_partitions(n) {
+            eprintln!("--partitions: {e}");
+            std::process::exit(2);
+        }
         cfg = cfg.with_mem_partitions(n);
+    }
+    if let Some(dir) = &trace_dir {
+        std::fs::create_dir_all(dir).expect("create trace dir");
     }
     if !desc_cache {
         cfg = cfg.with_desc_cache(false);

@@ -12,7 +12,7 @@
 //! calls re-run nothing).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::gpu::{run_kernel, run_kernel_traced, run_replay_kernel, run_replay_kernel_traced};
@@ -51,6 +51,13 @@ pub fn sanitize_key(key: &str) -> String {
         .collect()
 }
 
+/// The machine's available parallelism, read once per process: the query
+/// reads cgroup files, which costs more than building a runner.
+fn default_jobs() -> usize {
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The memoized runner.
 pub struct Runner {
     scale: Scale,
@@ -59,8 +66,9 @@ pub struct Runner {
     /// Memoized Best-SWL oracle results per app (the arg-max over the
     /// sweep, not just the individual runs).
     best_swl: Mutex<HashMap<&'static str, BestSwl>>,
-    /// Worker threads used by [`Runner::prefetch`].
-    jobs: usize,
+    /// Worker threads used by [`Runner::prefetch`]; `None` until set, for
+    /// the machine's available parallelism.
+    jobs: Option<usize>,
     /// Progress reporting to stderr.
     pub verbose: bool,
     /// Hot-path profiler: per-sim wall-clock and event counters
@@ -76,7 +84,7 @@ impl std::fmt::Debug for Runner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runner")
             .field("scale", &self.scale)
-            .field("jobs", &self.jobs)
+            .field("jobs", &self.jobs())
             .field("sims_run", &self.sims_run())
             .finish()
     }
@@ -84,17 +92,16 @@ impl std::fmt::Debug for Runner {
 
 impl Runner {
     /// Creates a runner at the given scale. The worker count defaults to
-    /// the machine's available parallelism (override with
-    /// [`Runner::set_jobs`], or the `--jobs`/`LB_JOBS` knobs of
+    /// the machine's available parallelism, read on first use (override
+    /// with [`Runner::set_jobs`], or the `--jobs`/`LB_JOBS` knobs of
     /// `lb-experiments`).
     pub fn new(scale: Scale) -> Self {
-        let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Runner {
             cfg: scale.config(),
             scale,
             engine: Engine::new(),
             best_swl: Mutex::new(HashMap::new()),
-            jobs,
+            jobs: None,
             verbose: false,
             profile: Mutex::new(Profile::default()),
             trace: None,
@@ -149,12 +156,12 @@ impl Runner {
 
     /// Worker threads used by [`Runner::prefetch`].
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.jobs.unwrap_or_else(default_jobs)
     }
 
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
+        self.jobs = Some(jobs.max(1));
     }
 
     /// Number of simulations actually executed so far. Each distinct
@@ -194,7 +201,7 @@ impl Runner {
     /// afterwards, so rendering never simulates. Duplicate and
     /// already-memoized keys cost nothing.
     pub fn prefetch(&self, keys: &[RunKey]) {
-        self.engine.prefetch(keys, self.jobs, self.verbose, |k| self.compute(k));
+        self.engine.prefetch(keys, self.jobs(), self.verbose, |k| self.compute(k));
     }
 
     /// The single place a simulation is actually launched: builds the
@@ -387,6 +394,17 @@ mod tests {
         let key = RunKey::for_app(&a, Arch::Baseline);
         r.prefetch(&[key, key, key]);
         assert_eq!(r.sims_run(), 1);
+    }
+
+    #[test]
+    fn jobs_default_to_the_machine_until_set() {
+        let mut r = Runner::new(Scale::Quick);
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(r.jobs(), machine);
+        r.set_jobs(3);
+        assert_eq!(r.jobs(), 3);
+        r.set_jobs(0);
+        assert_eq!(r.jobs(), 1, "clamped to one worker");
     }
 
     #[test]

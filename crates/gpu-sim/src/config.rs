@@ -192,6 +192,27 @@ impl GpuConfig {
         self
     }
 
+    /// Checks that the memory subsystem splits into `n` partitions: `n` is
+    /// a power of two that divides the L2 geometry, the L2 MSHRs and the
+    /// DRAM bank count evenly. The harness binaries call it on their
+    /// `--partitions` value before building anything.
+    pub fn check_mem_partitions(&self, n: u32) -> Result<(), String> {
+        if n == 0 || !n.is_power_of_two() {
+            return Err(format!("partition count must be a power of two, got {n}"));
+        }
+        let slice_unit = u64::from(n) * u64::from(self.l2.assoc) * self.l2.line_bytes;
+        if !self.l2.size_bytes.is_multiple_of(slice_unit) {
+            return Err(format!("L2 capacity must split into {n} whole slices"));
+        }
+        if !self.l2.mshrs.is_multiple_of(n) {
+            return Err(format!("L2 MSHRs must split evenly across {n} slices"));
+        }
+        if !self.dram.banks.is_multiple_of(n) {
+            return Err(format!("DRAM banks must split evenly across {n} channels"));
+        }
+        Ok(())
+    }
+
     /// Returns a copy with a different memory-partition count. The L2
     /// capacity/MSHRs, DRAM bandwidth and DRAM banks configured here stay
     /// GPU-wide totals; each partition receives a 1/n slice at construction
@@ -199,19 +220,11 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `n` is a power of two that divides the L2 geometry and
-    /// DRAM bank count evenly.
+    /// Panics when [`GpuConfig::check_mem_partitions`] rejects `n`.
     pub fn with_mem_partitions(mut self, n: u32) -> Self {
-        assert!(n > 0 && n.is_power_of_two(), "partition count must be a power of two, got {n}");
-        assert!(
-            self.l2.size_bytes.is_multiple_of(n as u64 * self.l2.assoc as u64 * self.l2.line_bytes),
-            "L2 capacity must split into {n} whole slices"
-        );
-        assert!(self.l2.mshrs.is_multiple_of(n), "L2 MSHRs must split evenly across {n} slices");
-        assert!(
-            self.dram.banks.is_multiple_of(n),
-            "DRAM banks must split evenly across {n} channels"
-        );
+        if let Err(e) = self.check_mem_partitions(n) {
+            panic!("{e}");
+        }
         self.n_mem_partitions = n;
         self
     }
@@ -459,6 +472,29 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn with_mem_partitions_rejects_non_power_of_two() {
         let _ = GpuConfig::default().with_mem_partitions(3);
+    }
+
+    #[test]
+    fn partition_check_names_the_structure_that_does_not_split() {
+        let c = GpuConfig::default();
+        assert_eq!(c.check_mem_partitions(16), Ok(()));
+        let rejects = |n: u32, want: &str| {
+            let err = c.check_mem_partitions(n).unwrap_err();
+            assert!(err.contains(want), "{n}: {err}");
+        };
+        // 16 DRAM banks, 256 L2 MSHRs, and 2 MB of 8-way 128 B L2 lines
+        // (2048 sets).
+        rejects(0, "must be a power of two");
+        rejects(32, "DRAM banks must split evenly across 32 channels");
+        rejects(64, "DRAM banks must split evenly across 64 channels");
+        rejects(512, "L2 MSHRs must split evenly across 512 slices");
+        rejects(4096, "L2 capacity must split into 4096 whole slices");
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM banks must split evenly across 64 channels")]
+    fn with_mem_partitions_asserts_through_the_check() {
+        let _ = GpuConfig::default().with_mem_partitions(64);
     }
 
     #[test]

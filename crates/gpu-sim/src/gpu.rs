@@ -123,7 +123,7 @@ impl Gpu {
 
     /// Shared builder behind the synthetic, replay and capture frontends.
     /// `replay` installs per-warp streams on every SM before the initial
-    /// dispatch; `capture` arms per-SM stream recorders sized to the grid.
+    /// dispatch; `capture` arms every SM to record the warps it launches.
     fn new_inner(
         cfg: GpuConfig,
         kernel: KernelSpec,
@@ -132,7 +132,6 @@ impl Gpu {
         factory: &PolicyFactory<'_>,
         tracer: Tracer,
     ) -> Self {
-        let n_streams = kernel.grid_ctas as usize * kernel.warps_per_cta as usize;
         let sms = (0..cfg.n_sms)
             .map(|i| {
                 let policy: Box<dyn SmPolicy> = factory(SmId(i), &cfg, &kernel);
@@ -142,7 +141,7 @@ impl Gpu {
                     sm.set_replay(Arc::clone(rep));
                 }
                 if capture {
-                    sm.enable_capture(n_streams, kernel.body.len() as u32);
+                    sm.enable_capture();
                 }
                 sm
             })
@@ -820,10 +819,12 @@ impl Gpu {
     }
 
     /// Collects the per-warp streams a completed capture run recorded into
-    /// a [`ReplayKernel`] of `stub`. Each stream executes on exactly one SM,
-    /// so the merge picks, per grid-wide stream index, the single SM whose
-    /// recorder holds its ops. Fails if the run hit the cycle cap or a
-    /// stream has no op (its CTA never launched).
+    /// a [`ReplayKernel`] of `stub`. Each SM holds a recorder per warp it
+    /// launched, tagged with the warp's grid-wide stream index, and each
+    /// stream executes on exactly one SM, so the merge places every
+    /// recorder at its index: O(grid warps) recorders, whatever the SM
+    /// count. Fails if the run hit the cycle cap or a stream has no op (its
+    /// CTA never launched).
     fn take_capture(
         &mut self,
         stats: &SimStats,
@@ -835,10 +836,10 @@ impl Gpu {
         let n = self.kernel.grid_ctas as usize * self.kernel.warps_per_cta as usize;
         let mut merged: Vec<Option<StreamBuilder>> = (0..n).map(|_| None).collect();
         for sm in &mut self.sms {
-            for (i, s) in sm.take_capture().into_iter().flatten().enumerate() {
-                if !s.is_empty() {
-                    merged[i] = Some(s);
-                }
+            for (sid, b) in sm.take_capture().into_iter().flatten() {
+                let slot = &mut merged[sid as usize];
+                debug_assert!(slot.is_none(), "stream {sid} launched twice");
+                *slot = Some(b).filter(|b| !b.is_empty());
             }
         }
         let streams = merged
@@ -919,8 +920,11 @@ pub fn run_replay_kernel_traced(
 /// Runs `kernel` synthetically while recording every warp's issue-order
 /// instruction/address stream, returning the run's stats and the recorded
 /// [`ReplayKernel`]. Fails if the run hits the cycle cap (the streams would
-/// be truncated) or any warp never executed (the grid exceeds one dispatch
-/// wave, so stream placement would not be policy-invariant).
+/// be truncated) or a warp never executed. A grid of several dispatch
+/// waves captures too, each stream on the SM that ran it, and its Baseline
+/// replay reproduces the capture run; only a one-wave grid, placed before
+/// the first cycle, replays identically under every policy, since a later
+/// wave's placement follows the timing of the first.
 pub fn capture_kernel(
     cfg: GpuConfig,
     kernel: KernelSpec,
@@ -1087,6 +1091,75 @@ mod tests {
         // Replay-with-capture reproduces the consumed streams exactly.
         let (_, rep2) = run_replay_capture(fast_cfg(), &rep, &baseline_factory()).unwrap();
         assert_eq!(*rep, rep2);
+    }
+
+    /// A kernel of two-warp CTAs gridded to one dispatch wave on `cfg`,
+    /// plus one CTA that waits for a second wave when `extra`.
+    fn wave_kernel(cfg: &GpuConfig, extra: bool) -> KernelSpec {
+        let mut k = KernelBuilder::new("waves")
+            .grid(1, 2)
+            .regs_per_thread(16)
+            .load_then_use(AccessPattern::reuse_working_set(8 * 1024, true), 2)
+            .store(AccessPattern::streaming(128))
+            .alu(2)
+            .iterations(12)
+            .build()
+            .unwrap();
+        k.grid_ctas = crate::replay::resident_ctas(cfg, &k) * cfg.n_sms + u32::from(extra);
+        k
+    }
+
+    /// The grid stream ids each SM holds a recorder for after a capture
+    /// run of `k`, which must complete.
+    fn recorded_streams(cfg: &GpuConfig, k: KernelSpec) -> Vec<Vec<u32>> {
+        let mut gpu =
+            Gpu::new_inner(cfg.clone(), k, None, true, &baseline_factory(), Tracer::off());
+        assert!(gpu.run().completed);
+        let recorders = gpu.sms.iter_mut().map(|sm| sm.take_capture().unwrap());
+        recorders.map(|r| r.into_iter().map(|(sid, _)| sid).collect()).collect()
+    }
+
+    #[test]
+    fn each_sm_records_only_the_warps_it_launched() {
+        let cfg = fast_cfg();
+        let k = wave_kernel(&cfg, false);
+        let n = k.grid_ctas * k.warps_per_cta;
+        let per_sm = recorded_streams(&cfg, k);
+        assert_eq!(per_sm.iter().map(Vec::len).sum::<usize>(), n as usize);
+        // Round-robin dispatch of one wave: each SM launches its share.
+        for sids in &per_sm {
+            assert_eq!(sids.len() as u32, n / cfg.n_sms);
+        }
+    }
+
+    /// `stats` with the descriptor-cache counters cleared (replay never
+    /// consults the cache) and per-load stats in key order.
+    fn replay_digest(stats: &SimStats) -> String {
+        let mut s = stats.clone();
+        let per_load: std::collections::BTreeMap<_, _> = s.per_load.drain().collect();
+        s.events.desc_hits = 0;
+        s.events.desc_misses = 0;
+        s.events.desc_entries = 0;
+        s.events.desc_bytes = 0;
+        format!("{s:?}|{per_load:?}")
+    }
+
+    #[test]
+    fn a_two_wave_capture_records_each_stream_once_and_replays_its_run() {
+        let cfg = fast_cfg();
+        let k = wave_kernel(&cfg, true);
+        let n = k.grid_ctas * k.warps_per_cta;
+        let mut sids: Vec<u32> = recorded_streams(&cfg, k.clone()).concat();
+        sids.sort_unstable();
+        assert_eq!(sids, (0..n).collect::<Vec<_>>(), "every stream recorded exactly once");
+        let body_len = k.body.len() as u32;
+        let (cap_stats, rep) = capture_kernel(cfg.clone(), k, &baseline_factory()).unwrap();
+        rep.validate().unwrap();
+        for s in rep.streams() {
+            assert_eq!(s.runs(), [crate::replay::Run { start: 0, count: 12 * body_len }]);
+        }
+        let replayed = run_replay_kernel(cfg, &Arc::new(rep), &baseline_factory());
+        assert_eq!(replay_digest(&replayed), replay_digest(&cap_stats));
     }
 
     #[test]

@@ -26,29 +26,62 @@
 //! [`WarpSlab::advance`](crate::warp::WarpSlab::advance) makes for a
 //! synthetic warp. A captured stream of any trip count is therefore one
 //! run, and an imported trace adds one run per taken branch. Each op at a
-//! Load/Store body position owns one access record `(line_off, line_len)`,
-//! a slice of the kernel's line pool, in issue order; a memory op whose
-//! access touched no lines (a sparse pattern skipped the instance) owns a
-//! lineless one, `(0, 0)`. Whether an op is a memory op is read from the
-//! stub body: [`WarpStream::ops`] walks the runs through it and yields the
-//! decoded [`TraceOp`] view, op by op.
+//! Load/Store body position owns one access record, a slice of the
+//! kernel's line pool, in issue order; a memory op whose access touched no
+//! lines (a sparse pattern skipped the instance) owns a lineless one.
+//! Whether an op is a memory op is read from the stub body:
+//! [`WarpStream::ops`] walks the runs through it and yields the decoded
+//! [`TraceOp`] view, op by op.
 //!
 //! # Kernel-wide arrays
 //!
-//! A [`ReplayKernel`] keeps all its streams in five flat arrays: the runs
+//! A [`ReplayKernel`] keeps all its streams in six flat arrays: the runs
 //! of every stream back to back, their access records back to back, one
-//! line pool that every record indexes, and per stream the offset of its
-//! first run and of its first record. Any record may share pool lines
-//! with any earlier one, whichever stream it belongs to: a decoded `LBW1`
-//! trace holds each distinct line slice once, while capture and import
-//! append the lines of every access. [`ReplayKernel::stream`] lends one
-//! stream out as a [`WarpStream`], a view whose [`WarpStream::runs`],
-//! [`WarpStream::access`] and [`WarpStream::ops`] read the arrays in place.
-//! Capture and import record each stream in a [`StreamBuilder`] of its own,
-//! and [`ReplayKernel::from_streams`] lays the finished streams out; the
+//! line pool that every record indexes, a table of the multi-line records'
+//! slices, and per stream the offset of its first run and of its first
+//! record. Any record may share pool lines with any earlier one, whichever
+//! stream it belongs to: a decoded `LBW1` trace holds each distinct line
+//! slice once, while capture and import append the lines of every access.
+//! [`ReplayKernel::stream`] lends one stream out as a [`WarpStream`], a
+//! view whose [`WarpStream::runs`], [`WarpStream::access`] and
+//! [`WarpStream::ops`] read the arrays in place. Capture and import record
+//! each stream in a [`StreamBuilder`] of its own, and
+//! [`ReplayKernel::from_streams`] lays the finished streams out; the
 //! `LBW1` decoder appends to the arrays directly
 //! ([`ReplayKernel::push_line`], [`ReplayKernel::push_record`],
 //! [`ReplayKernel::push_stream`]).
+//!
+//! # Record words
+//!
+//! An access record is one `u32` word, read only through
+//! [`ReplayKernel::span`] (its `(line_off, line_len)` pool slice) and
+//! [`ReplayKernel::slice`] (its lines):
+//!
+//! - a word below 2^31 is the pool index of a one-line access;
+//! - [`LINELESS`] (`u32::MAX`) is an access of no line;
+//! - any other word has its top bit set, and its low 31 bits index the
+//!   multi-line table, whose entry is the `(line_off, line_len)` of an
+//!   access of two or more lines.
+//!
+//! Most accesses name one line or none, so a record costs four bytes where
+//! an offset and a length cost eight. The words bound a kernel to
+//! [`MAX_POOL_LINES`] pool lines, so a one-line word never reaches the tag
+//! bit, and to [`MAX_RECORDS`] records, so a table index never reaches
+//! [`LINELESS`]. The `LBW1` decoder rejects a file that passes either bound
+//! with a typed error; capture and import, which would need 16 GB of lines
+//! to pass them, panic.
+//!
+//! # Capture recorders
+//!
+//! A capture run records each warp in a [`StreamBuilder`] of its own. An SM
+//! holds one `(grid stream id, builder)` pair per warp it launched, in
+//! launch order, and a warp-slab column gives each slot the index of its
+//! recorder. The column is not the slab's stream column: when a replay is
+//! re-captured (`lb-replay selftest`), that one holds the replay stream id.
+//! The GPU merges the recorders into grid order at the end of the run, so
+//! capture costs memory in the grid's warps, not in SMs times warps, and a
+//! grid of several dispatch waves records each stream once, on the SM that
+//! ran it.
 //!
 //! # Checks
 //!
@@ -59,9 +92,10 @@
 //! positions. The same prefix count gives each record's body position
 //! ([`RunCheck::mem_indices`]) without walking ALU ops. The record check
 //! ([`check_record`]) takes each access record: at most
-//! [`MAX_LINES_PER_RECORD`] lines, in a slice inside the kernel's pool.
-//! Neither walks ops, so a check costs what the kernel stores, never what
-//! it declares: a run of 2^32 - 1 ops is checked as fast as a run of one.
+//! [`MAX_LINES_PER_RECORD`] lines, in a slice inside the kernel's pool and
+//! below [`MAX_POOL_LINES`]. Neither walks ops, so a check costs what the
+//! kernel stores, never what it declares: a run of 2^32 - 1 ops is checked
+//! as fast as a run of one.
 //!
 //! A replayed warp's `body_pos` column holds its real body position, as a
 //! synthetic warp's does; its run index, the ops left in that run and its
@@ -78,6 +112,20 @@ use crate::types::{Cycle, LineAddr};
 /// (import): the most instructions a body may have, so a run can wrap only
 /// at the end of a body that long, where the body walk wraps as well.
 pub const GROWING_BODY: u32 = u32::MAX;
+
+/// Record word of an access that touched no line.
+pub const LINELESS: u32 = u32::MAX;
+
+/// Tag bit of a record word that indexes the multi-line table.
+const MULTI: u32 = 1 << 31;
+
+/// Most lines a kernel's pool holds: a one-line record's word is its pool
+/// index, which stays below the tag bit.
+pub const MAX_POOL_LINES: u64 = 1 << 31;
+
+/// Most access records a kernel holds: a multi-line record's table index
+/// is below the record count, so its word stays below [`LINELESS`].
+pub const MAX_RECORDS: u64 = (1 << 31) - 1;
 
 /// One dynamic instruction of a warp's replay stream, decoded.
 ///
@@ -147,10 +195,10 @@ impl<'a> WarpStream<'a> {
         &self.rep.runs[b[self.id] as usize..b[self.id + 1] as usize]
     }
 
-    /// The access records in issue order, as `(line_off, line_len)` slices
-    /// of the kernel's line pool.
+    /// The access records in issue order, as record words (see the module
+    /// docs).
     #[inline]
-    fn records(&self) -> &'a [(u32, u32)] {
+    fn records(&self) -> &'a [u32] {
         let b = &self.rep.record_bounds;
         &self.rep.records[b[self.id] as usize..b[self.id + 1] as usize]
     }
@@ -163,7 +211,7 @@ impl<'a> WarpStream<'a> {
     /// The coalesced lines of access record `i`.
     #[inline]
     pub fn access(&self, i: u32) -> &'a [LineAddr] {
-        self.rep.lines(self.records()[i as usize])
+        self.rep.slice(self.records()[i as usize])
     }
 
     /// The ops in issue order, walked through the stub `body`: each run
@@ -172,7 +220,7 @@ impl<'a> WarpStream<'a> {
     /// `body`, which [`ReplayKernel::validate`] rejects, the ops past a
     /// missing record read as lineless.
     pub fn ops(&self, body: &'a [StaticInst]) -> impl Iterator<Item = TraceOp> + 'a {
-        let body_len = body.len() as u32;
+        let (rep, body_len) = (self.rep, body.len() as u32);
         let mut records = self.records().iter();
         self.runs()
             .iter()
@@ -184,7 +232,7 @@ impl<'a> WarpStream<'a> {
                 let mem =
                     body.get(pos as usize).is_some_and(|i| !matches!(i.kind, InstKind::Alu { .. }));
                 let (line_off, line_len) =
-                    if mem { records.next().copied().unwrap_or((0, 0)) } else { (0, 0) };
+                    if mem { records.next().map_or((0, 0), |&w| rep.span(w)) } else { (0, 0) };
                 TraceOp { pos, line_off, line_len }
             })
     }
@@ -192,7 +240,7 @@ impl<'a> WarpStream<'a> {
     /// The coalesced lines of `op`, one of this stream's ops.
     #[inline]
     pub fn lines(&self, op: TraceOp) -> &'a [LineAddr] {
-        self.rep.lines((op.line_off, op.line_len))
+        self.rep.pool_slice((op.line_off, op.line_len))
     }
 }
 
@@ -208,8 +256,9 @@ impl<'a> WarpStream<'a> {
 pub struct StreamBuilder {
     /// Runs in issue order.
     runs: Vec<Run>,
-    /// `(line_off, line_len)` of each memory op into `lines`.
-    records: Vec<(u32, u32)>,
+    /// The line count of each memory op's access; its lines follow the
+    /// earlier accesses' lines in `lines`.
+    lens: Vec<u32>,
     /// The lines of every access, appended in issue order.
     lines: Vec<LineAddr>,
     /// Body length runs wrap at ([`GROWING_BODY`] while the body grows).
@@ -223,13 +272,7 @@ impl StreamBuilder {
     /// wrap to 0 past its end. Import, whose body grows while it reads,
     /// passes [`GROWING_BODY`]: a run that never wraps is still a run.
     pub fn new(body_len: u32) -> Self {
-        StreamBuilder {
-            runs: Vec::new(),
-            records: Vec::new(),
-            lines: Vec::new(),
-            body_len,
-            next: 0,
-        }
+        StreamBuilder { runs: Vec::new(), lens: Vec::new(), lines: Vec::new(), body_len, next: 0 }
     }
 
     /// True when no op has been pushed.
@@ -248,9 +291,7 @@ impl StreamBuilder {
     pub fn push(&mut self, pos: u32, access: Option<&[LineAddr]>) {
         self.push_run(Run { start: pos, count: 1 });
         if let Some(lines) = access {
-            // A lineless record's offset carries nothing; keep it canonical.
-            let off = if lines.is_empty() { 0 } else { self.lines.len() as u32 };
-            self.records.push((off, lines.len() as u32));
+            self.lens.push(lines.len() as u32);
             self.lines.extend_from_slice(lines);
         }
     }
@@ -289,6 +330,8 @@ pub enum StreamFault {
     /// A record's line slice `.0 .. .0 + .1` ends past a pool of `.2`
     /// lines.
     PastPool(u64, u64, usize),
+    /// A record's line slice `.0 .. .0 + .1` ends past [`MAX_POOL_LINES`].
+    PoolLimit(u64, u64),
 }
 
 impl std::fmt::Display for StreamFault {
@@ -304,6 +347,10 @@ impl std::fmt::Display for StreamFault {
             StreamFault::PastPool(off, len, pool_len) => {
                 let end = off.saturating_add(len);
                 write!(f, "line slice {off}..{end} exceeds pool of {pool_len}")
+            }
+            StreamFault::PoolLimit(off, len) => {
+                let end = off.saturating_add(len);
+                write!(f, "line slice {off}..{end} passes the pool limit of {MAX_POOL_LINES} lines")
             }
         }
     }
@@ -375,8 +422,9 @@ impl RunCheck {
 
 /// The record check: access record `(line_off, line_len)` of a kernel
 /// whose pool holds `pool_len` lines claims at most
-/// [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool. Returns the
-/// record as a [`ReplayKernel`] stores it, `(0, 0)` when lineless.
+/// [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool that ends at
+/// or before [`MAX_POOL_LINES`]. Returns the record's pool slice as
+/// [`ReplayKernel::push_record`] takes it, `(0, 0)` when lineless.
 #[inline]
 pub fn check_record(
     line_off: u64,
@@ -389,9 +437,14 @@ pub fn check_record(
     if line_len == 0 {
         return Ok((0, 0));
     }
-    match u32::try_from(line_off) {
-        Ok(off) if line_off + line_len <= pool_len as u64 => Ok((off, line_len as u32)),
-        _ => Err(StreamFault::PastPool(line_off, line_len, pool_len)),
+    let end = line_off.saturating_add(line_len);
+    if end <= (pool_len as u64).min(MAX_POOL_LINES) {
+        // Below 2^31, so the offset fits the word.
+        Ok((line_off as u32, line_len as u32))
+    } else if end <= pool_len as u64 {
+        Err(StreamFault::PoolLimit(line_off, line_len))
+    } else {
+        Err(StreamFault::PastPool(line_off, line_len, pool_len))
     }
 }
 
@@ -411,9 +464,11 @@ pub struct ReplayKernel {
     pub stub: KernelSpec,
     /// Every stream's runs, stream after stream.
     runs: Vec<Run>,
-    /// Every stream's access records, stream after stream, as
-    /// `(line_off, line_len)` slices of `pool`.
-    records: Vec<(u32, u32)>,
+    /// Every stream's access records, stream after stream, as record
+    /// words (see the module docs).
+    records: Vec<u32>,
+    /// `(line_off, line_len)` of each multi-line record, in record order.
+    multi: Vec<(u32, u32)>,
     /// The line pool the records index.
     pool: Vec<LineAddr>,
     /// Stream `i`'s runs are `runs[run_bounds[i]..run_bounds[i + 1]]`.
@@ -429,6 +484,7 @@ impl ReplayKernel {
             stub,
             runs: Vec::new(),
             records: Vec::new(),
+            multi: Vec::new(),
             pool: Vec::new(),
             run_bounds: vec![0],
             record_bounds: vec![0],
@@ -442,7 +498,8 @@ impl ReplayKernel {
         let mut rep = ReplayKernel::new(stub);
         let total = |f: fn(&StreamBuilder) -> usize| streams.iter().map(f).sum::<usize>();
         rep.runs.reserve_exact(total(|b| b.runs.len()));
-        rep.records.reserve_exact(total(|b| b.records.len()));
+        rep.records.reserve_exact(total(|b| b.lens.len()));
+        rep.multi.reserve_exact(total(|b| b.lens.iter().filter(|&&len| len > 1).count()));
         rep.pool.reserve_exact(total(|b| b.lines.len()));
         rep.run_bounds.reserve_exact(streams.len());
         rep.record_bounds.reserve_exact(streams.len());
@@ -458,39 +515,72 @@ impl ReplayKernel {
         self.pool.push(line);
     }
 
-    /// Appends access record `(line_off, line_len)`, a slice of the pool,
-    /// to the stream the next [`ReplayKernel::push_stream`] closes.
+    /// Appends the access record of pool slice `(line_off, line_len)`, one
+    /// [`check_record`] passed, to the stream the next
+    /// [`ReplayKernel::push_stream`] closes: lineless when `line_len` is 0.
+    /// The caller keeps the kernel within [`MAX_RECORDS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slice ends past [`MAX_POOL_LINES`], where its word
+    /// would collide with the tag bit.
     #[inline]
     pub fn push_record(&mut self, line_off: u32, line_len: u32) {
-        self.records.push((line_off, line_len));
+        assert!(
+            u64::from(line_off) + u64::from(line_len) <= MAX_POOL_LINES,
+            "record slice {line_off}+{line_len} passes the pool limit"
+        );
+        let word = match line_len {
+            0 => LINELESS,
+            1 => line_off,
+            _ => {
+                self.multi.push((line_off, line_len));
+                MULTI | (self.multi.len() - 1) as u32
+            }
+        };
+        self.records.push(word);
     }
 
     /// Closes the next stream: its records are the ones pushed since the
     /// last stream closed, then the records `b` holds, whose lines are
     /// appended to the pool; its runs are `b`'s. Empties `b` but keeps its
     /// buffers, so one builder can carry every stream's runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel would pass [`MAX_POOL_LINES`] or
+    /// [`MAX_RECORDS`]; the decoder rejects such a file before it gets
+    /// here.
     pub fn push_stream(&mut self, b: &mut StreamBuilder) {
-        let base = offset(self.pool.len());
+        let lines = self.pool.len() + b.lines.len();
+        let records = self.records.len() + b.lens.len();
+        assert!(
+            lines as u64 <= MAX_POOL_LINES && records as u64 <= MAX_RECORDS,
+            "a replay kernel holds at most {MAX_POOL_LINES} lines and {MAX_RECORDS} records"
+        );
+        let mut off = self.pool.len() as u32;
+        for &len in &b.lens {
+            self.push_record(off, len);
+            off += len;
+        }
         self.runs.extend_from_slice(&b.runs);
-        self.records.extend(b.records.iter().map(|&(off, len)| match len {
-            0 => (0, 0),
-            _ => (base.checked_add(off).expect("pool offsets fit a u32"), len),
-        }));
         self.pool.extend_from_slice(&b.lines);
         self.run_bounds.push(offset(self.runs.len()));
         self.record_bounds.push(offset(self.records.len()));
         b.runs.clear();
-        b.records.clear();
+        b.lens.clear();
         b.lines.clear();
     }
 
     /// Reserves room for `streams` more streams holding `records` more
-    /// access records and `lines` more pool lines.
-    pub fn reserve(&mut self, streams: usize, records: usize, lines: usize) {
+    /// access records, `multi` more of them multi-line, and `lines` more
+    /// pool lines.
+    pub fn reserve(&mut self, streams: usize, records: usize, multi: usize, lines: usize) {
         self.run_bounds.reserve(streams);
         self.record_bounds.reserve(streams);
         self.runs.reserve(streams);
         self.records.reserve(records);
+        self.multi.reserve(multi);
         self.pool.reserve(lines);
     }
 
@@ -498,6 +588,7 @@ impl ReplayKernel {
     pub fn shrink_to_fit(&mut self) {
         self.runs.shrink_to_fit();
         self.records.shrink_to_fit();
+        self.multi.shrink_to_fit();
         self.pool.shrink_to_fit();
         self.run_bounds.shrink_to_fit();
         self.record_bounds.shrink_to_fit();
@@ -520,8 +611,9 @@ impl ReplayKernel {
         (0..self.n_streams()).map(|i| self.stream(i))
     }
 
-    /// Every stream's access records, stream after stream.
-    pub fn records(&self) -> &[(u32, u32)] {
+    /// Every stream's access records, stream after stream, as record
+    /// words; [`ReplayKernel::span`] and [`ReplayKernel::slice`] read them.
+    pub fn records(&self) -> &[u32] {
         &self.records
     }
 
@@ -530,11 +622,43 @@ impl ReplayKernel {
         &self.pool
     }
 
-    /// The lines of access record `(line_off, line_len)`.
+    /// The pool slice `(line_off, line_len)` of record word `word`: `(0,
+    /// 0)` when lineless.
     #[inline]
-    pub fn lines(&self, (line_off, line_len): (u32, u32)) -> &[LineAddr] {
+    pub fn span(&self, word: u32) -> (u32, u32) {
+        if word & MULTI == 0 {
+            (word, 1)
+        } else if word == LINELESS {
+            (0, 0)
+        } else {
+            self.multi[(word & !MULTI) as usize]
+        }
+    }
+
+    /// The lines of record word `word`.
+    #[inline]
+    pub fn slice(&self, word: u32) -> &[LineAddr] {
+        self.pool_slice(self.span(word))
+    }
+
+    /// The lines of pool slice `(line_off, line_len)`.
+    #[inline]
+    fn pool_slice(&self, (line_off, line_len): (u32, u32)) -> &[LineAddr] {
         let off = line_off as usize;
         &self.pool[off..off + line_len as usize]
+    }
+
+    /// Bytes the kernel's arrays hold: records, multi-line table, pool,
+    /// runs and stream bounds. Counted from lengths, not capacities, so
+    /// the figure depends on the streams alone.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.records[..])
+            + size_of_val(&self.multi[..])
+            + size_of_val(&self.pool[..])
+            + size_of_val(&self.runs[..])
+            + size_of_val(&self.run_bounds[..])
+            + size_of_val(&self.record_bounds[..])
     }
 
     /// Total warps in the grid (`grid_ctas * warps_per_cta`).
@@ -577,7 +701,8 @@ impl ReplayKernel {
                     s.n_accesses()
                 ));
             }
-            for (ai, &(off, len)) in s.records().iter().enumerate() {
+            for (ai, &word) in s.records().iter().enumerate() {
+                let (off, len) = self.span(word);
                 check_record(off.into(), len.into(), self.pool.len())
                     .map_err(|e| format!("stream {si} record {ai}: {e}"))?;
             }
@@ -595,8 +720,7 @@ pub enum CaptureError {
         /// Cycles simulated when the cap fired.
         cycles: Cycle,
     },
-    /// A warp of the grid never issued an instruction (its CTA was never
-    /// dispatched) — the grid does not fit the capture configuration.
+    /// A warp of the grid never issued an instruction.
     EmptyStream {
         /// Index of the first empty stream.
         stream: usize,
@@ -610,7 +734,7 @@ impl std::fmt::Display for CaptureError {
                 write!(f, "capture run incomplete after {cycles} cycles (raise max_cycles or shrink the kernel)")
             }
             CaptureError::EmptyStream { stream } => {
-                write!(f, "warp stream {stream} never executed (grid exceeds capture occupancy)")
+                write!(f, "warp stream {stream} never executed")
             }
         }
     }
@@ -818,6 +942,112 @@ mod tests {
         let lines = MAX_LINES_PER_RECORD + 1;
         assert_eq!(check_record(0, lines, 4096), Err(StreamFault::OverlongRecord(lines)));
         assert_eq!(check_record(0, MAX_LINES_PER_RECORD, 4096), Ok((0, 1024)));
+    }
+
+    #[test]
+    fn record_check_keeps_pool_indices_below_the_tag_bit() {
+        // A pool as large as the address space still stops at 2^31 lines:
+        // index 2^31 - 1 is a one-line word, index 2^31 would be a tag.
+        let top = MAX_POOL_LINES;
+        assert_eq!(check_record(top - 1, 1, usize::MAX), Ok(((top - 1) as u32, 1)));
+        assert_eq!(check_record(top, 1, usize::MAX), Err(StreamFault::PoolLimit(top, 1)));
+        assert_eq!(check_record(top - 1, 2, usize::MAX), Err(StreamFault::PoolLimit(top - 1, 2)));
+        let err = StreamFault::PoolLimit(top, 1).to_string();
+        assert!(err.contains("passes the pool limit of 2147483648 lines"), "{err}");
+        // Past a smaller pool, the pool is what the slice passes.
+        assert_eq!(check_record(top, 1, 5), Err(StreamFault::PastPool(top, 1, 5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "passes the pool limit")]
+    fn a_record_word_never_takes_the_tag_bit() {
+        ReplayKernel::new(stub()).push_record(1 << 31, 1);
+    }
+
+    #[test]
+    fn record_words_read_back_every_record_shape() {
+        // Lineless, one-line and multi-line records of up to
+        // MAX_LINES_PER_RECORD lines, fresh or repeating a slice of the
+        // pool so far, built op by op (capture, import) and record by record
+        // (the LBW1 decoder's push path).
+        testkit::check_n("record_words_round_trip", 200, |rng| {
+            let n_streams = rng.range_u32(1, 4);
+            let mut stub = stub();
+            stub.grid_ctas = n_streams;
+            let body = stub.body.clone();
+            let mut builders = Vec::new();
+            let mut pushed = ReplayKernel::new(stub.clone());
+            let mut scratch = StreamBuilder::new(2);
+            let mut want: Vec<Vec<Vec<LineAddr>>> = Vec::new();
+            for _ in 0..n_streams {
+                let mut b = StreamBuilder::new(2);
+                let mut records = Vec::new();
+                // A load at 0 and an ALU op at 1, walked in turn.
+                let n_ops = rng.range_u32(1, 40);
+                for pos in (0..2).cycle().take(n_ops as usize) {
+                    if pos == 1 {
+                        b.push(1, None);
+                        continue;
+                    }
+                    let pool_len = pushed.pool().len() as u64;
+                    let lines: Vec<LineAddr> = match rng.range_u32(0, 4) {
+                        0 => {
+                            pushed.push_record(0, 0);
+                            Vec::new()
+                        }
+                        1 if pool_len > 0 => {
+                            let len = rng.range_u64(1, pool_len.min(MAX_LINES_PER_RECORD) + 1);
+                            let off = rng.range_u64(0, pool_len - len + 1);
+                            let (off, len) = check_record(off, len, pushed.pool().len()).unwrap();
+                            pushed.push_record(off, len);
+                            pushed.pool_slice((off, len)).to_vec()
+                        }
+                        _ => {
+                            let len = match rng.range_u32(0, 20) {
+                                0 => rng.range_u64(1, MAX_LINES_PER_RECORD + 1),
+                                _ => rng.range_u64(1, 4),
+                            };
+                            let lines: Vec<LineAddr> =
+                                (0..len).map(|_| LineAddr(rng.u64())).collect();
+                            let end = pushed.pool().len() as u32;
+                            lines.iter().for_each(|&l| pushed.push_line(l));
+                            pushed.push_record(end, len as u32);
+                            lines
+                        }
+                    };
+                    b.push(0, Some(&lines));
+                    records.push(lines);
+                }
+                scratch.push_run(Run { start: 0, count: n_ops });
+                pushed.push_stream(&mut scratch);
+                builders.push(b);
+                want.push(records);
+            }
+            let built = ReplayKernel::from_streams(stub, builders);
+            let flat: Vec<&Vec<LineAddr>> = want.iter().flatten().collect();
+            for rep in [&built, &pushed] {
+                rep.validate().unwrap();
+                assert_eq!(rep.records().len(), flat.len());
+                for (&word, &lines) in rep.records().iter().zip(&flat) {
+                    let (off, len) = rep.span(word);
+                    assert_eq!(len as usize, lines.len());
+                    assert_eq!(rep.pool_slice((off, len)), lines.as_slice());
+                    assert_eq!(rep.slice(word), lines.as_slice());
+                }
+                for (si, records) in want.iter().enumerate() {
+                    let s = rep.stream(si);
+                    for (i, lines) in records.iter().enumerate() {
+                        assert_eq!(s.access(i as u32), lines.as_slice());
+                    }
+                    let loads: Vec<Vec<LineAddr>> = s
+                        .ops(&body)
+                        .filter(|op| op.pos == 0)
+                        .map(|op| s.lines(op).to_vec())
+                        .collect();
+                    assert_eq!(&loads, records);
+                }
+            }
+        });
     }
 
     /// A four-instruction body: load, ALU, store, ALU.

@@ -245,11 +245,13 @@ pub struct Sm {
     /// streams instead of the synthetic pattern generator (their runs steer
     /// `body_pos`; `gen_access_lines` is never called).
     replay: Option<Arc<ReplayKernel>>,
-    /// Workload-trace capture: when set, every executed instruction is
-    /// pushed (memory ops with their coalesced lines) onto its warp's
-    /// stream. Indexed by grid-wide stream id; each stream executes on
-    /// exactly one SM, so the GPU merges per-SM vectors at run end.
-    capture: Option<Vec<StreamBuilder>>,
+    /// Workload-trace capture: when set, one `(grid stream id, recorder)`
+    /// pair per warp launched here, in launch order; every executed
+    /// instruction is pushed (memory ops with their coalesced lines) onto
+    /// its warp's recorder, found through the slab's recorder column. Each
+    /// stream executes on exactly one SM, so the GPU merges the per-SM
+    /// lists at run end.
+    capture: Option<Vec<(u32, StreamBuilder)>>,
     /// Grid-wide dispatch ordinal of the *next* CTA this SM launches
     /// (stream base = ordinal x warps_per_cta). Set by the GPU immediately
     /// before every `try_launch_cta`; a dead store outside trace mode.
@@ -331,17 +333,18 @@ impl Sm {
         self.replay = Some(rep);
     }
 
-    /// Enables workload-trace capture with `n_streams` grid-wide streams
-    /// over a kernel body of `body_len` instructions. Must be installed
-    /// before the first CTA launch.
-    pub fn enable_capture(&mut self, n_streams: usize, body_len: u32) {
+    /// Enables workload-trace capture: every warp launched from now on
+    /// gets a recorder of its own. Must be installed before the first CTA
+    /// launch.
+    pub fn enable_capture(&mut self) {
         debug_assert_eq!(self.launch_seq, 0, "capture must be enabled before any launch");
-        self.capture = Some(vec![StreamBuilder::new(body_len); n_streams]);
+        self.capture = Some(Vec::new());
     }
 
-    /// Takes the captured streams (empty entries belong to CTAs launched on
-    /// other SMs); `None` when capture was never enabled.
-    pub fn take_capture(&mut self) -> Option<Vec<StreamBuilder>> {
+    /// Takes the recorders of the warps launched here, as `(grid stream
+    /// id, recorder)` pairs in launch order; `None` when capture was never
+    /// enabled.
+    pub fn take_capture(&mut self) -> Option<Vec<(u32, StreamBuilder)>> {
         self.capture.take()
     }
 
@@ -503,8 +506,10 @@ impl Sm {
                 let first =
                     *rep.stream(sid as usize).runs().first().expect("replay streams are non-empty");
                 self.warps.start_replay(wid as usize, kernel, sid as u32, first);
-            } else if self.capture.is_some() {
-                self.warps.set_stream(wid as usize, sid as u32);
+            }
+            if let Some(cap) = &mut self.capture {
+                self.warps.set_recorder(wid as usize, cap.len() as u32);
+                cap.push((sid as u32, StreamBuilder::new(kernel.body.len() as u32)));
             }
             // Slot reuse changes the global warp number: stale descriptors
             // of the previous tenant must never replay.
@@ -1356,16 +1361,26 @@ impl Sm {
         pos
     }
 
-    /// Appends the instruction just executed to its warp's capture stream
-    /// (no-op unless capture is enabled). Memory ops record the current
-    /// `line_buf` contents as a raw slice appended to the stream's line
-    /// pool; the `LBW1` encoder interns duplicate slices at serialization
+    /// Appends the instruction just executed to its warp's recorder (no-op
+    /// unless capture is enabled). Memory ops record the current
+    /// `line_buf` contents as a raw slice appended to the recorder's
+    /// lines; the `LBW1` encoder interns duplicate slices at serialization
     /// time, so capture stays allocation-cheap on the hot path.
     #[inline]
     fn capture_op(&mut self, slot: usize, pos: u32, mem: bool) {
+        if self.capture.is_some() {
+            self.record_op(slot, pos, mem);
+        }
+    }
+
+    /// The recording half of [`Sm::capture_op`], kept out of line so that
+    /// the issue path of a run that does not capture carries none of it.
+    #[cold]
+    #[inline(never)]
+    fn record_op(&mut self, slot: usize, pos: u32, mem: bool) {
         let Sm { capture, line_buf, warps, .. } = self;
         let Some(cap) = capture.as_mut() else { return };
-        cap[warps.stream(slot) as usize].push(pos, mem.then_some(line_buf.as_slice()));
+        cap[warps.recorder(slot) as usize].1.push(pos, mem.then_some(line_buf.as_slice()));
     }
 
     /// Generates the coalesced line addresses of one dynamic access of

@@ -70,10 +70,14 @@ pub struct WarpSlab {
     /// load (one no instruction waits on) is still in flight cannot have
     /// the stale response credited to its new resident.
     gen: Vec<u32>,
-    /// Replay/capture stream id of the warp (`cta_ordinal * warps_per_cta +
-    /// lane`). Written at every launch; read only by the trace frontend
-    /// (replay execution and capture recording) — dead in synthetic runs.
+    /// Replay stream id of the warp (`cta_ordinal * warps_per_cta +
+    /// lane`). Written at every replay launch; read only by replay
+    /// execution — dead in synthetic runs.
     stream: Vec<u32>,
+    /// Capture: index of the warp's recorder in its SM's recorder list.
+    /// A column of its own, since a replay re-captured holds its replay
+    /// stream id in `stream`.
+    recorder: Vec<u32>,
     /// Replayed warp: index of its current run in its stream.
     run: Vec<u32>,
     /// Replayed warp: ops of the current run after the current one.
@@ -104,6 +108,7 @@ impl WarpSlab {
             meta: vec![0; n_slots],
             gen: vec![0; n_slots],
             stream: vec![0; n_slots],
+            recorder: vec![0; n_slots],
             run: vec![0; n_slots],
             run_left: vec![0; n_slots],
             record: vec![0; n_slots],
@@ -197,17 +202,23 @@ impl WarpSlab {
         self.access_index[lo..lo + self.n_loads].fill(0);
     }
 
-    /// Replay/capture stream id of the warp in `slot`.
+    /// Replay stream id of the warp in `slot`.
     #[inline]
     pub fn stream(&self, slot: usize) -> u32 {
         self.stream[slot]
     }
 
-    /// Assigns the replay/capture stream id of the warp in `slot` (set at
-    /// launch by the trace frontend).
+    /// Capture recorder index of the warp in `slot`.
     #[inline]
-    pub fn set_stream(&mut self, slot: usize, id: u32) {
-        self.stream[slot] = id;
+    pub fn recorder(&self, slot: usize) -> u32 {
+        self.recorder[slot]
+    }
+
+    /// Assigns the capture recorder index of the warp in `slot` (set at
+    /// launch when the SM captures).
+    #[inline]
+    pub fn set_recorder(&mut self, slot: usize, index: u32) {
+        self.recorder[slot] = index;
     }
 
     /// Starts the warp just launched into `slot` on its replay stream `id`,

@@ -70,10 +70,11 @@
 //! ([`RunCheck::mem_indices`], O(records), no ALU op walked), and puts each
 //! record through the record check ([`check_record`]: at most
 //! [`MAX_LINES_PER_RECORD`] lines; a repeat's slice inside the pool so
-//! far). [`ReplayKernel::validate`] runs the same checks and is
-//! debug-asserted on every decoded kernel. Every count is bounded by the
-//! remaining input before it sizes an allocation, and every failure is a
-//! typed [`ReplayError`]. The `decode_sweep` tests decode every prefix of
+//! far; no line past the pool limit of a decoded record word).
+//! [`ReplayKernel::validate`] runs the same checks and is debug-asserted
+//! on every decoded kernel. Every count is bounded by the remaining input
+//! before it sizes an allocation, a stream's records must leave the kernel
+//! within [`MAX_RECORDS`], and every failure is a typed [`ReplayError`]. The `decode_sweep` tests decode every prefix of
 //! a captured trace and thousands of seeded corruptions of it, and check
 //! that every kernel decode accepts also passes `validate`.
 //!
@@ -85,7 +86,9 @@
 use gpu_sim::fastmap::FxHasher64;
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::AccessPattern;
-use gpu_sim::replay::{check_record, ReplayKernel, Run, RunCheck, StreamBuilder, StreamFault};
+use gpu_sim::replay::{
+    check_record, ReplayKernel, Run, RunCheck, StreamBuilder, StreamFault, MAX_RECORDS,
+};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
 use lb_trace::put_uvarint;
 use std::hash::Hasher;
@@ -278,7 +281,7 @@ impl FreshSlices {
                 }
                 break;
             }
-            if rep.lines(rep.records()[r as usize]) == lines {
+            if rep.slice(rep.records()[r as usize]) == lines {
                 return Some(u64::from(off));
             }
             i = (i + 1) & mask;
@@ -338,8 +341,8 @@ pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
         }
         let places = s.runs().iter().flat_map(|&r| check.mem_indices(r));
         let places = places.chain(std::iter::repeat(unplaced));
-        for ((ri, &record), k) in records.by_ref().take(s.n_accesses()).zip(places) {
-            let lines = rep.lines(record);
+        for ((ri, &word), k) in records.by_ref().take(s.n_accesses()).zip(places) {
+            let lines = rep.slice(word);
             let Some(&first) = lines.first() else {
                 out.push(0);
                 continue;
@@ -463,7 +466,8 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
             // input, and the stream count was checked against it above.
             let (rest, left) = (n_streams as usize - 1, buf.len() - pos);
             let per = |n: usize| n.saturating_mul(rest).min(left);
-            rep.reserve(rest, per(rep.records().len()), per(rep.pool().len()));
+            let multi = rep.records().iter().filter(|&&w| rep.span(w).1 > 1).count();
+            rep.reserve(rest, per(rep.records().len()), per(multi), per(rep.pool().len()));
         }
     }
     rep.shrink_to_fit();
@@ -501,24 +505,25 @@ fn get_stream(
     fits(mem_ops, buf, *pos)?;
     // Names the record being read, for errors.
     let first = rep.records().len();
+    if first as u64 + mem_ops > MAX_RECORDS {
+        return Err(ReplayError::Malformed(format!(
+            "stream {si}: the kernel holds more than {MAX_RECORDS} access records"
+        )));
+    }
     let what = |rep: &ReplayKernel| format!("stream {si} record {}", rep.records().len() - first);
     for &run in scratch.runs() {
         for k in check.mem_indices(run) {
             let at = *pos;
             let h = get_uvarint(buf, pos)?;
             let len = h >> 1;
-            let (off, len) = if h & 1 == 0 {
-                // Lineless, or a repeat: `off` must name lines already in
-                // the pool.
-                let off = if len > 0 { get_uvarint(buf, pos)? } else { 0 };
-                check_record(off, len, rep.pool().len())
-            } else {
-                // Fresh: room for `len` more lines at the pool's end.
+            if h == 0 {
+                rep.push_record(0, 0);
+            } else if h & 1 == 1 {
+                // Fresh: room for `len` more lines at the pool's end, below
+                // the pool limit.
                 let end = rep.pool().len();
-                check_record(end as u64, len, end.saturating_add(len as usize))
-            }
-            .map_err(|e| fault(e, at, what(rep)))?;
-            if h & 1 == 1 {
+                let (off, len) = check_record(end as u64, len, end.saturating_add(len as usize))
+                    .map_err(|e| fault(e, at, what(rep)))?;
                 if len == 0 {
                     return Err(ReplayError::Malformed(format!(
                         "{}: fresh record of no lines (h = 1)",
@@ -532,10 +537,15 @@ fn get_stream(
                     line = line.wrapping_add(get_zigzag(buf, pos)? as u64);
                     rep.push_line(LineAddr(line));
                 }
-            } else if len > 0 {
+                rep.push_record(off, len);
+            } else {
+                // A repeat: `off` must name lines already in the pool.
+                let off = get_uvarint(buf, pos)?;
+                let (off, len) = check_record(off, len, rep.pool().len())
+                    .map_err(|e| fault(e, at, what(rep)))?;
                 base[k] = rep.pool()[off as usize].0;
+                rep.push_record(off, len);
             }
-            rep.push_record(off, len);
         }
     }
     rep.push_stream(scratch);
@@ -558,7 +568,8 @@ fn fault(e: StreamFault, at: usize, what: String) -> ReplayError {
 pub fn repeat_records(rep: &ReplayKernel) -> usize {
     let mut end = 0u64;
     let mut repeats = 0;
-    for &(off, len) in rep.records() {
+    for &word in rep.records() {
+        let (off, len) = rep.span(word);
         if len == 0 {
             continue;
         }
@@ -868,6 +879,53 @@ mod tests {
         assert_eq!(lines, want);
         assert_eq!((rep.pool().len(), repeat_records(&rep)), (6, 2));
         assert_eq!(encode(&rep), bytes, "the encoder writes the same records");
+    }
+
+    #[test]
+    fn repeats_inside_and_of_multi_line_records_decode_to_their_lines() {
+        let zz = |d: i64| ((d << 1) ^ (d >> 63)) as u64;
+        // One run of 13 ops passes the load at 0, 4, 8 and 12.
+        let section = [
+            1,
+            1,
+            0,
+            13,
+            7,
+            zz(100),
+            zz(1),
+            zz(1), // fresh 100, 101, 102: pool[0..3]
+            2,
+            1, // one-line repeat inside it: pool[1..2] = 101
+            4,
+            1, // multi-line repeat: pool[1..3] = 101, 102
+            3,
+            zz(99), // fresh 200, against the last record's first line, 101
+        ];
+        let rep = decode(&with_stream_section(&section)).unwrap();
+        let s = rep.stream(0);
+        let lines: Vec<Vec<u64>> =
+            (0..s.n_accesses() as u32).map(|i| s.access(i).iter().map(|l| l.0).collect()).collect();
+        let want: [&[u64]; 4] = [&[100, 101, 102], &[101], &[101, 102], &[200]];
+        assert_eq!(lines, want);
+        // One-line records are their pool index; multi-line ones are table
+        // entries.
+        let spans: Vec<(u32, u32)> = rep.records().iter().map(|&w| rep.span(w)).collect();
+        assert_eq!(spans, [(0, 3), (1, 1), (1, 2), (3, 1)]);
+        assert_eq!((rep.records()[1], rep.records()[3]), (1, 3));
+        assert_eq!((rep.pool().len(), repeat_records(&rep)), (4, 2));
+        // The encoder repeats only whole fresh records, so it writes these
+        // two fresh, to bytes that decode to the same lines.
+        assert_same_streams(&rep, &decode(&encode(&rep)).unwrap());
+    }
+
+    #[test]
+    fn pool_limit_fault_is_a_typed_error() {
+        let limit = gpu_sim::replay::MAX_POOL_LINES;
+        let e = fault(StreamFault::PoolLimit(limit, 1), 7, "stream 0 record 0".into());
+        match e {
+            ReplayError::Malformed(msg) => assert!(msg.contains("passes the pool limit"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@ USAGE:
       Normalize an Accel-Sim-style text kernel trace into LBW1.
   lb-replay info <FILE.lbw1>
       Print the trace's header and stream summary, with the kernel's line
-      pool and the records that repeat a slice of it.
+      pool, the records that repeat a slice of it and the bytes the
+      decoded kernel's arrays hold.
   lb-replay selftest <FILE.lbw1> [--sms N]
       Replay the trace while re-capturing it; verify the re-encoded
       bytes match the file exactly (exit 1 on mismatch).
@@ -89,7 +90,7 @@ fn run() -> Result<(), String> {
             // records, never ops, keeps this linear in the file's size.
             let runs: usize = rep.streams().map(|s| s.runs().len()).sum();
             let mem_ops = rep.records().len();
-            let lineless = rep.records().iter().filter(|&&(_, len)| len == 0).count();
+            let lineless = rep.records().iter().filter(|&&w| rep.span(w).1 == 0).count();
             println!("kernel        {}", rep.stub.name);
             println!(
                 "grid          {} CTAs x {} warps",
@@ -103,6 +104,7 @@ fn run() -> Result<(), String> {
             println!("memory ops    {mem_ops} ({lineless} without lines)");
             println!("line pool     {} entries", rep.pool().len());
             println!("repeats       {} records", format::repeat_records(&rep));
+            println!("decoded       {} bytes", rep.heap_bytes());
             Ok(())
         }
         "selftest" => {
