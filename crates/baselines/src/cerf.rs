@@ -13,35 +13,26 @@
 //!   same banks, roughly doubling bank conflicts (Figure 16: +52.4 % vs the
 //!   baseline against Linebacker's +29.1 %).
 //!
-//! The register-resident cache's tags are one set-major slab, as
-//! [`TagArray`]'s are: way `w` of set `s` lives at `s * 32 + w`, so a set is
-//! one contiguous stripe and the store is a single allocation.
-//!
-//! [`TagArray`]: gpu_sim::cache::TagArray
+//! The register-resident cache's tags are a [`TagArray`]: one set-major
+//! slab of 48 recency-ordered stripes of 32 ways. CERF adds only its
+//! capacity rule on top.
 
+use gpu_sim::cache::TagArray;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::policy::{MissService, PolicyCtx, PolicyFactory, SmPolicy, WindowInfo};
-use gpu_sim::types::{Cycle, LineAddr, LoadId, Pc, RegNum};
+use gpu_sim::types::{LineAddr, LoadId, Pc, RegNum};
 
-/// One way of the register-resident cache.
-#[derive(Debug, Clone, Copy, Default)]
-struct CerfWay {
-    valid: bool,
-    line: LineAddr,
-    last_use: Cycle,
-}
+#[cfg(test)]
+mod reference;
 
 /// CERF for one SM.
 #[derive(Debug)]
 pub struct CerfPolicy {
-    /// 48-set, 32-way tag store over the unified space, set-major: way `w`
-    /// of set `s` is `ways[s * CERF_WAYS + w]`.
-    ways: Vec<CerfWay>,
+    /// 48-set, 32-way tag store over the unified space.
+    tags: TagArray<()>,
     /// Maximum lines the register-resident cache may hold (recomputed each
     /// window from idle + rarely-used register space).
     capacity: u32,
-    occupancy: u32,
-    tick: Cycle,
     access_latency: u32,
     /// Fraction of *live* registers treated as rarely-accessed and usable as
     /// cache (CERF's register-liveness analysis).
@@ -50,17 +41,15 @@ pub struct CerfPolicy {
 }
 
 const CERF_SETS: u32 = 48;
-const CERF_WAYS: usize = 32;
+const CERF_WAYS: u32 = 32;
 
 impl CerfPolicy {
     /// Creates CERF. `access_latency` is the extra latency of a hit in the
     /// register-resident cache beyond an L1 hit.
     pub fn new(_gpu: &GpuConfig) -> Self {
         CerfPolicy {
-            ways: vec![CerfWay::default(); CERF_SETS as usize * CERF_WAYS],
+            tags: TagArray::new(CERF_SETS, CERF_WAYS),
             capacity: 0,
-            occupancy: 0,
-            tick: 0,
             access_latency: 22,
             rare_fraction: 0.0,
             reg_hits: 0,
@@ -77,13 +66,6 @@ impl CerfPolicy {
         self.reg_hits
     }
 
-    /// Slab range of the ways of `line`'s set. A range rather than a
-    /// slice, so the counters stay borrowable beside the stripe.
-    fn stripe(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let start = (line.0 % CERF_SETS as u64) as usize * CERF_WAYS;
-        start..start + CERF_WAYS
-    }
-
     /// A pseudo register number for bank-conflict modelling: CERF spreads
     /// cached lines over the whole unified register file.
     fn pseudo_rn(&self, line: LineAddr) -> RegNum {
@@ -91,54 +73,27 @@ impl CerfPolicy {
     }
 
     fn lookup(&mut self, line: LineAddr) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.stripe(line);
-        for w in &mut self.ways[set] {
-            if w.valid && w.line == line {
-                w.last_use = tick;
-                return true;
-            }
-        }
-        false
+        self.tags.probe(line).is_some()
     }
 
+    /// Caches `line` unless it is present or there is no room. Under
+    /// capacity a line fills its set (a full set evicts its LRU line); at
+    /// capacity it can only replace its set's LRU line, so a line of an
+    /// empty set is dropped.
     fn insert(&mut self, line: LineAddr) -> bool {
-        if self.capacity == 0 {
+        if self.capacity == 0 || self.tags.peek(line).is_some() {
             return false;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.stripe(line);
-        if self.ways[set.clone()].iter().any(|w| w.valid && w.line == line) {
-            return false;
-        }
-        // Free way while under capacity; otherwise evict set-LRU.
-        if self.occupancy < self.capacity {
-            if let Some(w) = self.ways[set.clone()].iter_mut().find(|w| !w.valid) {
-                *w = CerfWay { valid: true, line, last_use: tick };
-                self.occupancy += 1;
-                return true;
-            }
-        }
-        let victim = self.ways[set].iter_mut().filter(|w| w.valid).min_by_key(|w| w.last_use);
-        match victim {
-            Some(w) => {
-                *w = CerfWay { valid: true, line, last_use: tick };
-                true
-            }
-            None => false,
+        if self.tags.occupancy() < self.capacity as usize {
+            self.tags.fill(line, ());
+            true
+        } else {
+            self.tags.replace_lru(line, ()).is_some()
         }
     }
 
     fn invalidate(&mut self, line: LineAddr) {
-        let set = self.stripe(line);
-        for w in &mut self.ways[set] {
-            if w.valid && w.line == line {
-                w.valid = false;
-                self.occupancy = self.occupancy.saturating_sub(1);
-            }
-        }
+        self.tags.invalidate(line);
     }
 }
 
@@ -213,6 +168,8 @@ mod tests {
     use gpu_sim::regfile::RegFile;
     use gpu_sim::stats::SimStats;
     use gpu_sim::types::SmId;
+    use reference::RefCerfStore;
+    use testkit::check;
 
     fn prepared() -> (CerfPolicy, RegFile, SimStats) {
         let mut p = CerfPolicy::new(&GpuConfig::default());
@@ -303,16 +260,18 @@ mod tests {
     fn capacity_bounds_occupancy() {
         let (mut p, mut rf, mut st) = prepared();
         p.capacity = 4;
-        p.occupancy = 0;
         let mut ctx = PolicyCtx { cycle: 0, sm: SmId(0), regfile: &mut rf, stats: &mut st };
-        // Insert lines mapping to distinct sets.
+        // Insert lines mapping to distinct sets: the first four fill, and
+        // the rest are rejected, since at capacity a line may only replace
+        // a line of its own set and these sets are empty.
         for i in 0..10u64 {
-            p.on_evict(LineAddr(i), 0, &mut ctx);
+            assert_eq!(p.on_evict(LineAddr(i), 0, &mut ctx), i < 4, "line {i}");
         }
-        assert!(p.occupancy <= 10);
-        // Lines beyond capacity in *new* sets are rejected; same-set LRU
-        // replacement still works.
-        assert!(p.occupancy >= 4);
+        assert_eq!(p.tags.occupancy(), 4);
+        // Same-set LRU replacement still works at capacity.
+        assert!(p.on_evict(line_in(0, 1), 0, &mut ctx));
+        assert_eq!(p.tags.occupancy(), 4);
+        assert!(!p.lookup(LineAddr(0)), "line 0 was its set's LRU line");
     }
 
     /// The `n`-th line (from 0) mapping to `set`.
@@ -323,7 +282,7 @@ mod tests {
     #[test]
     fn overfilling_a_set_never_evicts_a_neighbouring_set() {
         let (mut p, _, _) = prepared();
-        let ways = CERF_WAYS as u64;
+        let ways = u64::from(CERF_WAYS);
         // In the slab, sets 0 and 2 flank set 1, and set 46 precedes the
         // last set, 47.
         let (flanks, overfilled) = ([0, 2, 46], [1, 47]);
@@ -348,6 +307,41 @@ mod tests {
                 assert_eq!(p.lookup(line_in(set, n)), n >= 8, "set {set}, line {n}");
             }
         }
-        assert_eq!(p.occupancy, 5 * CERF_WAYS as u32);
+        assert_eq!(p.tags.occupancy(), 5 * CERF_WAYS as usize);
+    }
+
+    #[test]
+    fn store_footprint() {
+        // 48 x 32 lines of 8 bytes, plus one length byte per set.
+        assert_eq!(CerfPolicy::new(&GpuConfig::default()).tags.heap_bytes(), 12_336);
+    }
+
+    /// Random insertions, lookups and store invalidations under a
+    /// capacity that changes as windows would change it give the same
+    /// answers and occupancy as the frozen stamp-per-way store.
+    #[test]
+    fn matches_reference() {
+        check("cerf_matches_reference", |r| {
+            let mut p = CerfPolicy::new(&GpuConfig::default());
+            let mut old = RefCerfStore::new();
+            let sets = *r.pick(&[1, 2, 5, u64::from(CERF_SETS)]);
+            let per_set = r.range_u64(1, 3 * u64::from(CERF_WAYS));
+            for step in 0..r.range_usize(1, 1_500) {
+                let line = line_in(r.range_u64(0, sets), r.range_u64(0, per_set));
+                match r.range_u32(0, 20) {
+                    0..=8 => assert_eq!(p.insert(line), old.insert(line), "insert {step}"),
+                    9..=15 => assert_eq!(p.lookup(line), old.lookup(line), "lookup {step}"),
+                    16..=18 => {
+                        p.invalidate(line);
+                        old.invalidate(line);
+                    }
+                    _ => {
+                        let capacity = *r.pick(&[0, 1, 4, 31, 32, 100, 1_536, 2_048]);
+                        (p.capacity, old.capacity) = (capacity, capacity);
+                    }
+                }
+                assert_eq!(p.tags.occupancy(), old.occupancy as usize, "occupancy at step {step}");
+            }
+        });
     }
 }

@@ -24,6 +24,23 @@ use testkit::bench;
 const OPS: u64 = 100_000;
 const ITERS: u32 = 10;
 
+/// Probe-then-fill over `lines` distinct lines cycled in order through an
+/// `n_sets` x `assoc` array without payloads, as the L2 and CERF keep them:
+/// a mix of hits (recency moves) and evictions.
+fn bench_tag_array_at(name: &str, n_sets: u32, assoc: u32, lines: u64) {
+    let mut t: TagArray<()> = TagArray::new(n_sets, assoc);
+    let mut i = 0u64;
+    bench(name, ITERS, || {
+        for _ in 0..OPS {
+            i += 1;
+            let line = LineAddr(i.wrapping_mul(0x9E37_79B9) % lines);
+            if t.probe(black_box(line)).is_none() {
+                t.fill(line, ());
+            }
+        }
+    });
+}
+
 fn bench_tag_array() {
     let mut t: TagArray<u8> = TagArray::new(48, 8);
     let mut i = 0u64;
@@ -36,6 +53,10 @@ fn bench_tag_array() {
             }
         }
     });
+    // Table 1's L2 (2048 x 8) over a working set 1.5x its 16,384 lines, and
+    // CERF's 48 x 32 store over 2,048 lines (1.33x its 1,536).
+    bench_tag_array_at("tag_array_l2_2048x8_100k", 2048, 8, 24_576);
+    bench_tag_array_at("tag_array_cerf_48x32_100k", 48, 32, 2_048);
 }
 
 fn bench_mshr() {
@@ -48,6 +69,23 @@ fn bench_mshr() {
             m.allocate(black_box(line), i);
             if i.is_multiple_of(4) {
                 m.complete(line);
+            }
+        }
+    });
+    // Deep merges: 16 lines in flight, each collecting 32 waiters before
+    // it completes (an L2 file serving every SM's miss on a hot line).
+    let mut m = MshrFile::new(256);
+    let mut out = Vec::new();
+    let mut i = 0u64;
+    bench("mshr_deep_merge_100k", ITERS, || {
+        for _ in 0..OPS / 512 {
+            for w in 0..512u64 {
+                i += 1;
+                m.allocate(black_box(LineAddr(w % 16)), i);
+            }
+            for line in 0..16 {
+                m.complete_into(LineAddr(line), &mut out);
+                black_box(out.len());
             }
         }
     });
@@ -107,6 +145,22 @@ fn bench_vtt() {
             i += 1;
             v.insert(LineAddr(i % 400));
             black_box(v.lookup(LineAddr((i * 3) % 400)));
+        }
+    });
+    // All 8 four-way partitions active, and 3,000 lines against 1,536
+    // ways: lookups scan every partition and insertions evict by LRU.
+    let mut v = Vtt::new(&LbConfig::default());
+    v.set_tag_only(false);
+    v.refresh_partitions(511);
+    assert_eq!(v.active_vps(), 8);
+    let mut i = 0u64;
+    bench("vtt_8vp_evicting_100k", ITERS, || {
+        for _ in 0..OPS {
+            i += 1;
+            let line = LineAddr(i.wrapping_mul(0x9E37_79B9) % 3_000);
+            if v.lookup(black_box(line)).is_none() {
+                v.insert(line);
+            }
         }
     });
 }

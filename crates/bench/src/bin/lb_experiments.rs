@@ -126,6 +126,10 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
+    if let Err(e) = scale.config().validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
     if let Some(n) = partitions {
         if let Err(e) = scale.config().check_mem_partitions(n) {
             eprintln!("--partitions: {e}");

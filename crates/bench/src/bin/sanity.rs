@@ -100,6 +100,10 @@ fn main() {
         }
         cfg = cfg.with_mem_partitions(n);
     }
+    if let Err(e) = cfg.validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
     if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir).expect("create trace dir");
     }

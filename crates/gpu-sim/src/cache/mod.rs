@@ -4,6 +4,8 @@
 pub mod l1;
 pub mod l2;
 pub mod mshr;
+#[cfg(test)]
+mod reference;
 pub mod tag_array;
 
 pub use l1::{L1Cache, L1Lookup, LineMeta};

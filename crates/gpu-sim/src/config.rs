@@ -166,11 +166,11 @@ impl GpuConfig {
     }
 
     /// Returns a copy with a different SM count (used by the scaled-down
-    /// experiment harness; the workload is homogeneous across SMs).
+    /// experiment harness; the workload is homogeneous across SMs). Zero
+    /// SMs is an error [`GpuConfig::validate`] reports.
     pub fn with_sms(mut self, n: u32) -> Self {
-        assert!(n > 0, "GPU must have at least one SM");
         // Keep per-SM DRAM bandwidth constant when scaling the SM count.
-        let per_sm = self.dram.bandwidth_bytes_per_sec / self.n_sms as u64;
+        let per_sm = self.dram.bandwidth_bytes_per_sec / u64::from(self.n_sms.max(1));
         self.dram.bandwidth_bytes_per_sec = per_sm * n as u64;
         self.n_sms = n;
         self
@@ -178,7 +178,6 @@ impl GpuConfig {
 
     /// Returns a copy with a different monitoring-window length and cycle cap.
     pub fn with_windows(mut self, window_cycles: u64, max_cycles: u64) -> Self {
-        assert!(window_cycles > 0);
         self.window_cycles = window_cycles;
         self.max_cycles = max_cycles;
         self
@@ -187,9 +186,30 @@ impl GpuConfig {
     /// Returns a copy with an explicit interconnect bandwidth (messages per
     /// cycle per direction), overriding the SM-count-derived default.
     pub fn with_icnt_bw(mut self, per_cycle: u32) -> Self {
-        assert!(per_cycle > 0, "interconnect bandwidth must be positive");
         self.icnt_bw = Some(per_cycle);
         self
+    }
+
+    /// Checks the whole configuration: at least one SM, a nonzero window
+    /// length and interconnect bandwidth, L1 and L2 geometries a
+    /// [`TagArray`](crate::cache::TagArray) can hold (see
+    /// [`CacheConfig::check`]) and a memory-partition count that splits the
+    /// memory system ([`GpuConfig::check_mem_partitions`]). `Gpu::new`
+    /// panics through it; the harness binaries call it after parsing their
+    /// flags and exit 2 with its message.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_sms == 0 {
+            return Err("GPU must have at least one SM".into());
+        }
+        if self.window_cycles == 0 {
+            return Err("monitoring window must be at least one cycle".into());
+        }
+        if self.icnt_bw == Some(0) {
+            return Err("interconnect bandwidth must be positive".into());
+        }
+        self.l1.check("L1")?;
+        self.l2.check("L2")?;
+        self.check_mem_partitions(self.n_mem_partitions)
     }
 
     /// Checks that the memory subsystem splits into `n` partitions: `n` is
@@ -288,18 +308,36 @@ impl CacheConfig {
         CacheConfig { size_bytes: 2048 * 1024, assoc: 8, line_bytes: LINE_BYTES, mshrs: 256 }
     }
 
+    /// Checks the geometry of the cache named `name`: whole sets of
+    /// `assoc` lines, at least one of them, at most
+    /// [`MAX_ASSOC`](crate::cache::tag_array::MAX_ASSOC) ways (a set's
+    /// resident count is one byte) and at most
+    /// [`MAX_LINES`](crate::cache::tag_array::MAX_LINES) lines.
+    pub fn check(&self, name: &str) -> Result<(), String> {
+        use crate::cache::tag_array::{MAX_ASSOC, MAX_LINES};
+        let set_bytes = u64::from(self.assoc) * self.line_bytes;
+        if set_bytes == 0 || self.size_bytes == 0 || !self.size_bytes.is_multiple_of(set_bytes) {
+            return Err(format!("{name}: geometry must divide evenly into whole sets"));
+        }
+        if self.assoc > MAX_ASSOC {
+            return Err(format!("{name}: associativity {} exceeds {MAX_ASSOC} ways", self.assoc));
+        }
+        if self.size_bytes / self.line_bytes > MAX_LINES {
+            return Err(format!("{name}: more than {MAX_LINES} lines"));
+        }
+        Ok(())
+    }
+
     /// Number of sets implied by size/associativity/line size.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly.
+    /// Panics when [`CacheConfig::check`] rejects the geometry.
     pub fn n_sets(&self) -> u32 {
-        let denom = self.assoc as u64 * self.line_bytes;
-        assert!(
-            denom > 0 && self.size_bytes.is_multiple_of(denom),
-            "cache geometry must divide evenly"
-        );
-        (self.size_bytes / denom) as u32
+        if let Err(e) = self.check("cache") {
+            panic!("{e}");
+        }
+        (self.size_bytes / (u64::from(self.assoc) * self.line_bytes)) as u32
     }
 
     /// Total number of lines the cache can hold.
@@ -435,9 +473,84 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one SM")]
-    fn with_sms_zero_panics() {
-        let _ = GpuConfig::default().with_sms(0);
+    fn validate_accepts_table1_and_the_harness_machines() {
+        for cfg in [
+            GpuConfig::default(),
+            GpuConfig::default().with_sms(1).with_windows(6_000, 150_000),
+            GpuConfig::default().with_sms(4).with_icnt_bw(3).with_mem_partitions(8),
+            GpuConfig::default().with_l1_size(16 * 1024),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+    }
+
+    /// `validate` rejects `cfg` with an error naming `want`.
+    fn rejects(cfg: GpuConfig, want: &str) {
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains(want), "{err:?} does not name {want:?}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_sms() {
+        rejects(GpuConfig::default().with_sms(0), "GPU must have at least one SM");
+        // Scaling from zero SMs back up is well defined.
+        assert_eq!(GpuConfig::default().with_sms(0).with_sms(2).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_window() {
+        rejects(GpuConfig::default().with_windows(0, 1_000), "window must be at least one cycle");
+    }
+
+    #[test]
+    fn validate_rejects_zero_interconnect_bandwidth() {
+        rejects(GpuConfig::default().with_icnt_bw(0), "interconnect bandwidth must be positive");
+    }
+
+    #[test]
+    fn validate_rejects_cache_geometries_that_do_not_divide() {
+        let mut c = GpuConfig::default();
+        c.l1.size_bytes = 1_000;
+        rejects(c.clone(), "L1: geometry must divide evenly into whole sets");
+        c.l1 = CacheConfig::l1_default();
+        c.l2.assoc = 0;
+        rejects(c.clone(), "L2: geometry must divide evenly");
+        c.l2 = CacheConfig::l2_default();
+        c.l2.size_bytes = 0;
+        rejects(c, "L2: geometry must divide evenly");
+    }
+
+    #[test]
+    fn validate_rejects_associativity_beyond_a_length_byte() {
+        let l1 = CacheConfig { size_bytes: 256 * 128, assoc: 256, ..CacheConfig::l1_default() };
+        let mut c = GpuConfig { l1, ..GpuConfig::default() };
+        rejects(c.clone(), "L1: associativity 256 exceeds 255 ways");
+        c.l1.assoc = 255;
+        c.l1.size_bytes = 255 * 128;
+        assert_eq!(c.validate(), Ok(()), "a fully associative 255-way L1 fits");
+    }
+
+    #[test]
+    fn validate_rejects_more_lines_than_a_u32_counts() {
+        let mut c = GpuConfig::default();
+        c.l2.size_bytes = (1 << 32) * 128;
+        rejects(c.clone(), "L2: more than 4294967295 lines");
+        c.l2.size_bytes = ((1 << 32) - 8) * 128;
+        assert_eq!(c.l2.check("L2"), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_partition_count_the_memory_cannot_split() {
+        let mut c = GpuConfig { n_mem_partitions: 3, ..GpuConfig::default() };
+        rejects(c.clone(), "partition count must be a power of two, got 3");
+        c.n_mem_partitions = 64;
+        rejects(c, "DRAM banks must split evenly across 64 channels");
+    }
+
+    #[test]
+    #[should_panic(expected = "cache: geometry must divide evenly into whole sets")]
+    fn n_sets_panics_through_the_geometry_check() {
+        let _ = CacheConfig { size_bytes: 1_000, ..CacheConfig::l1_default() }.n_sets();
     }
 
     #[test]

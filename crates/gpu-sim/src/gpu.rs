@@ -124,6 +124,10 @@ impl Gpu {
     /// Shared builder behind the synthetic, replay and capture frontends.
     /// `replay` installs per-warp streams on every SM before the initial
     /// dispatch; `capture` arms every SM to record the warps it launches.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`GpuConfig::validate`] rejects `cfg`.
     fn new_inner(
         cfg: GpuConfig,
         kernel: KernelSpec,
@@ -132,6 +136,9 @@ impl Gpu {
         factory: &PolicyFactory<'_>,
         tracer: Tracer,
     ) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid GPU configuration: {e}");
+        }
         let sms = (0..cfg.n_sms)
             .map(|i| {
                 let policy: Box<dyn SmPolicy> = factory(SmId(i), &cfg, &kernel);
@@ -973,6 +980,12 @@ mod tests {
             .iterations(300)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid GPU configuration: GPU must have at least one SM")]
+    fn construction_panics_through_validate() {
+        let _ = Gpu::new(fast_cfg().with_sms(0), cache_friendly_kernel(), &baseline_factory());
     }
 
     #[test]

@@ -171,6 +171,12 @@ impl From<std::io::Error> for ReplayError {
 /// [`ReplayError`] terms so decode failures carry a byte offset.
 #[inline]
 fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, ReplayError> {
+    // Most values (record heads, run counts, small line deltas) fit one
+    // byte: read those in one branch.
+    if let Some(&b) = buf.get(*pos).filter(|&&b| b < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(b));
+    }
     let start = *pos;
     let mut v = 0u64;
     let mut shift = 0;

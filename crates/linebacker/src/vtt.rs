@@ -16,9 +16,14 @@
 //!
 //! The tag store is one partition-major slab, as [`TagArray`]'s is set-major:
 //! way `Y` of set `X` in partition `N` lives at `(N * sets + X) * ways + Y`,
-//! the same order Equation 2 numbers the backing registers in. A set's ways
-//! in one partition are one contiguous stripe, and a partition is one
-//! contiguous range, so flushing it is a single `fill`.
+//! the same order Equation 2 numbers the backing registers in. Unlike a
+//! `TagArray` stripe, a way here never moves, because its position is its
+//! register. A way is 16 bytes in two parallel arrays: its line, and one
+//! state word holding its LRU stamp with the valid and invalidated bits
+//! folded in. A lookup scans only lines and reads a state word only on a
+//! tag match. A set's ways in one partition are one contiguous stripe,
+//! and a partition is one contiguous range, so flushing it is a single
+//! `fill` of its state words.
 //!
 //! [`TagArray`]: gpu_sim::cache::TagArray
 
@@ -26,15 +31,21 @@ use gpu_sim::types::{Cycle, LineAddr, RegNum};
 
 use crate::config::LbConfig;
 
-/// One way of a VTT set.
-#[derive(Debug, Clone, Copy, Default)]
-struct VttWay {
-    valid: bool,
-    /// Tag present but its data was invalidated by a store; the slot is
-    /// reused in priority (paper §4 "Delay Considerations" store policy).
-    invalidated: bool,
-    line: LineAddr,
-    last_use: Cycle,
+#[cfg(test)]
+mod reference;
+
+/// State-word bit: the way holds a tag.
+const VALID: u64 = 1 << 63;
+/// State-word bit: the tag's data was invalidated by a store; the slot is
+/// reused in priority (paper §4 "Delay Considerations" store policy).
+const INVALIDATED: u64 = 1 << 62;
+/// State-word bits of the LRU stamp (the VTT's access tick).
+const STAMP: u64 = INVALIDATED - 1;
+
+/// Does state word `state` hold a tag whose data is still preserved?
+#[inline]
+fn live(state: u64) -> bool {
+    state & (VALID | INVALIDATED) == VALID
 }
 
 /// Result of a VTT lookup.
@@ -51,9 +62,13 @@ pub struct VttHit {
 #[derive(Debug)]
 pub struct Vtt {
     cfg: LbConfig,
-    /// Every partition's ways in one slab: way `way` of set `set` in
-    /// partition `vp` is `ways[(vp * vtt_sets + set) * vp_assoc + way]`.
-    ways: Vec<VttWay>,
+    /// Every partition's lines in one slab: way `way` of set `set` in
+    /// partition `vp` is `lines[(vp * vtt_sets + set) * vp_assoc + way]`.
+    /// An empty way's line is stale and never matched alone.
+    lines: Vec<LineAddr>,
+    /// State word of each way, parallel to `lines`: `VALID`, `INVALIDATED`
+    /// and the stamp of its last insertion or hit. An empty way's is 0.
+    states: Vec<u64>,
     /// Partitions currently backed by idle register space (count, starting
     /// at `first_active`).
     active_vps: u32,
@@ -72,9 +87,11 @@ pub struct Vtt {
 impl Vtt {
     /// Creates the VTT with every partition present but none active.
     pub fn new(cfg: &LbConfig) -> Self {
+        let ways = (cfg.max_vps() * cfg.entries_per_vp()) as usize;
         Vtt {
             cfg: cfg.clone(),
-            ways: vec![VttWay::default(); (cfg.max_vps() * cfg.entries_per_vp()) as usize],
+            lines: vec![LineAddr(0); ways],
+            states: vec![0; ways],
             active_vps: 0,
             first_active: cfg.max_vps(),
             tag_only: true,
@@ -107,7 +124,7 @@ impl Vtt {
             self.tag_only = tag_only;
             // Mode change discards all contents: monitoring tags carry no
             // data, and stale tags must not produce false data hits.
-            self.flush_all();
+            self.states.fill(0);
         }
     }
 
@@ -134,45 +151,19 @@ impl Vtt {
     /// number (`min_free_rn`): partition `n` is active iff its whole RN range
     /// lies at or above `min_free_rn`. Deactivated partitions are flushed.
     pub fn refresh_partitions(&mut self, min_free_rn: u32) {
-        for vp in 0..self.cfg.max_vps() {
-            if self.vp_first_rn(vp).0 >= min_free_rn {
-                // Partitions activate only as a contiguous prefix-from-here
-                // region; since RN ranges ascend with vp, once one is free
-                // the rest are too.
-                let active = self.cfg.max_vps() - vp;
-                // Flush everything below (now owned by live registers).
-                for dead in 0..vp {
-                    self.flush_vp(dead);
-                }
-                // Re-index: partitions below `vp` are inactive. We keep the
-                // simple model "active partitions are vp..max". To preserve
-                // the sequential-search order semantics we instead treat the
-                // *count* of active partitions; lookups scan only active
-                // ones starting at `first_active`.
-                self.first_active = vp;
-                self.active_vps = active;
-                return;
-            }
-        }
-        for vp in 0..self.cfg.max_vps() {
-            self.flush_vp(vp);
-        }
-        self.first_active = self.cfg.max_vps();
-        self.active_vps = 0;
-    }
-
-    fn flush_vp(&mut self, vp: u32) {
+        // RN ranges ascend with vp, so once one partition is free the rest
+        // are too: the active partitions are `first..max`, and lookups scan
+        // them in order from `first_active`.
+        let max = self.cfg.max_vps();
+        let first = (0..max).find(|&vp| self.vp_first_rn(vp).0 >= min_free_rn).unwrap_or(max);
+        // Flush everything below (now owned by live registers).
         let per_vp = self.cfg.entries_per_vp() as usize;
-        let start = vp as usize * per_vp;
-        self.ways[start..start + per_vp].fill(VttWay::default());
+        self.states[..first as usize * per_vp].fill(0);
+        self.first_active = first;
+        self.active_vps = max - first;
     }
 
-    fn flush_all(&mut self) {
-        self.ways.fill(VttWay::default());
-    }
-
-    /// Slab range of the ways of `set` in partition `vp`. A range rather
-    /// than a slice, so the counters stay borrowable beside the stripe.
+    /// Slab range of the ways of `set` in partition `vp`.
     #[inline]
     fn stripe(&self, vp: u32, set: usize) -> std::ops::Range<usize> {
         let assoc = self.cfg.vp_assoc as usize;
@@ -192,32 +183,44 @@ impl Vtt {
         }
     }
 
+    /// The first way, in search order, of `line`'s set that holds `line`
+    /// with a state word `accept` admits: `(vp, way, slab index)`.
+    fn find(&self, line: LineAddr, accept: impl Fn(u64) -> bool) -> Option<(u32, u32, usize)> {
+        let set = self.set_index(line);
+        for vp in self.search_range() {
+            let stripe = self.stripe(vp, set);
+            let start = stripe.start;
+            for (w, &l) in self.lines[stripe].iter().enumerate() {
+                if l == line && accept(self.states[start + w]) {
+                    return Some((vp, w as u32, start + w));
+                }
+            }
+        }
+        None
+    }
+
+    /// Stamps way `slot` as holding a live tag, used now.
+    fn touch(&mut self, slot: usize) {
+        debug_assert!(self.tick <= STAMP, "VTT stamp overflow");
+        self.states[slot] = VALID | self.tick;
+    }
+
     /// Looks up `line`. On a hit returns the matching partition (for search
     /// latency) and the backing register; updates LRU.
     pub fn lookup(&mut self, line: LineAddr) -> Option<VttHit> {
         self.tick += 1;
-        let set = self.set_index(line);
-        let range = self.search_range();
-        let first = range.start;
-        for vp in range {
-            let stripe = self.stripe(vp, set);
-            for (w, way) in self.ways[stripe].iter_mut().enumerate() {
-                if way.valid && !way.invalidated && way.line == line {
-                    way.last_use = self.tick;
-                    self.hits += 1;
-                    return Some(VttHit {
-                        vp: vp - first,
-                        rn: self.cfg_reg(vp, set as u32, w as u32),
-                    });
-                }
+        match self.find(line, live) {
+            Some((vp, w, slot)) => {
+                self.touch(slot);
+                self.hits += 1;
+                let set = self.set_index(line) as u32;
+                Some(VttHit { vp: vp - self.search_range().start, rn: self.reg_of(vp, set, w) })
+            }
+            None => {
+                self.misses += 1;
+                None
             }
         }
-        self.misses += 1;
-        None
-    }
-
-    fn cfg_reg(&self, vp: u32, set: u32, way: u32) -> RegNum {
-        self.reg_of(vp, set, way)
     }
 
     /// Inserts the tag (and, in data mode, implicitly the line data) of an
@@ -231,66 +234,48 @@ impl Vtt {
             return None;
         }
         self.tick += 1;
-        let tick = self.tick;
+        // Already present (even if invalidated)? Refresh it.
+        if let Some((_, _, slot)) = self.find(line, |state| state & VALID != 0) {
+            self.touch(slot);
+            return None;
+        }
+        // Priority 1: the first invalidated or empty slot; otherwise
+        // priority 2: the global LRU across the set's active ways, the
+        // first in search order among equals. Every way is live by then,
+        // so comparing state words compares stamps.
         let set = self.set_index(line);
-
-        // Already present? Refresh it.
-        for vp in range.clone() {
+        let mut victim: Option<(u32, u32, u64)> = None;
+        'scan: for vp in range {
             let stripe = self.stripe(vp, set);
-            for way in &mut self.ways[stripe] {
-                if way.valid && way.line == line {
-                    way.last_use = tick;
-                    way.invalidated = false;
-                    return None;
+            for (w, &state) in self.states[stripe].iter().enumerate() {
+                if !live(state) {
+                    victim = Some((vp, w as u32, 0));
+                    break 'scan;
                 }
-            }
-        }
-
-        // Priority 1: an invalidated or empty slot.
-        for vp in range.clone() {
-            let stripe = self.stripe(vp, set);
-            for (w, way) in self.ways[stripe].iter_mut().enumerate() {
-                if !way.valid || way.invalidated {
-                    *way = VttWay { valid: true, invalidated: false, line, last_use: tick };
-                    self.insertions += 1;
-                    return Some(self.cfg_reg(vp, set as u32, w as u32));
-                }
-            }
-        }
-
-        // Priority 2: global LRU across the set's active ways.
-        let mut victim: Option<(u32, u32, Cycle)> = None;
-        for vp in range {
-            for (w, way) in self.ways[self.stripe(vp, set)].iter().enumerate() {
-                let lu = way.last_use;
-                if victim.map(|(_, _, best)| lu < best).unwrap_or(true) {
-                    victim = Some((vp, w as u32, lu));
+                if victim.is_none_or(|(_, _, best)| state < best) {
+                    victim = Some((vp, w as u32, state));
                 }
             }
         }
         let (vp, w, _) = victim.expect("nonempty range has ways");
         let slot = self.stripe(vp, set).start + w as usize;
-        self.ways[slot] = VttWay { valid: true, invalidated: false, line, last_use: tick };
+        self.lines[slot] = line;
+        self.touch(slot);
         self.insertions += 1;
-        Some(self.cfg_reg(vp, set as u32, w))
+        Some(self.reg_of(vp, set as u32, w))
     }
 
     /// A store wrote `line`: invalidate any preserved copy (victim data is
     /// never dirty). Returns true if a copy existed.
     pub fn invalidate_store(&mut self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
-        let range = self.search_range();
-        for vp in range {
-            let stripe = self.stripe(vp, set);
-            for way in &mut self.ways[stripe] {
-                if way.valid && !way.invalidated && way.line == line {
-                    way.invalidated = true;
-                    self.store_invalidations += 1;
-                    return true;
-                }
+        match self.find(line, live) {
+            Some((_, _, slot)) => {
+                self.states[slot] |= INVALIDATED;
+                self.store_invalidations += 1;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// (hits, misses, insertions, store invalidations).
@@ -300,18 +285,26 @@ impl Vtt {
 
     /// Valid, non-invalidated entries currently held.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid && !w.invalidated).count()
+        self.states.iter().filter(|&&state| live(state)).count()
     }
 
     /// Index of the first active partition.
     pub fn first_active(&self) -> u32 {
         self.first_active
     }
+
+    /// Bytes the tag store holds: 16 per way, its line and its state word.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.lines[..]) + size_of_val(&self.states[..])
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefVtt;
     use super::*;
+    use testkit::check_n;
 
     fn data_vtt(active_from_rn: u32) -> Vtt {
         let mut v = Vtt::new(&LbConfig::default());
@@ -502,5 +495,73 @@ mod tests {
         // Registers reclaimed: only partitions from RN 1500 remain.
         v.refresh_partitions(1500);
         assert!(v.lookup(LineAddr(3)).is_none());
+    }
+
+    #[test]
+    fn table1_footprint_is_16_bytes_per_way() {
+        // 48 sets x 32 ways over 8 four-way partitions.
+        assert_eq!(Vtt::new(&LbConfig::default()).heap_bytes(), 24_576);
+        for assoc in [1, 2, 4, 8, 16, 32] {
+            assert_eq!(Vtt::new(&LbConfig::with_vp_assoc(assoc)).heap_bytes(), 48 * 32 * 16);
+        }
+    }
+
+    /// Random lookups, insertions, store invalidations, partition
+    /// refreshes and mode switches give the same hits, backing registers,
+    /// occupancy and counters as the frozen 24-byte-way reference, at
+    /// every legal partition associativity (Fig. 10 sweeps 1, 4 and 16).
+    #[test]
+    fn matches_reference_at_every_associativity() {
+        for assoc in [1, 2, 4, 8, 16, 32] {
+            check_n(&format!("vtt_matches_reference_{assoc}_way"), 64, |r| {
+                let cfg = LbConfig::with_vp_assoc(assoc);
+                let (mut new, mut old) = (Vtt::new(&cfg), RefVtt::new(&cfg));
+                // Lines of a few sets, so that sets overflow their 32 ways
+                // and evict, but few enough lines per set that some hit.
+                let sets = *r.pick(&[1, 2, 3, u64::from(cfg.vtt_sets)]);
+                let per_set = r.range_u64(1, 64);
+                for step in 0..r.range_usize(1, 800) {
+                    let line = LineAddr(
+                        r.range_u64(0, sets) + u64::from(cfg.vtt_sets) * r.range_u64(0, per_set),
+                    );
+                    match r.range_u32(0, 40) {
+                        0..=14 => assert_eq!(new.lookup(line), old.lookup(line), "lookup {step}"),
+                        15..=32 => assert_eq!(new.insert(line), old.insert(line), "insert {step}"),
+                        33..=37 => assert_eq!(
+                            new.invalidate_store(line),
+                            old.invalidate_store(line),
+                            "store {step}"
+                        ),
+                        38 => {
+                            // A partition boundary, or a register inside a
+                            // partition's range.
+                            let rn = match r.range_u32(0, 3) {
+                                0 => first_rn(&cfg, r.range_u32(0, cfg.max_vps() + 1)),
+                                _ => r.range_u32(0, 2_100),
+                            };
+                            new.refresh_partitions(rn);
+                            old.refresh_partitions(rn);
+                        }
+                        _ => {
+                            let tag_only = r.range_u32(0, 4) == 0;
+                            new.set_tag_only(tag_only);
+                            old.set_tag_only(tag_only);
+                        }
+                    }
+                    assert_eq!(new.occupancy(), old.occupancy(), "occupancy at step {step}");
+                    assert_eq!(new.stats(), old.stats(), "counters at step {step}");
+                    assert_eq!(
+                        (new.active_vps(), new.first_active(), new.victim_regs()),
+                        (old.active_vps(), old.first_active(), old.victim_regs()),
+                    );
+                }
+            });
+        }
+    }
+
+    /// Equation 2's first register of partition `vp` (the end of the file
+    /// for `vp == max_vps`).
+    fn first_rn(cfg: &LbConfig, vp: u32) -> u32 {
+        cfg.rn_offset + vp * cfg.entries_per_vp()
     }
 }
