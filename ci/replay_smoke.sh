@@ -32,7 +32,8 @@
 #                       kind, lineless sparse stores included, one run per
 #                       captured stream, the kernel's line pool, the
 #                       records that repeat a slice of it and the bytes the
-#                       decoded kernel's arrays hold.
+#                       decoded kernel's arrays hold (its record bytes as
+#                       the file codes them, pool, runs, stream starts).
 #
 #   usage: ci/replay_smoke.sh [lb-replay-binary] [lb-experiments-binary] [sanity-binary]
 set -eu
@@ -54,13 +55,15 @@ echo "replay_smoke: info counts every Load/Store op, run and pool line"
 # S1's result store is sparse: 512 of its 2304 memory ops carry no line.
 # Its 128 captured streams are one run each. Warps re-read each other's
 # lines: 522 records repeat a slice of the 1270-line kernel pool. Decoded,
-# each record is one 4-byte word (none spans two lines), each pool line and
-# run 8 bytes, and the two stream bounds 4 bytes per stream and one more:
-# 2304 * 4 + 1270 * 8 + 128 * 8 + 2 * 129 * 4 = 21432.
+# the kernel keeps the file's 5270 record bytes as they are (the 5722-byte
+# file less its header and runs), each pool line and run takes 8 bytes,
+# and each stream start (first run, first record byte, first fresh pool
+# line) 12 bytes, for each stream and one more:
+# 5270 + 1270 * 8 + 128 * 8 + 129 * 12 = 18002.
 "$LBR" info "$CORPUS/s1-reuse.lbw1" > "$T/info.txt"
 for want in "memory ops    2304 (512 without lines)" "runs          128" \
     "line pool     1270 entries" "repeats       522 records" \
-    "decoded       21432 bytes"; do
+    "decoded       18002 bytes"; do
     grep -qx "$want" "$T/info.txt" || {
         echo "replay_smoke: FAIL - info does not print '$want'" >&2
         cat "$T/info.txt" >&2

@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the simulator's hot paths: tag array, MSHRs,
-//! coalescer, register file, DRAM, VTT, Load Monitor, and a full-GPU cycle.
+//! coalescer, register file, DRAM, VTT, Load Monitor, `LBW1` decode, the
+//! replay record cursor, and a full-GPU cycle.
 //!
 //! Timed with the in-tree `testkit::bench` harness (the container has no
 //! crates.io access, so criterion is not available). Each iteration batches
@@ -219,6 +220,39 @@ fn bench_gpu_cycle() {
     });
 }
 
+/// The checked-in `LBW1` corpus: three captured kernels of 7,680 to 9,216
+/// ops each.
+fn corpus() -> Vec<Vec<u8>> {
+    ["bi-mixed", "ge-stream", "s1-reuse"]
+        .iter()
+        .map(|name| std::fs::read(lb_replay::testdata_dir().join(format!("{name}.lbw1"))).unwrap())
+        .collect()
+}
+
+/// Decodes the corpus, as a replay set-up decodes its traces, and walks
+/// every access record of it with a record cursor, as replayed warps read
+/// their memory ops.
+fn bench_replay() {
+    let files = corpus();
+    bench("lbw1_decode_corpus", ITERS, || {
+        for bytes in &files {
+            black_box(lb_replay::decode(black_box(bytes)).unwrap());
+        }
+    });
+    let kernels: Vec<_> = files.iter().map(|b| lb_replay::decode(b).unwrap()).collect();
+    // Records per trip: 2,304 + 1,536 + 2,304.
+    bench("replay_fetch_cursor", ITERS, || {
+        for rep in &kernels {
+            for s in rep.streams() {
+                let (mut cur, end) = (s.cursor(), s.end().byte);
+                while cur.byte < end {
+                    black_box(rep.read_record(&mut cur));
+                }
+            }
+        }
+    });
+}
+
 fn main() {
     bench_tag_array();
     bench_mshr();
@@ -228,5 +262,6 @@ fn main() {
     bench_vtt();
     bench_load_monitor();
     bench_lb_policy_construction();
+    bench_replay();
     bench_gpu_cycle();
 }

@@ -825,18 +825,14 @@ impl Gpu {
         total
     }
 
-    /// Collects the per-warp streams a completed capture run recorded into
-    /// a [`ReplayKernel`] of `stub`. Each SM holds a recorder per warp it
+    /// Takes the per-warp streams a completed capture run recorded out of
+    /// the SMs, in grid order. Each SM holds a recorder per warp it
     /// launched, tagged with the warp's grid-wide stream index, and each
     /// stream executes on exactly one SM, so the merge places every
     /// recorder at its index: O(grid warps) recorders, whatever the SM
     /// count. Fails if the run hit the cycle cap or a stream has no op (its
     /// CTA never launched).
-    fn take_capture(
-        &mut self,
-        stats: &SimStats,
-        stub: KernelSpec,
-    ) -> Result<ReplayKernel, CaptureError> {
+    fn take_capture(&mut self, stats: &SimStats) -> Result<Vec<StreamBuilder>, CaptureError> {
         if !stats.completed {
             return Err(CaptureError::Incomplete { cycles: stats.cycles });
         }
@@ -849,12 +845,11 @@ impl Gpu {
                 *slot = Some(b).filter(|b| !b.is_empty());
             }
         }
-        let streams = merged
+        merged
             .into_iter()
             .enumerate()
             .map(|(stream, s)| s.ok_or(CaptureError::EmptyStream { stream }))
-            .collect::<Result<_, _>>()?;
-        Ok(ReplayKernel::from_streams(stub, streams))
+            .collect()
     }
 }
 
@@ -940,8 +935,10 @@ pub fn capture_kernel(
     let stub = kernel.clone();
     let mut gpu = Gpu::new_inner(cfg, kernel, None, true, factory, Tracer::off());
     let stats = gpu.run();
-    let rep = gpu.take_capture(&stats, stub)?;
-    Ok((stats, rep))
+    let streams = gpu.take_capture(&stats)?;
+    // Code the streams once the GPU's memory is back, not on top of it.
+    drop(gpu);
+    Ok((stats, ReplayKernel::from_streams(stub, streams)))
 }
 
 /// Replays `rep` while re-capturing the executed streams. A faithful replay
@@ -956,8 +953,9 @@ pub fn run_replay_capture(
     let mut gpu =
         Gpu::new_inner(cfg, rep.stub.clone(), Some(Arc::clone(rep)), true, factory, Tracer::off());
     let stats = gpu.run();
-    let recaptured = gpu.take_capture(&stats, rep.stub.clone())?;
-    Ok((stats, recaptured))
+    let streams = gpu.take_capture(&stats)?;
+    drop(gpu);
+    Ok((stats, ReplayKernel::from_streams(rep.stub.clone(), streams)))
 }
 
 #[cfg(test)]

@@ -33,43 +33,53 @@
 //! [`WarpStream::ops`] walks the runs through it and yields the decoded
 //! [`TraceOp`] view, op by op.
 //!
-//! # Kernel-wide arrays
+//! # Kernel layout
 //!
-//! A [`ReplayKernel`] keeps all its streams in six flat arrays: the runs
-//! of every stream back to back, their access records back to back, one
-//! line pool that every record indexes, a table of the multi-line records'
-//! slices, and per stream the offset of its first run and of its first
-//! record. Any record may share pool lines with any earlier one, whichever
-//! stream it belongs to: a decoded `LBW1` trace holds each distinct line
-//! slice once, while capture and import append the lines of every access.
+//! A [`ReplayKernel`] keeps all its streams in four flat arrays: the runs
+//! of every stream back to back; the record bytes of every stream back to
+//! back, exactly as an `LBW1` file codes them; one deduplicated line pool;
+//! and per stream the index of its first run, the offset of its first
+//! record byte and its first fresh pool line (a [`RecordCursor`]).
 //! [`ReplayKernel::stream`] lends one stream out as a [`WarpStream`], a
-//! view whose [`WarpStream::runs`], [`WarpStream::access`] and
+//! view whose [`WarpStream::runs`], [`WarpStream::records`] and
 //! [`WarpStream::ops`] read the arrays in place. Capture and import record
 //! each stream in a [`StreamBuilder`] of its own, and
-//! [`ReplayKernel::from_streams`] lays the finished streams out; the
-//! `LBW1` decoder appends to the arrays directly
-//! ([`ReplayKernel::push_line`], [`ReplayKernel::push_record`],
-//! [`ReplayKernel::push_stream`]).
+//! [`ReplayKernel::from_streams`] codes the finished streams; the `LBW1`
+//! decoder checks and copies a file's stream sections through a
+//! [`KernelReader`]. Both build the same kernel from the same streams, so
+//! a capture equals its own decode.
 //!
-//! # Record words
+//! # Record bytes
 //!
-//! An access record is one `u32` word, read only through
-//! [`ReplayKernel::span`] (its `(line_off, line_len)` pool slice) and
-//! [`ReplayKernel::slice`] (its lines):
+//! Every record of every stream is coded against one kernel-wide line
+//! pool, filled in record order. A record starts with a LEB128 head `h`:
 //!
-//! - a word below 2^31 is the pool index of a one-line access;
-//! - [`LINELESS`] (`u32::MAX`) is an access of no line;
-//! - any other word has its top bit set, and its low 31 bits index the
-//!   multi-line table, whose entry is the `(line_off, line_len)` of an
-//!   access of two or more lines.
+//! - `h = 0`: an access of no line;
+//! - `h = 2·len + 1`: *fresh*, `len` zigzag line deltas follow, and the
+//!   lines are appended to the pool. The first line is coded against the
+//!   first line of the previous non-empty record at the same body position
+//!   (0 before any), each later line against the line before it;
+//! - `h = 2·len`: a *repeat*, `off` follows, and the lines are
+//!   `pool[off .. off + len]` of the pool so far.
 //!
-//! Most accesses name one line or none, so a record costs four bytes where
-//! an offset and a length cost eight. The words bound a kernel to
-//! [`MAX_POOL_LINES`] pool lines, so a one-line word never reaches the tag
-//! bit, and to [`MAX_RECORDS`] records, so a table index never reaches
-//! [`LINELESS`]. The `LBW1` decoder rejects a file that passes either bound
-//! with a typed error; capture and import, which would need 16 GB of lines
-//! to pass them, panic.
+//! `h = 1`, a fresh record of no lines, is malformed. A stream's fresh
+//! records fill one contiguous stretch of the pool, so a reader never needs
+//! the delta bases: a [`RecordCursor`] (the byte offset of the next record
+//! and the stream's next fresh pool line) reads a fresh record's lines at
+//! its pool cursor, skips its deltas and moves both cursors on, and reads a
+//! repeat's lines at `off`. [`ReplayKernel::read_record`] is that step; a
+//! replayed warp keeps its cursor in a slab column, so the SM reads a
+//! record only when the warp issues a memory instruction.
+//!
+//! [`ReplayKernel::from_streams`] writes a record as a repeat when its lines
+//! equal those of a fresh record written before, found in a compact table
+//! (`FreshSlices`) sized from the kernel's record count. Every decision
+//! depends on the records' lines alone, so the bytes are canonical: any
+//! split of the same ops into runs and builders codes the same records.
+//! The cursors bound a kernel to [`MAX_POOL_LINES`] pool lines and
+//! [`MAX_RECORD_BYTES`] record bytes. The decoder rejects a file that
+//! passes either bound with a typed error; capture and import, which would
+//! need tens of GB of lines to pass them, panic.
 //!
 //! # Capture recorders
 //!
@@ -78,54 +88,46 @@
 //! launch order, and a warp-slab column gives each slot the index of its
 //! recorder. The column is not the slab's stream column: when a replay is
 //! re-captured (`lb-replay selftest`), that one holds the replay stream id.
-//! The GPU merges the recorders into grid order at the end of the run, so
-//! capture costs memory in the grid's warps, not in SMs times warps, and a
-//! grid of several dispatch waves records each stream once, on the SM that
-//! ran it.
+//! The GPU merges the recorders into grid order at the end of the run and
+//! is dropped before the streams are coded, so capture costs memory in the
+//! grid's warps, not in SMs times warps, and a grid of several dispatch
+//! waves records each stream once, on the SM that ran it.
 //!
 //! # Checks
 //!
-//! [`ReplayKernel::validate`] and the `LBW1` decoder share two checks. The
-//! run check ([`RunCheck`]) takes each run: it must start inside the body
-//! and hold at least one op, and its memory ops (the access records it
-//! owns) are counted in O(1) from a prefix count of the body's Load/Store
-//! positions. The same prefix count gives each record's body position
-//! ([`RunCheck::mem_indices`]) without walking ALU ops. The record check
-//! ([`check_record`]) takes each access record: at most
-//! [`MAX_LINES_PER_RECORD`] lines, in a slice inside the kernel's pool and
-//! below [`MAX_POOL_LINES`]. Neither walks ops, so a check costs what the
-//! kernel stores, never what it declares: a run of 2^32 - 1 ops is checked
-//! as fast as a run of one.
-//!
-//! A replayed warp's `body_pos` column holds its real body position, as a
-//! synthetic warp's does; its run index, the ops left in that run and its
-//! next access record are slab columns too
-//! ([`WarpSlab::advance_replay`](crate::warp::WarpSlab::advance_replay)),
-//! so the SM reads a record only when the warp issues a memory
-//! instruction.
+//! [`ReplayKernel::validate`] and the `LBW1` decoder share two checks and
+//! one reader. The run check ([`RunCheck`]) takes each run: it must start
+//! inside the body and hold at least one op, and its memory ops (the access
+//! records it owns) are counted in O(1) from a prefix count of the body's
+//! Load/Store positions. The same prefix count gives each record's body
+//! position ([`RunCheck::mem_indices`]) without walking ALU ops. The record
+//! check ([`check_record`]) takes each access record: at most
+//! [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool so far and
+//! below [`MAX_POOL_LINES`]. The reader decodes a stream's record bytes
+//! through both, rebuilding its fresh lines; `validate` compares the
+//! rebuilt pool with the kernel's. Nothing walks ops, so a check costs what
+//! the kernel stores, never what it declares: a run of 2^32 - 1 ops is
+//! checked as fast as a run of one.
 
 use crate::config::GpuConfig;
+use crate::fastmap::FxHasher64;
 use crate::kernel::{InstKind, KernelSpec, StaticInst};
 use crate::types::{Cycle, LineAddr};
+use lb_trace::put_uvarint;
+use std::hash::Hasher;
 
 /// Body length for a [`StreamBuilder`] whose body grows while it records
 /// (import): the most instructions a body may have, so a run can wrap only
 /// at the end of a body that long, where the body walk wraps as well.
 pub const GROWING_BODY: u32 = u32::MAX;
 
-/// Record word of an access that touched no line.
-pub const LINELESS: u32 = u32::MAX;
+/// Most lines a kernel's pool holds: every pool offset, a record cursor's
+/// fresh line included, fits a `u32`.
+pub const MAX_POOL_LINES: u64 = u32::MAX as u64;
 
-/// Tag bit of a record word that indexes the multi-line table.
-const MULTI: u32 = 1 << 31;
-
-/// Most lines a kernel's pool holds: a one-line record's word is its pool
-/// index, which stays below the tag bit.
-pub const MAX_POOL_LINES: u64 = 1 << 31;
-
-/// Most access records a kernel holds: a multi-line record's table index
-/// is below the record count, so its word stays below [`LINELESS`].
-pub const MAX_RECORDS: u64 = (1 << 31) - 1;
+/// Most record bytes a kernel holds: a record cursor's byte offset fits a
+/// `u32`.
+pub const MAX_RECORD_BYTES: u64 = u32::MAX as u64;
 
 /// One dynamic instruction of a warp's replay stream, decoded.
 ///
@@ -152,6 +154,26 @@ pub struct Run {
     pub start: u32,
     /// Number of ops in the run (at least 1).
     pub count: u32,
+}
+
+/// A reader's place in a kernel's record bytes (see the module docs): the
+/// byte offset of the next record and the pool line the next fresh record
+/// starts at.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecordCursor {
+    /// Offset of the next record in the kernel's record bytes.
+    pub byte: u32,
+    /// Pool line of the next fresh record's first line.
+    pub fresh: u32,
+}
+
+/// Where a stream starts in the kernel's arrays.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StreamStart {
+    /// Index of its first run.
+    run: u32,
+    /// Its first record byte and first fresh pool line.
+    records: RecordCursor,
 }
 
 /// The body position after `pos` in a body of `body_len` instructions: the
@@ -191,27 +213,44 @@ impl<'a> WarpStream<'a> {
     /// The runs in issue order.
     #[inline]
     pub fn runs(&self) -> &'a [Run] {
-        let b = &self.rep.run_bounds;
-        &self.rep.runs[b[self.id] as usize..b[self.id + 1] as usize]
+        let s = &self.rep.starts;
+        &self.rep.runs[s[self.id].run as usize..s[self.id + 1].run as usize]
     }
 
-    /// The access records in issue order, as record words (see the module
-    /// docs).
+    /// The cursor at the stream's first record.
     #[inline]
-    fn records(&self) -> &'a [u32] {
-        let b = &self.rep.record_bounds;
-        &self.rep.records[b[self.id] as usize..b[self.id + 1] as usize]
+    pub fn cursor(&self) -> RecordCursor {
+        self.rep.starts[self.id].records
+    }
+
+    /// The cursor past the stream's last record: its record bytes' end and
+    /// the next stream's first fresh pool line.
+    #[inline]
+    pub fn end(&self) -> RecordCursor {
+        self.rep.starts[self.id + 1].records
+    }
+
+    /// The stream's record bytes, as an `LBW1` file codes them.
+    pub fn record_bytes(&self) -> &'a [u8] {
+        &self.rep.bytes[self.cursor().byte as usize..self.end().byte as usize]
+    }
+
+    /// Each access record's `(line_off, line_len)` pool slice, in issue
+    /// order: `(0, 0)` when lineless.
+    pub fn records(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let (rep, mut cur, end) = (self.rep, self.cursor(), self.end().byte);
+        std::iter::from_fn(move || (cur.byte < end).then(|| rep.read_span(&mut cur)))
     }
 
     /// Number of access records (memory ops).
     pub fn n_accesses(&self) -> usize {
-        self.records().len()
+        self.records().count()
     }
 
-    /// The coalesced lines of access record `i`.
-    #[inline]
-    pub fn access(&self, i: u32) -> &'a [LineAddr] {
-        self.rep.slice(self.records()[i as usize])
+    /// The coalesced lines of each access record, in issue order.
+    pub fn accesses(&self) -> impl Iterator<Item = &'a [LineAddr]> + 'a {
+        let rep = self.rep;
+        self.records().map(move |span| rep.pool_slice(span))
     }
 
     /// The ops in issue order, walked through the stub `body`: each run
@@ -220,8 +259,8 @@ impl<'a> WarpStream<'a> {
     /// `body`, which [`ReplayKernel::validate`] rejects, the ops past a
     /// missing record read as lineless.
     pub fn ops(&self, body: &'a [StaticInst]) -> impl Iterator<Item = TraceOp> + 'a {
-        let (rep, body_len) = (self.rep, body.len() as u32);
-        let mut records = self.records().iter();
+        let body_len = body.len() as u32;
+        let mut records = self.records();
         self.runs()
             .iter()
             .flat_map(move |r| {
@@ -232,7 +271,7 @@ impl<'a> WarpStream<'a> {
                 let mem =
                     body.get(pos as usize).is_some_and(|i| !matches!(i.kind, InstKind::Alu { .. }));
                 let (line_off, line_len) =
-                    if mem { records.next().map_or((0, 0), |&w| rep.span(w)) } else { (0, 0) };
+                    if mem { records.next().unwrap_or((0, 0)) } else { (0, 0) };
                 TraceOp { pos, line_off, line_len }
             })
     }
@@ -250,8 +289,7 @@ impl<'a> WarpStream<'a> {
 /// so any split of a walk into runs builds the same stream. Capture and
 /// import push op by op ([`StreamBuilder::push`]) and hand the finished
 /// builders to [`ReplayKernel::from_streams`]; the `LBW1` decoder merges
-/// each stream's runs in one reused builder ([`StreamBuilder::push_run`])
-/// and appends them with [`ReplayKernel::push_stream`].
+/// each stream's runs the same way ([`KernelReader::push_run`]).
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
     /// Runs in issue order.
@@ -316,8 +354,9 @@ impl StreamBuilder {
 /// or adversarial.
 pub const MAX_LINES_PER_RECORD: u64 = 1024;
 
-/// Why the run check ([`RunCheck::run`]) or the record check
-/// ([`check_record`]) rejected a run or an access record.
+/// Why the run check ([`RunCheck::run`]), the record check
+/// ([`check_record`]) or the record reader rejected a run or an access
+/// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamFault {
     /// A run starts at `.0`, at or past the end of a body of `.1`
@@ -332,6 +371,15 @@ pub enum StreamFault {
     PastPool(u64, u64, usize),
     /// A record's line slice `.0 .. .0 + .1` ends past [`MAX_POOL_LINES`].
     PoolLimit(u64, u64),
+    /// A fresh record of no lines (`h = 1`).
+    FreshWithoutLines,
+    /// The bytes ended mid-record, at byte `.0`.
+    Truncated(usize),
+    /// A varint starting at byte `.0` runs past 64 bits.
+    VarintOverflow(usize),
+    /// The kernel's record bytes pass [`MAX_RECORD_BYTES`], or its runs
+    /// 2^32 - 1.
+    KernelLimit,
 }
 
 impl std::fmt::Display for StreamFault {
@@ -352,8 +400,26 @@ impl std::fmt::Display for StreamFault {
                 let end = off.saturating_add(len);
                 write!(f, "line slice {off}..{end} passes the pool limit of {MAX_POOL_LINES} lines")
             }
+            StreamFault::FreshWithoutLines => write!(f, "fresh record of no lines (h = 1)"),
+            StreamFault::Truncated(at) => write!(f, "truncated input at byte {at}"),
+            StreamFault::VarintOverflow(at) => write!(f, "varint overflow at byte {at}"),
+            StreamFault::KernelLimit => {
+                write!(f, "the kernel passes {MAX_RECORD_BYTES} record bytes or runs")
+            }
         }
     }
+}
+
+/// A record that failed to read: the fault, the record's index in its
+/// stream and the byte it starts at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordFault {
+    /// Why the record was rejected.
+    pub fault: StreamFault,
+    /// Index of the record in its stream.
+    pub record: u64,
+    /// Offset of the record's first byte in the bytes read.
+    pub at: usize,
 }
 
 /// The run check, over one stub body (see the module docs).
@@ -421,10 +487,10 @@ impl RunCheck {
 }
 
 /// The record check: access record `(line_off, line_len)` of a kernel
-/// whose pool holds `pool_len` lines claims at most
+/// whose pool holds `pool_len` lines so far claims at most
 /// [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool that ends at
-/// or before [`MAX_POOL_LINES`]. Returns the record's pool slice as
-/// [`ReplayKernel::push_record`] takes it, `(0, 0)` when lineless.
+/// or before [`MAX_POOL_LINES`]. Returns the record's pool slice, `(0, 0)`
+/// when lineless.
 #[inline]
 pub fn check_record(
     line_off: u64,
@@ -439,7 +505,7 @@ pub fn check_record(
     }
     let end = line_off.saturating_add(line_len);
     if end <= (pool_len as u64).min(MAX_POOL_LINES) {
-        // Below 2^31, so the offset fits the word.
+        // The end fits a u32, so the offset does too.
         Ok((line_off as u32, line_len as u32))
     } else if end <= pool_len as u64 {
         Err(StreamFault::PoolLimit(line_off, line_len))
@@ -448,8 +514,236 @@ pub fn check_record(
     }
 }
 
-/// `n` as a `u32` offset into a kernel array; the decoder bounds what it
-/// appends, and capture cannot hold 2^32 entries in memory.
+/// Reads a LEB128 uvarint at `*pos` and moves past it: the wire primitive
+/// of `LBW1` files and of record bytes.
+#[inline]
+pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, StreamFault> {
+    // Most values (record heads, run counts, small line deltas) fit one
+    // byte: read those in one branch.
+    if let Some(&b) = buf.get(*pos).filter(|&&b| b < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(b));
+    }
+    let start = *pos;
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let Some(&b) = buf.get(*pos) else {
+            return Err(StreamFault::Truncated(buf.len()));
+        };
+        // A u64 takes at most ten bytes; the tenth may only hold bit 63.
+        if shift == 63 && b > 1 {
+            return Err(StreamFault::VarintOverflow(start));
+        }
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Bytes [`put_uvarint`] writes for `v`.
+pub fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
+    put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+#[inline]
+fn get_zigzag(buf: &[u8], pos: &mut usize) -> Result<i64, StreamFault> {
+    let raw = get_uvarint(buf, pos)?;
+    Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
+}
+
+/// Reads a uvarint of bytes a checked reader has already accepted, and
+/// moves past it.
+#[inline]
+fn read_uvarint(bytes: &[u8], p: &mut usize) -> u64 {
+    let b = bytes[*p];
+    *p += 1;
+    if b < 0x80 {
+        return u64::from(b);
+    }
+    let (mut v, mut shift) = (u64::from(b & 0x7f), 7);
+    loop {
+        let b = bytes[*p];
+        *p += 1;
+        v |= u64::from(b & 0x7f).wrapping_shl(shift);
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Reads the access records of one stream, whose runs are `runs`, from
+/// `buf` at `*pos`, in one pass: each record's head and varints, its body
+/// position from `check`, its delta base from `base` (one per Load/Store
+/// position, updated as the records pass), and the record check against
+/// the pool so far. A fresh record's lines are appended to `pool`.
+/// Returns the records read, one per memory op of the runs.
+fn read_records(
+    buf: &[u8],
+    pos: &mut usize,
+    check: &RunCheck,
+    runs: &[Run],
+    base: &mut [u64],
+    pool: &mut Vec<LineAddr>,
+) -> Result<u64, RecordFault> {
+    let mut record = 0;
+    for &run in runs {
+        for k in check.mem_indices(run) {
+            let at = *pos;
+            let fail = |fault| RecordFault { fault, record, at };
+            // h = 0, a lineless record, has nothing more to read.
+            let h = get_uvarint(buf, pos).map_err(fail)?;
+            let len = h >> 1;
+            if h & 1 == 1 {
+                // Fresh: room for `len` more lines at the pool's end, below
+                // the pool limit.
+                let end = pool.len();
+                let (_, len) = check_record(end as u64, len, end.saturating_add(len as usize))
+                    .map_err(fail)?;
+                if len == 0 {
+                    return Err(fail(StreamFault::FreshWithoutLines));
+                }
+                let mut line = base[k].wrapping_add(get_zigzag(buf, pos).map_err(fail)? as u64);
+                base[k] = line;
+                pool.push(LineAddr(line));
+                for _ in 1..len {
+                    line = line.wrapping_add(get_zigzag(buf, pos).map_err(fail)? as u64);
+                    pool.push(LineAddr(line));
+                }
+            } else if h != 0 {
+                // A repeat: `off` must name lines already in the pool.
+                let off = get_uvarint(buf, pos).map_err(fail)?;
+                let (off, _) = check_record(off, len, pool.len()).map_err(fail)?;
+                base[k] = pool[off as usize].0;
+            }
+            record += 1;
+        }
+    }
+    Ok(record)
+}
+
+/// Counts the records of `bytes`, checking only that each is whole.
+fn count_records(bytes: &[u8]) -> Result<u64, RecordFault> {
+    let (mut pos, mut record) = (0, 0);
+    while pos < bytes.len() {
+        let at = pos;
+        let fail = |fault| RecordFault { fault, record, at };
+        let h = get_uvarint(bytes, &mut pos).map_err(fail)?;
+        // A fresh record's deltas, or a repeat's offset.
+        let varints = if h & 1 == 1 { h >> 1 } else { u64::from(h != 0) };
+        for _ in 0..varints {
+            get_uvarint(bytes, &mut pos).map_err(fail)?;
+        }
+        record += 1;
+    }
+    Ok(record)
+}
+
+/// Slots [`FreshSlices`] probes for one slice before writing it fresh.
+const PROBES: usize = 16;
+
+/// The record writer's index of the fresh records written so far, to find
+/// repeats: an open-addressed table of `(pool offset, line count)` slots,
+/// one per kernel record rounded up to a power of two, allocated once
+/// before coding starts. A slice is looked up in at most [`PROBES`] slots
+/// from its hash and checked against the pool; a new slice whose window is
+/// full is written fresh and left out. Every decision depends on the
+/// records' lines alone, so the coding stays canonical, and since colliding
+/// slices can only lengthen the bytes, never slow a lookup, an unkeyed hash
+/// is safe here.
+struct FreshSlices {
+    /// `(pool offset, line count)` of an indexed fresh record; a count of
+    /// 0 marks an empty slot.
+    slots: Vec<(u32, u32)>,
+    /// Right shift taking a hash to a slot index (its top bits).
+    shift: u32,
+}
+
+impl FreshSlices {
+    fn new(n_records: usize) -> Self {
+        let n = n_records.next_power_of_two().max(PROBES);
+        FreshSlices { slots: vec![(0, 0); n], shift: 64 - n.trailing_zeros() }
+    }
+
+    /// The pool offset of an earlier fresh record holding `lines`;
+    /// otherwise indexes `lines` as the fresh record about to be appended
+    /// to `pool` and returns `None`.
+    fn repeat_of(&mut self, pool: &[LineAddr], lines: &[LineAddr]) -> Option<u32> {
+        let mut hasher = FxHasher64::default();
+        for l in lines {
+            hasher.write_u64(l.0);
+        }
+        let hash = hasher.finish();
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> self.shift) as usize;
+        for _ in 0..PROBES {
+            let (off, len) = self.slots[i];
+            if len == 0 {
+                // A slice starting past pool offset u32::MAX stays
+                // unindexed: its repeats are written fresh.
+                if let Ok(off) = u32::try_from(pool.len()) {
+                    self.slots[i] = (off, lines.len() as u32);
+                }
+                return None;
+            }
+            if len as usize == lines.len() && pool[off as usize..][..lines.len()] == *lines {
+                return Some(off);
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+}
+
+/// Codes access records as record bytes (see the module docs): the delta
+/// bases, one per Load/Store position and a last one for records an
+/// invalid kernel's runs leave without a position, and the fresh-slice
+/// table.
+struct RecordWriter {
+    base: Vec<u64>,
+    fresh: FreshSlices,
+}
+
+impl RecordWriter {
+    /// A writer for a body of `n_mem` Load/Store positions and a kernel of
+    /// `n_records` access records.
+    fn new(n_mem: usize, n_records: usize) -> Self {
+        RecordWriter { base: vec![0; n_mem + 1], fresh: FreshSlices::new(n_records) }
+    }
+
+    /// Appends the record of `lines`, an access at memory index `k`, to
+    /// `bytes`, and a fresh record's lines to `pool`.
+    fn put(&mut self, bytes: &mut Vec<u8>, pool: &mut Vec<LineAddr>, k: usize, lines: &[LineAddr]) {
+        let Some(&first) = lines.first() else {
+            bytes.push(0);
+            return;
+        };
+        let h = 2 * lines.len() as u64;
+        if let Some(off) = self.fresh.repeat_of(pool, lines) {
+            put_uvarint(bytes, h);
+            put_uvarint(bytes, u64::from(off));
+        } else {
+            put_uvarint(bytes, h + 1);
+            put_zigzag(bytes, first.0.wrapping_sub(self.base[k]) as i64);
+            for w in lines.windows(2) {
+                put_zigzag(bytes, w[1].0.wrapping_sub(w[0].0) as i64);
+            }
+            pool.extend_from_slice(lines);
+        }
+        self.base[k] = first.0;
+    }
+}
+
+/// `n` as a `u32` offset into a kernel array; the kernel's limits keep
+/// record bytes and pool lines below 2^32, and no input holds 2^32 runs.
 fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("replay kernel arrays hold fewer than 2^32 entries")
 }
@@ -464,17 +758,12 @@ pub struct ReplayKernel {
     pub stub: KernelSpec,
     /// Every stream's runs, stream after stream.
     runs: Vec<Run>,
-    /// Every stream's access records, stream after stream, as record
-    /// words (see the module docs).
-    records: Vec<u32>,
-    /// `(line_off, line_len)` of each multi-line record, in record order.
-    multi: Vec<(u32, u32)>,
-    /// The line pool the records index.
+    /// Every stream's record bytes, stream after stream.
+    bytes: Vec<u8>,
+    /// The deduplicated line pool the records code.
     pool: Vec<LineAddr>,
-    /// Stream `i`'s runs are `runs[run_bounds[i]..run_bounds[i + 1]]`.
-    run_bounds: Vec<u32>,
-    /// Stream `i`'s records are `records[record_bounds[i]..record_bounds[i + 1]]`.
-    record_bounds: Vec<u32>,
+    /// Where each stream starts, and a last entry where the last one ends.
+    starts: Vec<StreamStart>,
 }
 
 impl ReplayKernel {
@@ -483,120 +772,63 @@ impl ReplayKernel {
         ReplayKernel {
             stub,
             runs: Vec::new(),
-            records: Vec::new(),
-            multi: Vec::new(),
+            bytes: Vec::new(),
             pool: Vec::new(),
-            run_bounds: vec![0],
-            record_bounds: vec![0],
+            starts: vec![StreamStart::default()],
         }
     }
 
     /// A kernel of `stub` whose streams, indexed `cta_ordinal *
-    /// warps_per_cta + lane`, are the ones `streams` recorded, laid out in
-    /// arrays of exact size.
-    pub fn from_streams(stub: KernelSpec, streams: Vec<StreamBuilder>) -> Self {
-        let mut rep = ReplayKernel::new(stub);
-        let total = |f: fn(&StreamBuilder) -> usize| streams.iter().map(f).sum::<usize>();
-        rep.runs.reserve_exact(total(|b| b.runs.len()));
-        rep.records.reserve_exact(total(|b| b.lens.len()));
-        rep.multi.reserve_exact(total(|b| b.lens.iter().filter(|&&len| len > 1).count()));
-        rep.pool.reserve_exact(total(|b| b.lines.len()));
-        rep.run_bounds.reserve_exact(streams.len());
-        rep.record_bounds.reserve_exact(streams.len());
-        for mut b in streams {
-            rep.push_stream(&mut b);
-        }
-        rep
-    }
-
-    /// Appends a line to the pool.
-    #[inline]
-    pub fn push_line(&mut self, line: LineAddr) {
-        self.pool.push(line);
-    }
-
-    /// Appends the access record of pool slice `(line_off, line_len)`, one
-    /// [`check_record`] passed, to the stream the next
-    /// [`ReplayKernel::push_stream`] closes: lineless when `line_len` is 0.
-    /// The caller keeps the kernel within [`MAX_RECORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice ends past [`MAX_POOL_LINES`], where its word
-    /// would collide with the tag bit.
-    #[inline]
-    pub fn push_record(&mut self, line_off: u32, line_len: u32) {
-        assert!(
-            u64::from(line_off) + u64::from(line_len) <= MAX_POOL_LINES,
-            "record slice {line_off}+{line_len} passes the pool limit"
-        );
-        let word = match line_len {
-            0 => LINELESS,
-            1 => line_off,
-            _ => {
-                self.multi.push((line_off, line_len));
-                MULTI | (self.multi.len() - 1) as u32
-            }
-        };
-        self.records.push(word);
-    }
-
-    /// Closes the next stream: its records are the ones pushed since the
-    /// last stream closed, then the records `b` holds, whose lines are
-    /// appended to the pool; its runs are `b`'s. Empties `b` but keeps its
-    /// buffers, so one builder can carry every stream's runs.
+    /// warps_per_cta + lane`, are the ones `streams` recorded: each
+    /// record coded as an `LBW1` file codes it (see the module docs), each
+    /// builder freed once coded.
     ///
     /// # Panics
     ///
     /// Panics when the kernel would pass [`MAX_POOL_LINES`] or
-    /// [`MAX_RECORDS`]; the decoder rejects such a file before it gets
-    /// here.
-    pub fn push_stream(&mut self, b: &mut StreamBuilder) {
-        let lines = self.pool.len() + b.lines.len();
-        let records = self.records.len() + b.lens.len();
-        assert!(
-            lines as u64 <= MAX_POOL_LINES && records as u64 <= MAX_RECORDS,
-            "a replay kernel holds at most {MAX_POOL_LINES} lines and {MAX_RECORDS} records"
-        );
-        let mut off = self.pool.len() as u32;
-        for &len in &b.lens {
-            self.push_record(off, len);
-            off += len;
+    /// [`MAX_RECORD_BYTES`].
+    pub fn from_streams(stub: KernelSpec, streams: Vec<StreamBuilder>) -> Self {
+        let check = RunCheck::new(&stub.body);
+        let unplaced = check.n_mem();
+        let n_records = streams.iter().map(|b| b.lens.len()).sum();
+        let mut writer = RecordWriter::new(unplaced, n_records);
+        let mut rep = ReplayKernel::new(stub);
+        rep.runs.reserve_exact(streams.iter().map(|b| b.runs.len()).sum());
+        rep.starts.reserve_exact(streams.len());
+        // Each record takes at least a byte.
+        rep.bytes.reserve(n_records);
+        for b in streams {
+            let mut places = b.runs.iter().flat_map(|&r| check.mem_indices(r));
+            let mut lines = b.lines.as_slice();
+            for &len in &b.lens {
+                let (access, rest) = lines.split_at(len as usize);
+                lines = rest;
+                let k = places.next().unwrap_or(unplaced);
+                writer.put(&mut rep.bytes, &mut rep.pool, k, access);
+            }
+            rep.runs.extend_from_slice(&b.runs);
+            assert!(
+                rep.pool.len() as u64 <= MAX_POOL_LINES
+                    && rep.bytes.len() as u64 <= MAX_RECORD_BYTES,
+                "a replay kernel holds at most {MAX_POOL_LINES} lines and {MAX_RECORD_BYTES} record bytes"
+            );
+            rep.close_stream();
         }
-        self.runs.extend_from_slice(&b.runs);
-        self.pool.extend_from_slice(&b.lines);
-        self.run_bounds.push(offset(self.runs.len()));
-        self.record_bounds.push(offset(self.records.len()));
-        b.runs.clear();
-        b.lens.clear();
-        b.lines.clear();
+        rep.bytes.shrink_to_fit();
+        rep.pool.shrink_to_fit();
+        rep
     }
 
-    /// Reserves room for `streams` more streams holding `records` more
-    /// access records, `multi` more of them multi-line, and `lines` more
-    /// pool lines.
-    pub fn reserve(&mut self, streams: usize, records: usize, multi: usize, lines: usize) {
-        self.run_bounds.reserve(streams);
-        self.record_bounds.reserve(streams);
-        self.runs.reserve(streams);
-        self.records.reserve(records);
-        self.multi.reserve(multi);
-        self.pool.reserve(lines);
-    }
-
-    /// Releases the arrays' spare capacity.
-    pub fn shrink_to_fit(&mut self) {
-        self.runs.shrink_to_fit();
-        self.records.shrink_to_fit();
-        self.multi.shrink_to_fit();
-        self.pool.shrink_to_fit();
-        self.run_bounds.shrink_to_fit();
-        self.record_bounds.shrink_to_fit();
+    /// Ends the stream whose runs and records were appended last.
+    fn close_stream(&mut self) {
+        let records =
+            RecordCursor { byte: offset(self.bytes.len()), fresh: offset(self.pool.len()) };
+        self.starts.push(StreamStart { run: offset(self.runs.len()), records });
     }
 
     /// Number of streams held.
     pub fn n_streams(&self) -> usize {
-        self.run_bounds.len() - 1
+        self.starts.len() - 1
     }
 
     /// Stream `i`, indexed `cta_ordinal * warps_per_cta + lane`. Reading
@@ -611,34 +843,45 @@ impl ReplayKernel {
         (0..self.n_streams()).map(|i| self.stream(i))
     }
 
-    /// Every stream's access records, stream after stream, as record
-    /// words; [`ReplayKernel::span`] and [`ReplayKernel::slice`] read them.
-    pub fn records(&self) -> &[u32] {
-        &self.records
-    }
-
-    /// The line pool the access records index.
+    /// The line pool the access records code.
     pub fn pool(&self) -> &[LineAddr] {
         &self.pool
     }
 
-    /// The pool slice `(line_off, line_len)` of record word `word`: `(0,
-    /// 0)` when lineless.
+    /// The pool slice `(line_off, line_len)` of the record at `cur`, which
+    /// moves past it; `(0, 0)` when lineless.
     #[inline]
-    pub fn span(&self, word: u32) -> (u32, u32) {
-        if word & MULTI == 0 {
-            (word, 1)
-        } else if word == LINELESS {
-            (0, 0)
+    fn read_span(&self, cur: &mut RecordCursor) -> (u32, u32) {
+        let bytes = &self.bytes;
+        let mut p = cur.byte as usize;
+        let h = read_uvarint(bytes, &mut p);
+        let len = (h >> 1) as u32;
+        let off = if h & 1 == 1 {
+            // Fresh: the lines are the stream's next pool lines, and the
+            // deltas that code them are skipped.
+            let off = cur.fresh;
+            cur.fresh += len;
+            let mut left = len;
+            while left > 0 {
+                left -= u32::from(bytes[p] < 0x80);
+                p += 1;
+            }
+            off
+        } else if h != 0 {
+            read_uvarint(bytes, &mut p) as u32
         } else {
-            self.multi[(word & !MULTI) as usize]
-        }
+            0
+        };
+        cur.byte = p as u32;
+        (off, len)
     }
 
-    /// The lines of record word `word`.
+    /// The lines of the record at `cur`, which moves past it (see the
+    /// module docs). `cur` must sit at a record of this kernel.
     #[inline]
-    pub fn slice(&self, word: u32) -> &[LineAddr] {
-        self.pool_slice(self.span(word))
+    pub fn read_record(&self, cur: &mut RecordCursor) -> &[LineAddr] {
+        let span = self.read_span(cur);
+        self.pool_slice(span)
     }
 
     /// The lines of pool slice `(line_off, line_len)`.
@@ -648,17 +891,15 @@ impl ReplayKernel {
         &self.pool[off..off + line_len as usize]
     }
 
-    /// Bytes the kernel's arrays hold: records, multi-line table, pool,
-    /// runs and stream bounds. Counted from lengths, not capacities, so
-    /// the figure depends on the streams alone.
+    /// Bytes the kernel's arrays hold: record bytes, pool, runs and stream
+    /// starts. Counted from lengths, not capacities, so the figure depends
+    /// on the streams alone.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        size_of_val(&self.records[..])
-            + size_of_val(&self.multi[..])
+        size_of_val(&self.bytes[..])
             + size_of_val(&self.pool[..])
             + size_of_val(&self.runs[..])
-            + size_of_val(&self.run_bounds[..])
-            + size_of_val(&self.record_bounds[..])
+            + size_of_val(&self.starts[..])
     }
 
     /// Total warps in the grid (`grid_ctas * warps_per_cta`).
@@ -672,10 +913,13 @@ impl ReplayKernel {
     }
 
     /// Validates internal consistency: the stub itself, the stream count
-    /// against the grid, and per stream at least one run, every run through
-    /// the run check ([`RunCheck`]), every access record through the record
-    /// check ([`check_record`]), and one record per memory op of the runs.
-    /// Its cost follows the runs and records stored, not the ops declared.
+    /// against the grid, and per stream at least one run, every run
+    /// through the run check ([`RunCheck`]), one whole record per memory op
+    /// of the runs, and every record through the reader the decoder uses:
+    /// the record check ([`check_record`]) against the pool so far, and
+    /// fresh lines that rebuild the kernel's pool, each stream's at its
+    /// first fresh line. Its cost follows the runs and records stored, not
+    /// the ops declared.
     pub fn validate(&self) -> Result<(), String> {
         self.stub.validate()?;
         if self.n_streams() != self.total_streams() {
@@ -687,6 +931,9 @@ impl ReplayKernel {
             ));
         }
         let check = RunCheck::new(&self.stub.body);
+        let mut base = vec![0; check.n_mem()];
+        let mut pool = Vec::with_capacity(self.pool.len());
+        let fault = |si, f: RecordFault| format!("stream {si} record {}: {}", f.record, f.fault);
         for (si, s) in self.streams().enumerate() {
             if s.is_empty() {
                 return Err(format!("stream {si} is empty"));
@@ -695,19 +942,145 @@ impl ReplayKernel {
             for (ri, &run) in s.runs().iter().enumerate() {
                 mem_ops += check.run(run).map_err(|e| format!("stream {si} run {ri}: {e}"))?;
             }
-            if mem_ops != s.n_accesses() as u64 {
+            let bytes = s.record_bytes();
+            let records = count_records(bytes).map_err(|f| fault(si, f))?;
+            if mem_ops != records {
                 return Err(format!(
-                    "stream {si} has {} access records for {mem_ops} memory ops",
-                    s.n_accesses()
+                    "stream {si} has {records} access records for {mem_ops} memory ops"
                 ));
             }
-            for (ai, &word) in s.records().iter().enumerate() {
-                let (off, len) = self.span(word);
-                check_record(off.into(), len.into(), self.pool.len())
-                    .map_err(|e| format!("stream {si} record {ai}: {e}"))?;
+            if s.cursor().fresh as usize != pool.len() {
+                return Err(format!(
+                    "stream {si} starts at pool line {}, after {} fresh lines",
+                    s.cursor().fresh,
+                    pool.len()
+                ));
             }
+            read_records(bytes, &mut 0, &check, s.runs(), &mut base, &mut pool)
+                .map_err(|f| fault(si, f))?;
+        }
+        let end = self.starts[self.n_streams()].records;
+        if (end.byte as usize, end.fresh as usize) != (self.bytes.len(), pool.len()) {
+            return Err(format!(
+                "the streams end at record byte {} and pool line {}, of {} and {}",
+                end.byte,
+                end.fresh,
+                self.bytes.len(),
+                pool.len()
+            ));
+        }
+        if pool != self.pool {
+            let at = pool.iter().zip(&self.pool).take_while(|(a, b)| a == b).count();
+            return Err(format!(
+                "pool of {} lines differs at line {at} from the {} lines its records code",
+                self.pool.len(),
+                pool.len()
+            ));
         }
         Ok(())
+    }
+}
+
+/// Builds a [`ReplayKernel`] from `LBW1` stream sections in one validating
+/// pass: each stream's runs go through the run check, then its record
+/// bytes through the reader [`ReplayKernel::validate`] uses, which builds
+/// the pool; the bytes are copied as they are. The `LBW1` decoder reads the
+/// runs and hands each stream's record section over.
+#[derive(Debug)]
+pub struct KernelReader {
+    /// The kernel read so far.
+    rep: ReplayKernel,
+    check: RunCheck,
+    /// Per Load/Store position, the first line of the last non-empty
+    /// record there: the delta base of the next fresh record.
+    base: Vec<u64>,
+    /// The open stream's runs, merged.
+    open: StreamBuilder,
+    /// Memory ops of the open stream's runs.
+    mem_ops: u64,
+    /// Streams the kernel declares.
+    n_streams: usize,
+}
+
+impl KernelReader {
+    /// A reader of the streams of `stub`, `n_streams` of them, whose
+    /// record sections take at most `max_bytes` bytes (a bound on what the
+    /// record bytes can take, checked by the caller against its input).
+    pub fn new(stub: KernelSpec, n_streams: usize, max_bytes: usize) -> Self {
+        let check = RunCheck::new(&stub.body);
+        let mut rep = ReplayKernel::new(stub);
+        rep.starts.reserve_exact(n_streams);
+        rep.runs.reserve(n_streams);
+        rep.bytes.reserve(max_bytes);
+        let body_len = rep.stub.body.len() as u32;
+        KernelReader {
+            base: vec![0; check.n_mem()],
+            check,
+            rep,
+            open: StreamBuilder::new(body_len),
+            mem_ops: 0,
+            n_streams,
+        }
+    }
+
+    /// Appends `run` to the open stream, merged into its last run when it
+    /// continues it, after the run check; returns the run's memory ops.
+    pub fn push_run(&mut self, run: Run) -> Result<u64, StreamFault> {
+        let n = self.check.run(run)?;
+        self.mem_ops = self.mem_ops.saturating_add(n);
+        self.open.push_run(run);
+        Ok(n)
+    }
+
+    /// Reads the open stream's access records, one per memory op of its
+    /// runs, from `buf` at `*pos`, checks them, appends its fresh lines to
+    /// the pool and its record bytes to the kernel, and closes the stream.
+    pub fn read_records(&mut self, buf: &[u8], pos: &mut usize) -> Result<(), RecordFault> {
+        let start = *pos;
+        // Each record takes at least a byte.
+        if self.mem_ops > buf.len().saturating_sub(start) as u64 {
+            let fault = StreamFault::Truncated(start);
+            return Err(RecordFault { fault, record: 0, at: start });
+        }
+        self.reserve_pool();
+        let rep = &mut self.rep;
+        read_records(buf, pos, &self.check, self.open.runs(), &mut self.base, &mut rep.pool)?;
+        let runs = rep.runs.len() + self.open.runs().len();
+        if (rep.bytes.len() + (*pos - start)) as u64 > MAX_RECORD_BYTES || runs > u32::MAX as usize
+        {
+            let fault = StreamFault::KernelLimit;
+            return Err(RecordFault { fault, record: 0, at: start });
+        }
+        rep.bytes.extend_from_slice(&buf[start..*pos]);
+        rep.runs.extend_from_slice(self.open.runs());
+        rep.close_stream();
+        self.open.runs.clear();
+        self.mem_ops = 0;
+        Ok(())
+    }
+
+    /// Makes room in the pool for the open stream's fresh lines, as many
+    /// as the streams read so far average: the pool doubles, as a `Vec`
+    /// does, but no further than the size those streams project for the
+    /// whole kernel, so the last doubling does not overshoot it. A stream
+    /// with more fresh lines grows the pool as any `Vec` grows.
+    fn reserve_pool(&mut self) {
+        let done = self.rep.n_streams();
+        let pool = &mut self.rep.pool;
+        let per = pool.len().div_ceil(done.max(1));
+        if pool.capacity() - pool.len() < per {
+            let projected = per.saturating_mul(self.n_streams);
+            let want = (2 * pool.capacity()).min(projected).max(pool.len() + per);
+            pool.reserve_exact(want - pool.len());
+        }
+    }
+
+    /// The kernel of the streams read, its arrays shrunk to fit.
+    pub fn finish(mut self) -> ReplayKernel {
+        self.rep.bytes.shrink_to_fit();
+        self.rep.pool.shrink_to_fit();
+        self.rep.runs.shrink_to_fit();
+        self.rep
     }
 }
 
@@ -793,6 +1166,11 @@ mod tests {
         rep_of(stream(&[(0, Some(&[LineAddr(42)])), (1, None)]))
     }
 
+    /// The zigzag code of `d`.
+    fn zz(d: i64) -> u8 {
+        ((d << 1) ^ (d >> 63)) as u8
+    }
+
     #[test]
     fn valid_replay_kernel_passes() {
         assert!(valid_rep().validate().is_ok());
@@ -817,35 +1195,35 @@ mod tests {
         assert!(rep_of(s).validate().unwrap_err().contains("out of range"));
     }
 
-    /// A one-stream kernel over `stub()` from whole runs, access records
-    /// and a pool of `pool_len` lines, built the way the decoder builds one.
-    fn raw_kernel(runs: &[Run], records: &[(u32, u32)], pool_len: usize) -> ReplayKernel {
+    /// A one-stream kernel over `stub()` from whole runs, raw record bytes
+    /// and a pool, as no constructor would build it.
+    fn raw_kernel(runs: &[Run], bytes: &[u8], pool: &[u64]) -> ReplayKernel {
         let mut rep = ReplayKernel::new(stub());
-        for _ in 0..pool_len {
-            rep.push_line(LineAddr(42));
-        }
-        for &(off, len) in records {
-            rep.push_record(off, len);
-        }
-        let mut b = StreamBuilder::new(2);
-        for &r in runs {
-            b.push_run(r);
-        }
-        rep.push_stream(&mut b);
+        rep.runs = runs.to_vec();
+        rep.bytes = bytes.to_vec();
+        rep.pool = pool.iter().map(|&l| LineAddr(l)).collect();
+        rep.close_stream();
         rep
     }
 
     #[test]
     fn bad_runs_and_records_rejected() {
         let run = |start, count| Run { start, count };
-        let rejects = |runs: &[Run], records: &[(u32, u32)], want: &str| {
-            let err = raw_kernel(runs, records, 1).validate().unwrap_err();
+        assert_eq!(raw_kernel(&[run(0, 2)], &[3, zz(42)], &[42]).validate(), Ok(()));
+        let rejects = |runs: &[Run], bytes: &[u8], pool: &[u64], want: &str| {
+            let err = raw_kernel(runs, bytes, pool).validate().unwrap_err();
             assert!(err.contains(want), "{want}: {err}");
         };
-        rejects(&[run(0, 2)], &[(0, 7)], "record 0: line slice 0..7 exceeds pool of 1");
-        rejects(&[run(0, 2)], &[(0, 1025)], "record 0: record claims 1025 lines");
-        rejects(&[run(0, 2), run(2, 1)], &[(0, 1)], "run 1: run start 2 out of range");
-        rejects(&[run(0, 2), run(1, 0)], &[(0, 1)], "run 1: zero-length run");
+        // A repeat with no pool before it: the kernel's pool does not count,
+        // only the lines of the records before.
+        rejects(&[run(0, 2)], &[14, 0], &[42; 7], "record 0: line slice 0..7 exceeds pool of 0");
+        rejects(&[run(0, 2)], &[0x82, 0x10, 0], &[], "record 0: record claims 1025 lines");
+        rejects(&[run(0, 2)], &[1], &[], "record 0: fresh record of no lines (h = 1)");
+        rejects(&[run(0, 2)], &[5, zz(42)], &[42, 43], "record 0: truncated input at byte 2");
+        rejects(&[run(0, 2), run(2, 1)], &[0], &[], "run 1: run start 2 out of range");
+        rejects(&[run(0, 2), run(1, 0)], &[0], &[], "run 1: zero-length run");
+        rejects(&[run(0, 2)], &[3, zz(42)], &[43], "pool of 1 lines differs at line 0");
+        rejects(&[run(0, 2)], &[0], &[42], "end at record byte 1 and pool line 1, of 1 and 0");
     }
 
     #[test]
@@ -945,43 +1323,110 @@ mod tests {
     }
 
     #[test]
-    fn record_check_keeps_pool_indices_below_the_tag_bit() {
-        // A pool as large as the address space still stops at 2^31 lines:
-        // index 2^31 - 1 is a one-line word, index 2^31 would be a tag.
+    fn record_check_keeps_pool_offsets_within_a_u32() {
+        // A pool as large as the address space still stops at 2^32 - 1
+        // lines, so every offset a cursor holds fits a u32.
         let top = MAX_POOL_LINES;
         assert_eq!(check_record(top - 1, 1, usize::MAX), Ok(((top - 1) as u32, 1)));
         assert_eq!(check_record(top, 1, usize::MAX), Err(StreamFault::PoolLimit(top, 1)));
         assert_eq!(check_record(top - 1, 2, usize::MAX), Err(StreamFault::PoolLimit(top - 1, 2)));
         let err = StreamFault::PoolLimit(top, 1).to_string();
-        assert!(err.contains("passes the pool limit of 2147483648 lines"), "{err}");
+        assert!(err.contains("passes the pool limit of 4294967295 lines"), "{err}");
         // Past a smaller pool, the pool is what the slice passes.
         assert_eq!(check_record(top, 1, 5), Err(StreamFault::PastPool(top, 1, 5)));
     }
 
     #[test]
-    #[should_panic(expected = "passes the pool limit")]
-    fn a_record_word_never_takes_the_tag_bit() {
-        ReplayKernel::new(stub()).push_record(1 << 31, 1);
+    fn varints_read_back_and_fail_typed() {
+        let mut buf = Vec::new();
+        let values = [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX];
+        for &v in &values {
+            let at = buf.len();
+            put_uvarint(&mut buf, v);
+            assert_eq!(buf.len() - at, uvarint_len(v), "{v}");
+        }
+        let mut pos = 0;
+        for &v in &values {
+            let mut cursor = pos;
+            assert_eq!(read_uvarint(&buf, &mut cursor), v);
+            assert_eq!(get_uvarint(&buf, &mut pos), Ok(v));
+            assert_eq!(cursor, pos);
+        }
+        assert_eq!(get_uvarint(&buf, &mut pos), Err(StreamFault::Truncated(buf.len())));
+        assert_eq!(get_uvarint(&[0x80, 0x80], &mut 0), Err(StreamFault::Truncated(2)));
+        let eleven = [0xff; 11];
+        assert_eq!(get_uvarint(&eleven, &mut 0), Err(StreamFault::VarintOverflow(0)));
     }
 
     #[test]
-    fn record_words_read_back_every_record_shape() {
+    fn records_code_against_one_deduplicated_pool() {
+        // Load at 0, ALU at 1, over two streams: a fresh pair, a lineless
+        // access, the pair again (a repeat), then a line one past it.
+        let s0 = stream(&[
+            (0, Some(&[LineAddr(10), LineAddr(13)])),
+            (1, None),
+            (0, Some(&[])),
+            (1, None),
+        ]);
+        let s1 = stream(&[
+            (0, Some(&[LineAddr(10), LineAddr(13)])),
+            (1, None),
+            (0, Some(&[LineAddr(11)])),
+            (1, None),
+        ]);
+        let mut stub = stub();
+        stub.grid_ctas = 2;
+        let rep = ReplayKernel::from_streams(stub, vec![s0, s1]);
+        rep.validate().unwrap();
+        assert_eq!(rep.pool(), [LineAddr(10), LineAddr(13), LineAddr(11)]);
+        // Stream 0: fresh h = 5, deltas +10 and +3; lineless.
+        assert_eq!(rep.stream(0).record_bytes(), [5, zz(10), zz(3), 0]);
+        // Stream 1: a repeat of pool[0..2]; then fresh, coded against 10,
+        // the first line of the last record at position 0.
+        assert_eq!(rep.stream(1).record_bytes(), [4, 0, 3, zz(1)]);
+        assert_eq!(rep.stream(1).cursor(), RecordCursor { byte: 4, fresh: 2 });
+        assert_eq!(rep.stream(1).end(), RecordCursor { byte: 8, fresh: 3 });
+        let spans: Vec<Vec<(u32, u32)>> = rep.streams().map(|s| s.records().collect()).collect();
+        assert_eq!(spans, [vec![(0, 2), (0, 0)], vec![(0, 2), (2, 1)]]);
+        // A cursor walks a stream to its end, a record at a time.
+        let mut cur = rep.stream(1).cursor();
+        assert_eq!(rep.read_record(&mut cur), [LineAddr(10), LineAddr(13)]);
+        assert_eq!(cur, RecordCursor { byte: 6, fresh: 2 });
+        assert_eq!(rep.read_record(&mut cur), [LineAddr(11)]);
+        assert_eq!(cur, rep.stream(1).end());
+        // Runs, record bytes, pool and starts, at their lengths.
+        assert_eq!(rep.heap_bytes(), 8 + 3 * 8 + 2 * 8 + 3 * 12);
+    }
+
+    /// The kernel [`KernelReader`] builds from `rep`'s runs and record
+    /// bytes, stream by stream, as the `LBW1` decoder hands them over.
+    fn reread(rep: &ReplayKernel) -> Result<ReplayKernel, (usize, RecordFault)> {
+        let mut reader = KernelReader::new(rep.stub.clone(), rep.n_streams(), rep.bytes.len());
+        for (si, s) in rep.streams().enumerate() {
+            for &run in s.runs() {
+                reader.push_run(run).unwrap();
+            }
+            reader.read_records(s.record_bytes(), &mut 0).map_err(|f| (si, f))?;
+        }
+        Ok(reader.finish())
+    }
+
+    #[test]
+    fn random_streams_read_back_through_the_cursor_and_the_reader() {
         // Lineless, one-line and multi-line records of up to
-        // MAX_LINES_PER_RECORD lines, fresh or repeating a slice of the
-        // pool so far, built op by op (capture, import) and record by record
-        // (the LBW1 decoder's push path).
-        testkit::check_n("record_words_round_trip", 200, |rng| {
+        // MAX_LINES_PER_RECORD lines, fresh or repeating a slice of an
+        // earlier stream, coded by `from_streams` and read back record by
+        // record, op by op and through the decoder's reader.
+        testkit::check_n("record_bytes_round_trip", 200, |rng| {
             let n_streams = rng.range_u32(1, 4);
             let mut stub = stub();
             stub.grid_ctas = n_streams;
             let body = stub.body.clone();
             let mut builders = Vec::new();
-            let mut pushed = ReplayKernel::new(stub.clone());
-            let mut scratch = StreamBuilder::new(2);
             let mut want: Vec<Vec<Vec<LineAddr>>> = Vec::new();
             for _ in 0..n_streams {
                 let mut b = StreamBuilder::new(2);
-                let mut records = Vec::new();
+                let mut records: Vec<Vec<LineAddr>> = Vec::new();
                 // A load at 0 and an ALU op at 1, walked in turn.
                 let n_ops = rng.range_u32(1, 40);
                 for pos in (0..2).cycle().take(n_ops as usize) {
@@ -989,65 +1434,69 @@ mod tests {
                         b.push(1, None);
                         continue;
                     }
-                    let pool_len = pushed.pool().len() as u64;
+                    let earlier: Vec<&Vec<LineAddr>> =
+                        want.iter().flatten().chain(&records).filter(|l| !l.is_empty()).collect();
                     let lines: Vec<LineAddr> = match rng.range_u32(0, 4) {
-                        0 => {
-                            pushed.push_record(0, 0);
-                            Vec::new()
-                        }
-                        1 if pool_len > 0 => {
-                            let len = rng.range_u64(1, pool_len.min(MAX_LINES_PER_RECORD) + 1);
-                            let off = rng.range_u64(0, pool_len - len + 1);
-                            let (off, len) = check_record(off, len, pushed.pool().len()).unwrap();
-                            pushed.push_record(off, len);
-                            pushed.pool_slice((off, len)).to_vec()
-                        }
+                        0 => Vec::new(),
+                        1 if !earlier.is_empty() => rng.pick(&earlier).to_vec(),
                         _ => {
                             let len = match rng.range_u32(0, 20) {
                                 0 => rng.range_u64(1, MAX_LINES_PER_RECORD + 1),
                                 _ => rng.range_u64(1, 4),
                             };
-                            let lines: Vec<LineAddr> =
-                                (0..len).map(|_| LineAddr(rng.u64())).collect();
-                            let end = pushed.pool().len() as u32;
-                            lines.iter().for_each(|&l| pushed.push_line(l));
-                            pushed.push_record(end, len as u32);
-                            lines
+                            (0..len).map(|_| LineAddr(rng.u64())).collect()
                         }
                     };
                     b.push(0, Some(&lines));
                     records.push(lines);
                 }
-                scratch.push_run(Run { start: 0, count: n_ops });
-                pushed.push_stream(&mut scratch);
                 builders.push(b);
                 want.push(records);
             }
-            let built = ReplayKernel::from_streams(stub, builders);
-            let flat: Vec<&Vec<LineAddr>> = want.iter().flatten().collect();
-            for rep in [&built, &pushed] {
-                rep.validate().unwrap();
-                assert_eq!(rep.records().len(), flat.len());
-                for (&word, &lines) in rep.records().iter().zip(&flat) {
-                    let (off, len) = rep.span(word);
-                    assert_eq!(len as usize, lines.len());
-                    assert_eq!(rep.pool_slice((off, len)), lines.as_slice());
-                    assert_eq!(rep.slice(word), lines.as_slice());
+            let rep = ReplayKernel::from_streams(stub, builders);
+            rep.validate().unwrap();
+            for (si, records) in want.iter().enumerate() {
+                let s = rep.stream(si);
+                let got: Vec<&[LineAddr]> = s.accesses().collect();
+                assert_eq!(got, records.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                let loads: Vec<&[LineAddr]> =
+                    s.ops(&body).filter(|op| op.pos == 0).map(|op| s.lines(op)).collect();
+                assert_eq!(loads, got);
+                let mut cur = s.cursor();
+                for lines in records {
+                    assert_eq!(rep.read_record(&mut cur), lines.as_slice());
                 }
-                for (si, records) in want.iter().enumerate() {
-                    let s = rep.stream(si);
-                    for (i, lines) in records.iter().enumerate() {
-                        assert_eq!(s.access(i as u32), lines.as_slice());
-                    }
-                    let loads: Vec<Vec<LineAddr>> = s
-                        .ops(&body)
-                        .filter(|op| op.pos == 0)
-                        .map(|op| s.lines(op).to_vec())
-                        .collect();
-                    assert_eq!(&loads, records);
-                }
+                assert_eq!(cur, s.end());
             }
+            // Each distinct slice once: no fresh record repeats another.
+            let mut seen = std::collections::HashSet::new();
+            for s in rep.streams() {
+                let mut next = s.cursor().fresh;
+                for (off, len) in s.records() {
+                    if len > 0 && off == next {
+                        next += len;
+                        assert!(seen.insert(rep.pool_slice((off, len))), "a fresh slice twice");
+                    }
+                }
+                assert_eq!(next, s.end().fresh);
+            }
+            assert_eq!(reread(&rep), Ok(rep.clone()), "a kernel reads back as itself");
         });
+    }
+
+    #[test]
+    fn reader_rejects_records_past_the_pool_so_far() {
+        // One stream whose only record repeats a line no record wrote.
+        let mut reader = KernelReader::new(stub(), 1, 2);
+        assert_eq!(reader.push_run(Run { start: 0, count: 2 }), Ok(1));
+        let err = reader.read_records(&[2, 0], &mut 0).unwrap_err();
+        assert_eq!(err, RecordFault { fault: StreamFault::PastPool(0, 1, 0), record: 0, at: 0 });
+        // A run over the load twice needs two records, so two bytes at least.
+        let mut reader = KernelReader::new(stub(), 1, 1);
+        reader.push_run(Run { start: 0, count: 3 }).unwrap();
+        let err = reader.read_records(&[0], &mut 0).unwrap_err();
+        assert_eq!(err.fault, StreamFault::Truncated(0));
+        assert_eq!(reader.push_run(Run { start: 2, count: 1 }), Err(StreamFault::RunStart(2, 2)));
     }
 
     /// A four-instruction body: load, ALU, store, ALU.
@@ -1091,13 +1540,15 @@ mod tests {
         assert_eq!(ops.iter().map(|o| o.pos).collect::<Vec<_>>(), positions);
         assert_eq!(s.lines(ops[2]), [LineAddr(7), LineAddr(8)]);
         assert_eq!(ops[0], TraceOp { pos: 2, line_off: 0, line_len: 0 });
-        assert_eq!(s.access(1), [LineAddr(7), LineAddr(8)]);
-        assert_eq!(s.access(3), s.lines(ops[5]));
-        // The second stream's records index the pool past the first's lines.
+        let accesses: Vec<&[LineAddr]> = s.accesses().collect();
+        assert_eq!(accesses[1], [LineAddr(7), LineAddr(8)]);
+        assert_eq!(accesses[3], s.lines(ops[5]));
+        // The second stream's records repeat the first's lines: the pool
+        // holds them once.
         let g_ops: Vec<TraceOp> = g.ops(&body).collect();
-        assert_eq!(g_ops[2], TraceOp { pos: 0, line_off: 4, line_len: 2 });
-        assert_eq!(g.access(1), s.access(1));
-        assert_eq!(rep.pool().len(), 8);
+        assert_eq!(g_ops[2], TraceOp { pos: 0, line_off: 0, line_len: 2 });
+        assert_eq!(g.accesses().nth(1), Some(accesses[1]));
+        assert_eq!(rep.pool(), [LineAddr(7), LineAddr(8)]);
     }
 
     #[test]
@@ -1185,31 +1636,8 @@ mod tests {
                 // ops the body holds.
                 assert_eq!(s.n_accesses(), 6);
             }
+            assert_eq!(reread(&rep), Ok(rep.clone()), "a capture equals its own decode");
         }
-    }
-
-    #[test]
-    fn push_stream_appends_and_resets_the_builder() {
-        // The decoder's way: lines and kernel-pool records, then the runs
-        // of one reused builder.
-        let mut rep = ReplayKernel::new(stub());
-        let mut scratch = StreamBuilder::new(2);
-        rep.push_line(LineAddr(42));
-        rep.push_record(0, 1);
-        scratch.push_run(Run { start: 0, count: 2 });
-        rep.push_stream(&mut scratch);
-        assert!(scratch.is_empty());
-        assert_eq!(rep, valid_rep());
-        // The next stream starts empty: a run of its own, and a record that
-        // repeats the first stream's line.
-        rep.push_record(0, 1);
-        scratch.push_run(Run { start: 0, count: 1 });
-        rep.push_stream(&mut scratch);
-        assert_eq!(rep.n_streams(), 2);
-        assert_eq!(rep.stream(1).runs(), [Run { start: 0, count: 1 }]);
-        assert_eq!(rep.stream(1).access(0), [LineAddr(42)]);
-        assert_eq!(rep.stream(0).n_accesses(), 1);
-        assert_eq!(rep.pool().len(), 1);
     }
 
     #[test]

@@ -503,9 +503,9 @@ impl Sm {
             );
             let sid = stream_base + i as u64;
             if let Some(rep) = &rep {
-                let first =
-                    *rep.stream(sid as usize).runs().first().expect("replay streams are non-empty");
-                self.warps.start_replay(wid as usize, kernel, sid as u32, first);
+                let stream = rep.stream(sid as usize);
+                let first = *stream.runs().first().expect("replay streams are non-empty");
+                self.warps.start_replay(wid as usize, kernel, sid as u32, first, stream.cursor());
             }
             if let Some(cap) = &mut self.capture {
                 self.warps.set_recorder(wid as usize, cap.len() as u32);
@@ -1330,6 +1330,18 @@ impl Sm {
             }
         }
         if self.warps.done(slot) {
+            #[cfg(debug_assertions)]
+            if let Some(rep) = &self.replay {
+                // Nothing leaks at drain: a retiring replayed warp has read
+                // every record of its stream, and every fresh line.
+                let (sid, at) = (self.warps.stream(slot), self.warps.cursor(slot));
+                let end = rep.stream(sid as usize).end();
+                debug_assert_eq!(at.byte, end.byte, "stream {sid} retired before its record end");
+                debug_assert_eq!(
+                    at.fresh, end.fresh,
+                    "stream {sid} retired before the next stream's fresh lines"
+                );
+            }
             let cta_id = self.warps.cta(slot);
             self.schedulers[(wid.0 % cfg.schedulers_per_sm) as usize].release(wid);
             let cta = self.ctas[cta_id.0 as usize].as_mut().expect("CTA exists");
@@ -1352,9 +1364,9 @@ impl Sm {
                     self.gen_access_lines(slot, load, idx, kernel);
                 }
                 Some(rep) => {
-                    let stream = rep.stream(self.warps.stream(slot) as usize);
+                    let lines = rep.read_record(self.warps.cursor_mut(slot));
                     self.line_buf.clear();
-                    self.line_buf.extend_from_slice(stream.access(self.warps.next_record(slot)));
+                    self.line_buf.extend_from_slice(lines);
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! recycles slots by zeroing column ranges without allocating.
 
 use crate::kernel::{InstKind, KernelSpec};
-use crate::replay::{next_pos, Run};
+use crate::replay::{next_pos, RecordCursor, Run};
 use crate::types::{CtaId, Cycle, LoadId};
 
 /// `meta` bit: slot holds a live (occupied, not retired) warp.
@@ -82,8 +82,9 @@ pub struct WarpSlab {
     run: Vec<u32>,
     /// Replayed warp: ops of the current run after the current one.
     run_left: Vec<u32>,
-    /// Replayed warp: index of its next access record in its stream.
-    record: Vec<u32>,
+    /// Replayed warp: its place in the kernel's record bytes (the next
+    /// record and the stream's next fresh pool line).
+    cursor: Vec<RecordCursor>,
     /// Outstanding line-requests per static load (scoreboard), flattened.
     outstanding: Vec<u32>,
     /// Per-load dynamic access counter (pattern phase), flattened.
@@ -111,7 +112,7 @@ impl WarpSlab {
             recorder: vec![0; n_slots],
             run: vec![0; n_slots],
             run_left: vec![0; n_slots],
-            record: vec![0; n_slots],
+            cursor: vec![RecordCursor::default(); n_slots],
             outstanding: Vec::new(),
             access_index: Vec::new(),
         }
@@ -195,7 +196,7 @@ impl WarpSlab {
         self.op_base[slot] = op_base;
         self.run[slot] = 0;
         self.run_left[slot] = 0;
-        self.record[slot] = 0;
+        self.cursor[slot] = RecordCursor::default();
         self.meta[slot] = META_READY | Self::inst_meta(kernel, 0);
         let lo = slot * self.n_loads;
         self.outstanding[lo..lo + self.n_loads].fill(0);
@@ -222,20 +223,34 @@ impl WarpSlab {
     }
 
     /// Starts the warp just launched into `slot` on its replay stream `id`,
-    /// at the first op of `first`, the stream's first run.
-    pub fn start_replay(&mut self, slot: usize, kernel: &KernelSpec, id: u32, first: Run) {
+    /// at the first op of `first`, the stream's first run, and at `records`,
+    /// the stream's first record.
+    pub fn start_replay(
+        &mut self,
+        slot: usize,
+        kernel: &KernelSpec,
+        id: u32,
+        first: Run,
+        records: RecordCursor,
+    ) {
         self.stream[slot] = id;
         self.run_left[slot] = first.count - 1;
+        self.cursor[slot] = records;
         self.set_pos(slot, kernel, first.start);
     }
 
-    /// Takes the index of the next access record of the replayed warp in
-    /// `slot` (post-incrementing).
+    /// The record cursor of the replayed warp in `slot`, which
+    /// [`ReplayKernel::read_record`](crate::replay::ReplayKernel::read_record)
+    /// moves past each record it reads.
     #[inline]
-    pub fn next_record(&mut self, slot: usize) -> u32 {
-        let i = self.record[slot];
-        self.record[slot] += 1;
-        i
+    pub fn cursor_mut(&mut self, slot: usize) -> &mut RecordCursor {
+        &mut self.cursor[slot]
+    }
+
+    /// The record cursor of the replayed warp in `slot`.
+    #[inline]
+    pub fn cursor(&self, slot: usize) -> RecordCursor {
+        self.cursor[slot]
     }
 
     /// Frees `slot` at CTA reap; the row is re-zeroed by the next launch.
@@ -563,7 +578,8 @@ mod tests {
         let k = kernel(); // load, dep'd consumer, ALU; two iterations
         let mut w = slab(&k);
         let runs = [Run { start: 2, count: 3 }, Run { start: 1, count: 2 }];
-        w.start_replay(0, &k, 7, runs[0]);
+        let records = RecordCursor { byte: 40, fresh: 9 };
+        w.start_replay(0, &k, 7, runs[0], records);
         assert_eq!(w.stream(0), 7);
         let mut walk = vec![w.body_pos(0)];
         while !w.done(0) {
@@ -573,13 +589,15 @@ mod tests {
         // The last entry is the position the warp retired at.
         assert_eq!(walk, [2, 0, 1, 1, 2, 2]);
         assert_eq!(w.meta(0) & META_LIVE, 0);
-        assert_eq!((w.next_record(0), w.next_record(0)), (0, 1));
+        assert_eq!(w.cursor(0), records);
+        w.cursor_mut(0).byte += 3;
+        assert_eq!(w.cursor(0).byte, 43);
         // The next tenant of the slot starts its cursor afresh.
         w.free(0);
         w.launch(0, CtaId(0), 1, 1, 0, &k);
-        w.start_replay(0, &k, 8, Run { start: 0, count: 1 });
+        assert_eq!(w.cursor(0), RecordCursor::default());
+        w.start_replay(0, &k, 8, Run { start: 0, count: 1 }, RecordCursor::default());
         assert_ne!(w.meta(0) & META_LOAD, 0);
-        assert_eq!(w.next_record(0), 0);
         w.advance_replay(0, &k, &[Run { start: 0, count: 1 }]);
         assert!(w.done(0));
     }

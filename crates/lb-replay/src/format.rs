@@ -31,7 +31,10 @@
 //! A stream is written in the shape a decoded kernel keeps it (layout in
 //! [`gpu_sim::replay`]): runs of consecutive body positions, then one
 //! access record per op at a Load/Store position. The runs imply the
-//! record count, and an ALU op costs no byte.
+//! record count, and an ALU op costs no byte. The record section of each
+//! stream is the kernel's in-memory record layout, byte for byte: the
+//! record codec (varints, delta bases, the repeat table) lives behind
+//! [`gpu_sim::replay`], and this module adds the header and the runs.
 //!
 //! # One line pool per kernel
 //!
@@ -48,50 +51,57 @@
 //! # Canonical encoding
 //!
 //! A record has exactly one header: `h = 1`, a fresh record of no lines,
-//! is malformed. [`encode`] writes a record as a repeat when its lines
-//! equal those of a fresh record it wrote before, found in a compact table
-//! sized from the record count; it never looks at how the kernel lays its
-//! pool out. The bytes are therefore a function of the runs and of each
-//! record's lines, so a raw capture (which appends every access's lines)
-//! and a decoded trace (which holds each distinct slice once) serialize to
-//! byte-identical files: `encode(decode(f)) == f` for every file `encode`
-//! wrote — the property the capture→replay→re-encode self-check in CI
-//! relies on.
+//! is malformed. Capture and import code their records once, in
+//! [`ReplayKernel::from_streams`]: a record is written as a repeat when
+//! its lines equal those of a fresh record written before, found in a
+//! compact table sized from the record count. The bytes are therefore a
+//! function of the runs and of each record's lines. [`encode`] writes the
+//! header, each stream's runs and a copy of its record bytes, so
+//! `encode(decode(f)) == f` for every file `encode` wrote, and a capture
+//! equals its own decode — the properties the capture→replay→re-encode
+//! self-check in CI relies on. A file written by another tool may code a
+//! repeat inside a fresh record or a non-minimal varint; decode keeps its
+//! records as they are, and they encode back unchanged.
 //!
 //! Version 2 gave each stream a pool of its own, every line coded against
 //! the line before it; version 1 listed every op. Neither has a reader: a
 //! file of either version is rejected as [`ReplayError::BadVersion`].
 //!
-//! [`decode`] is a single pass over the bytes into the kernel's flat
-//! arrays. It rejects a stream with no run, puts each run through the run
-//! check ([`RunCheck`]: start inside the body, at least one op, memory ops
-//! counted in O(1)) before [`StreamBuilder::push_run`] merges it, takes
-//! each record's body position from the same prefix count
+//! [`decode`] is the header plus one validating pass over the stream
+//! section, through a [`KernelReader`]. It rejects a stream with no run,
+//! puts each run through the run check ([`RunCheck`]: start inside the
+//! body, at least one op, memory ops counted in O(1)) before the reader
+//! merges it, takes each record's body position from the same prefix count
 //! ([`RunCheck::mem_indices`], O(records), no ALU op walked), and puts each
 //! record through the record check ([`check_record`]: at most
 //! [`MAX_LINES_PER_RECORD`] lines; a repeat's slice inside the pool so
-//! far; no line past the pool limit of a decoded record word).
-//! [`ReplayKernel::validate`] runs the same checks and is debug-asserted
+//! far; no line past the pool limit of a record cursor). It builds only the
+//! pool, which doubles, capped at the size the streams read so far project
+//! for the whole kernel, and copies the record bytes into one array
+//! reserved from the input left; both are shrunk to fit at the end.
+//! [`ReplayKernel::validate`] runs the same reader and is debug-asserted
 //! on every decoded kernel. Every count is bounded by the remaining input
-//! before it sizes an allocation, a stream's records must leave the kernel
-//! within [`MAX_RECORDS`], and every failure is a typed [`ReplayError`]. The `decode_sweep` tests decode every prefix of
-//! a captured trace and thousands of seeded corruptions of it, and check
-//! that every kernel decode accepts also passes `validate`.
+//! before it sizes an allocation, the record bytes must stay within
+//! [`MAX_RECORD_BYTES`], and every failure is a typed [`ReplayError`]. The
+//! `decode_sweep` tests decode every prefix of a captured trace and
+//! thousands of seeded corruptions of it, and check that every kernel
+//! decode accepts also passes `validate`.
+//!
+//! [`RunCheck`]: gpu_sim::replay::RunCheck
+//! [`RunCheck::mem_indices`]: gpu_sim::replay::RunCheck::mem_indices
+//! [`check_record`]: gpu_sim::replay::check_record
+//! [`MAX_RECORD_BYTES`]: gpu_sim::replay::MAX_RECORD_BYTES
 //!
 //! Decoded kernel stubs carry a placeholder [`AccessPattern`] per load:
 //! replay never executes patterns, and every policy transform reads only
 //! the header fields (registers, warps, shared memory), which round-trip
 //! exactly.
 
-use gpu_sim::fastmap::FxHasher64;
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::AccessPattern;
-use gpu_sim::replay::{
-    check_record, ReplayKernel, Run, RunCheck, StreamBuilder, StreamFault, MAX_RECORDS,
-};
-use gpu_sim::types::{LineAddr, LoadId, Pc};
+use gpu_sim::replay::{self, uvarint_len, KernelReader, ReplayKernel, Run, StreamFault};
+use gpu_sim::types::{LoadId, Pc};
 use lb_trace::put_uvarint;
-use std::hash::Hasher;
 
 pub use gpu_sim::replay::MAX_LINES_PER_RECORD;
 
@@ -167,34 +177,11 @@ impl From<std::io::Error> for ReplayError {
     }
 }
 
-/// LEB128 reader twin of `lb_trace::get_uvarint`, reporting positions in
-/// [`ReplayError`] terms so decode failures carry a byte offset.
+/// Reads a header uvarint with the record codec's reader
+/// ([`replay::get_uvarint`]), its failures as [`ReplayError`]s.
 #[inline]
 fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, ReplayError> {
-    // Most values (record heads, run counts, small line deltas) fit one
-    // byte: read those in one branch.
-    if let Some(&b) = buf.get(*pos).filter(|&&b| b < 0x80) {
-        *pos += 1;
-        return Ok(u64::from(b));
-    }
-    let start = *pos;
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        let Some(&b) = buf.get(*pos) else {
-            return Err(ReplayError::UnexpectedEof { at: buf.len() });
-        };
-        // A u64 takes at most ten bytes; the tenth may only hold bit 63.
-        if shift == 63 && b > 1 {
-            return Err(ReplayError::VarintOverflow { at: start });
-        }
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
+    replay::get_uvarint(buf, pos).map_err(|e| fault(e, *pos, String::new()))
 }
 
 fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, ReplayError> {
@@ -224,155 +211,97 @@ fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize, ReplayError> {
     fits(n, buf, *pos)
 }
 
-fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
-    put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-#[inline]
-fn get_zigzag(buf: &[u8], pos: &mut usize) -> Result<i64, ReplayError> {
-    let raw = get_uvarint(buf, pos)?;
-    Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
-}
-
-/// Slots [`FreshSlices`] probes for one slice before writing it fresh.
-const PROBES: usize = 16;
-
-/// An empty [`FreshSlices`] slot.
-const EMPTY: u32 = u32::MAX;
-
-/// The encoder's index of the fresh records written so far, to find
-/// repeats: an open-addressed table of `(record, pool offset)` slots, one
-/// per kernel record rounded up to a power of two, allocated once before
-/// encoding starts. A slice is looked up in at most [`PROBES`] slots from
-/// its hash and checked against the kernel's lines; a new slice whose
-/// window is full is written fresh and left out. Every decision depends on
-/// the records' lines alone, so the encoding stays canonical, and since
-/// colliding slices can only lengthen the output, never slow a lookup, an
-/// unkeyed hash is safe here.
-struct FreshSlices {
-    /// `(kernel record index, pool offset)` of an indexed fresh record, or
-    /// `(EMPTY, 0)`.
-    slots: Vec<(u32, u32)>,
-    /// Right shift taking a hash to a slot index (its top bits).
-    shift: u32,
-    /// Lines the fresh records written so far appended: the decoder's pool
-    /// length at this point.
-    pool_len: u64,
-}
-
-impl FreshSlices {
-    fn new(n_records: usize) -> Self {
-        let n = n_records.next_power_of_two().max(PROBES);
-        FreshSlices { slots: vec![(EMPTY, 0); n], shift: 64 - n.trailing_zeros(), pool_len: 0 }
-    }
-
-    /// The pool offset of an earlier fresh record holding `lines`, record
-    /// `rec` of `rep`; otherwise indexes `rec` as a fresh record and
-    /// returns `None`.
-    fn repeat_of(&mut self, rep: &ReplayKernel, rec: usize, lines: &[LineAddr]) -> Option<u64> {
-        let mut hasher = FxHasher64::default();
-        for l in lines {
-            hasher.write_u64(l.0);
-        }
-        let hash = hasher.finish();
-        let mask = self.slots.len() - 1;
-        let mut i = (hash >> self.shift) as usize;
-        for _ in 0..PROBES {
-            let (r, off) = self.slots[i];
-            if r == EMPTY {
-                // A slice starting past pool offset u32::MAX stays
-                // unindexed: its repeats are written fresh.
-                if let Ok(off) = u32::try_from(self.pool_len) {
-                    self.slots[i] = (rec as u32, off);
-                }
-                break;
-            }
-            if rep.slice(rep.records()[r as usize]) == lines {
-                return Some(u64::from(off));
-            }
-            i = (i + 1) & mask;
-        }
-        self.pool_len += lines.len() as u64;
-        None
-    }
-}
-
-/// Serializes `rep` to `LBW1` bytes: each record is written fresh or as a
-/// repeat of an earlier fresh record (see the module docs), so the output
-/// is canonical: encoding a decoded trace reproduces the file byte for
-/// byte. A kernel whose runs fail [`ReplayKernel::validate`] still
-/// encodes, to bytes that [`decode`] rejects; its records must lie inside
-/// its pool.
+/// Serializes `rep` to `LBW1` bytes: the header, then per stream its runs
+/// and its record bytes as the kernel keeps them. The kernel's records are
+/// already coded (see the module docs), so a decoded trace encodes to its
+/// file byte for byte and a capture to the file its decode came from. The
+/// buffer is allocated once, at the encoding's exact size. A kernel whose
+/// runs fail [`ReplayKernel::validate`] still encodes, to bytes that
+/// [`decode`] rejects.
 pub fn encode(rep: &ReplayKernel) -> Vec<u8> {
     let stub = &rep.stub;
-    let mut out = Vec::with_capacity(64 + rep.records().len() * 2);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    put_uvarint(&mut out, stub.name.len() as u64);
-    out.extend_from_slice(stub.name.as_bytes());
-    put_uvarint(&mut out, u64::from(stub.grid_ctas));
-    put_uvarint(&mut out, u64::from(stub.warps_per_cta));
-    put_uvarint(&mut out, u64::from(stub.regs_per_thread));
-    put_uvarint(&mut out, stub.shared_mem_per_cta);
-    put_uvarint(&mut out, u64::from(stub.iterations));
-    put_uvarint(&mut out, stub.loads.len() as u64);
+    let mut head = Vec::new();
+    head.extend_from_slice(&MAGIC);
+    head.push(VERSION);
+    put_uvarint(&mut head, stub.name.len() as u64);
+    head.extend_from_slice(stub.name.as_bytes());
+    put_uvarint(&mut head, u64::from(stub.grid_ctas));
+    put_uvarint(&mut head, u64::from(stub.warps_per_cta));
+    put_uvarint(&mut head, u64::from(stub.regs_per_thread));
+    put_uvarint(&mut head, stub.shared_mem_per_cta);
+    put_uvarint(&mut head, u64::from(stub.iterations));
+    put_uvarint(&mut head, stub.loads.len() as u64);
     for l in &stub.loads {
-        put_uvarint(&mut out, u64::from(l.pc.0));
+        put_uvarint(&mut head, u64::from(l.pc.0));
     }
-    put_uvarint(&mut out, stub.body.len() as u64);
+    put_uvarint(&mut head, stub.body.len() as u64);
     for inst in &stub.body {
-        put_uvarint(&mut out, u64::from(inst.pc.0));
+        put_uvarint(&mut head, u64::from(inst.pc.0));
         let (tag, arg) = match inst.kind {
             InstKind::Alu { latency } => (0u8, u64::from(latency)),
             InstKind::Load { load } => (1, u64::from(load.0)),
             InstKind::Store { load } => (2, u64::from(load.0)),
         };
-        out.push(tag);
-        put_uvarint(&mut out, arg);
-        put_uvarint(&mut out, inst.wait_for.map_or(0, |l| u64::from(l.0) + 1));
+        head.push(tag);
+        put_uvarint(&mut head, arg);
+        put_uvarint(&mut head, inst.wait_for.map_or(0, |l| u64::from(l.0) + 1));
     }
-    put_uvarint(&mut out, rep.n_streams() as u64);
-    let check = RunCheck::new(&stub.body);
-    // One delta base per Load/Store position, and a last one for records
-    // an invalid kernel's runs leave without a position.
-    let mut base = vec![0u64; check.n_mem() + 1];
-    let unplaced = check.n_mem();
-    let mut fresh = FreshSlices::new(rep.records().len());
-    let mut records = rep.records().iter().enumerate();
+    put_uvarint(&mut head, rep.n_streams() as u64);
+    let run_bytes = |r: &Run| uvarint_len(r.start.into()) + uvarint_len(r.count.into());
+    let streams: usize = rep
+        .streams()
+        .map(|s| {
+            let runs = s.runs();
+            uvarint_len(runs.len() as u64)
+                + runs.iter().map(run_bytes).sum::<usize>()
+                + s.record_bytes().len()
+        })
+        .sum();
+    let mut out = Vec::with_capacity(head.len() + streams);
+    out.extend_from_slice(&head);
     for s in rep.streams() {
         put_uvarint(&mut out, s.runs().len() as u64);
         for r in s.runs() {
             put_uvarint(&mut out, u64::from(r.start));
             put_uvarint(&mut out, u64::from(r.count));
         }
-        let places = s.runs().iter().flat_map(|&r| check.mem_indices(r));
-        let places = places.chain(std::iter::repeat(unplaced));
-        for ((ri, &word), k) in records.by_ref().take(s.n_accesses()).zip(places) {
-            let lines = rep.slice(word);
-            let Some(&first) = lines.first() else {
-                out.push(0);
-                continue;
-            };
-            let h = 2 * lines.len() as u64;
-            if let Some(off) = fresh.repeat_of(rep, ri, lines) {
-                put_uvarint(&mut out, h);
-                put_uvarint(&mut out, off);
-            } else {
-                put_uvarint(&mut out, h + 1);
-                put_zigzag(&mut out, first.0.wrapping_sub(base[k]) as i64);
-                for w in lines.windows(2) {
-                    put_zigzag(&mut out, w[1].0.wrapping_sub(w[0].0) as i64);
-                }
-            }
-            base[k] = first.0;
-        }
+        out.extend_from_slice(s.record_bytes());
     }
+    debug_assert_eq!(out.len(), out.capacity(), "encode sized its buffer wrongly");
     out
 }
 
 /// Parses `LBW1` bytes into a validated [`ReplayKernel`] in one pass (see
 /// the module docs).
 pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
+    let (stub, n_streams, mut pos) = decode_header(buf)?;
+    let mut reader = KernelReader::new(stub, n_streams, buf.len() - pos);
+    for si in 0..n_streams {
+        let n_runs = get_count(buf, &mut pos)?;
+        if n_runs == 0 {
+            return Err(ReplayError::Malformed(format!("stream {si} is empty")));
+        }
+        for ri in 0..n_runs {
+            let at = pos;
+            let start = as_u32(get_uvarint(buf, &mut pos)?, "run start")?;
+            let count = as_u32(get_uvarint(buf, &mut pos)?, "run count")?;
+            reader
+                .push_run(Run { start, count })
+                .map_err(|e| fault(e, at, format!("stream {si} run {ri}")))?;
+        }
+        reader
+            .read_records(buf, &mut pos)
+            .map_err(|f| fault(f.fault, f.at, format!("stream {si} record {}", f.record)))?;
+    }
+    let rep = reader.finish();
+    debug_assert_eq!(rep.validate(), Ok(()), "decode's checks let an invalid kernel through");
+    Ok(rep)
+}
+
+/// Parses the header of `LBW1` bytes: the kernel stub, then the stream
+/// count, which must match the grid and fit the input left. Returns both
+/// and the offset of the first stream.
+pub(crate) fn decode_header(buf: &[u8]) -> Result<(KernelSpec, usize, usize), ReplayError> {
     if buf.len() < 4 {
         return Err(if buf.is_empty() {
             ReplayError::UnexpectedEof { at: 0 }
@@ -411,7 +340,7 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     }
 
     let n_body = get_count(buf, &mut pos)?;
-    let body_len = as_u32(n_body as u64, "static body length")?;
+    as_u32(n_body as u64, "static body length")?;
     let mut body = Vec::with_capacity(n_body);
     for _ in 0..n_body {
         let pc = as_u32(get_uvarint(buf, &mut pos)?, "pc")?;
@@ -455,137 +384,36 @@ pub fn decode(buf: &[u8]) -> Result<ReplayKernel, ReplayError> {
     }
     // Each stream takes at least a byte.
     fits(n_streams, buf, pos)?;
-    let check = RunCheck::new(&stub.body);
-    // Per Load/Store position, the first line of the last non-empty record
-    // there: the delta base of the next fresh record.
-    let mut base = vec![0; check.n_mem()];
-    // Every stream's runs are merged here, then copied to the kernel.
-    let mut scratch = StreamBuilder::new(body_len);
-    let mut rep = ReplayKernel::new(stub);
-    for si in 0..n_streams {
-        get_stream(buf, &mut pos, si, &check, &mut scratch, &mut base, &mut rep)?;
-        if si == 0 {
-            // A one-wave capture runs every warp the same trips, so room
-            // for the rest at the first stream's size spares the arrays
-            // their doubling copies; shrinking to fit returns what goes
-            // unused. Each record and pool line takes at least a byte of
-            // input, and the stream count was checked against it above.
-            let (rest, left) = (n_streams as usize - 1, buf.len() - pos);
-            let per = |n: usize| n.saturating_mul(rest).min(left);
-            let multi = rep.records().iter().filter(|&&w| rep.span(w).1 > 1).count();
-            rep.reserve(rest, per(rep.records().len()), per(multi), per(rep.pool().len()));
-        }
-    }
-    rep.shrink_to_fit();
-    debug_assert_eq!(rep.validate(), Ok(()), "decode's checks let an invalid kernel through");
-    Ok(rep)
-}
-
-/// Reads stream `si` into `rep`: its runs, each checked and merged in
-/// `scratch`, then the access records the runs imply, each checked as it
-/// is read; fresh lines are coded against `base`.
-fn get_stream(
-    buf: &[u8],
-    pos: &mut usize,
-    si: u64,
-    check: &RunCheck,
-    scratch: &mut StreamBuilder,
-    base: &mut [u64],
-    rep: &mut ReplayKernel,
-) -> Result<(), ReplayError> {
-    let n_runs = get_count(buf, pos)?;
-    if n_runs == 0 {
-        return Err(ReplayError::Malformed(format!("stream {si} is empty")));
-    }
-    let mut mem_ops = 0u64;
-    for ri in 0..n_runs {
-        let at = *pos;
-        let start = as_u32(get_uvarint(buf, pos)?, "run start")?;
-        let count = as_u32(get_uvarint(buf, pos)?, "run count")?;
-        let run = Run { start, count };
-        let run_mem = check.run(run).map_err(|e| fault(e, at, format!("stream {si} run {ri}")))?;
-        mem_ops = mem_ops.saturating_add(run_mem);
-        scratch.push_run(run);
-    }
-    // Each record takes at least a byte.
-    fits(mem_ops, buf, *pos)?;
-    // Names the record being read, for errors.
-    let first = rep.records().len();
-    if first as u64 + mem_ops > MAX_RECORDS {
-        return Err(ReplayError::Malformed(format!(
-            "stream {si}: the kernel holds more than {MAX_RECORDS} access records"
-        )));
-    }
-    let what = |rep: &ReplayKernel| format!("stream {si} record {}", rep.records().len() - first);
-    for &run in scratch.runs() {
-        for k in check.mem_indices(run) {
-            let at = *pos;
-            let h = get_uvarint(buf, pos)?;
-            let len = h >> 1;
-            if h == 0 {
-                rep.push_record(0, 0);
-            } else if h & 1 == 1 {
-                // Fresh: room for `len` more lines at the pool's end, below
-                // the pool limit.
-                let end = rep.pool().len();
-                let (off, len) = check_record(end as u64, len, end.saturating_add(len as usize))
-                    .map_err(|e| fault(e, at, what(rep)))?;
-                if len == 0 {
-                    return Err(ReplayError::Malformed(format!(
-                        "{}: fresh record of no lines (h = 1)",
-                        what(rep)
-                    )));
-                }
-                let mut line = base[k].wrapping_add(get_zigzag(buf, pos)? as u64);
-                base[k] = line;
-                rep.push_line(LineAddr(line));
-                for _ in 1..len {
-                    line = line.wrapping_add(get_zigzag(buf, pos)? as u64);
-                    rep.push_line(LineAddr(line));
-                }
-                rep.push_record(off, len);
-            } else {
-                // A repeat: `off` must name lines already in the pool.
-                let off = get_uvarint(buf, pos)?;
-                let (off, len) = check_record(off, len, rep.pool().len())
-                    .map_err(|e| fault(e, at, what(rep)))?;
-                base[k] = rep.pool()[off as usize].0;
-                rep.push_record(off, len);
-            }
-        }
-    }
-    rep.push_stream(scratch);
-    Ok(())
+    Ok((stub, n_streams as usize, pos))
 }
 
 /// The typed error for a run or record at byte `at`, named `what`, that
-/// failed its check.
+/// failed its check or its read.
 #[cold]
 fn fault(e: StreamFault, at: usize, what: String) -> ReplayError {
     match e {
         StreamFault::OverlongRecord(lines) => ReplayError::OverlongRecord { at, lines },
+        StreamFault::Truncated(at) => ReplayError::UnexpectedEof { at },
+        StreamFault::VarintOverflow(at) => ReplayError::VarintOverflow { at },
         e => ReplayError::Malformed(format!("{what}: {e}")),
     }
 }
 
-/// How many of `rep`'s access records its `LBW1` file writes as repeats,
-/// for a kernel [`decode`] returned: a fresh record's lines start where
-/// the records before it left the pool's end, and a repeat's lie inside.
+/// How many of `rep`'s access records its `LBW1` file writes as repeats:
+/// a fresh record's lines start at its stream's next fresh pool line, and
+/// a repeat's lie before it.
 pub fn repeat_records(rep: &ReplayKernel) -> usize {
-    let mut end = 0u64;
-    let mut repeats = 0;
-    for &word in rep.records() {
-        let (off, len) = rep.span(word);
-        if len == 0 {
-            continue;
-        }
-        if u64::from(off) == end {
-            end += u64::from(len);
-        } else {
-            repeats += 1;
-        }
-    }
-    repeats
+    let repeats = |s: replay::WarpStream<'_>| {
+        let mut next = s.cursor().fresh;
+        s.records()
+            .filter(|&(off, len)| {
+                let fresh = off == next;
+                next += if fresh { len } else { 0 };
+                len > 0 && !fresh
+            })
+            .count()
+    };
+    rep.streams().map(repeats).sum()
 }
 
 /// Reads and decodes a workload trace from `path`.
@@ -602,6 +430,8 @@ pub fn write_file(path: &std::path::Path, rep: &ReplayKernel) -> Result<(), Repl
 mod tests {
     use super::*;
     use gpu_sim::kernel::KernelBuilder;
+    use gpu_sim::replay::StreamBuilder;
+    use gpu_sim::types::LineAddr;
 
     /// Body: a load, then three ALU ops.
     fn stub4() -> KernelSpec {
@@ -642,10 +472,13 @@ mod tests {
         for (sa, sb) in a.streams().zip(b.streams()) {
             assert_eq!(sa.runs(), sb.runs());
             assert_eq!(sa.n_accesses(), sb.n_accesses());
-            for i in 0..sa.n_accesses() as u32 {
-                assert_eq!(sa.access(i), sb.access(i), "record {i}");
-            }
+            assert!(sa.accesses().eq(sb.accesses()));
         }
+    }
+
+    /// The lines of each access record of `rep`'s stream `si`.
+    fn lines_of(rep: &ReplayKernel, si: usize) -> Vec<Vec<u64>> {
+        rep.stream(si).accesses().map(|a| a.iter().map(|l| l.0).collect()).collect()
     }
 
     #[test]
@@ -663,10 +496,37 @@ mod tests {
                 assert_eq!(a.lines(oa), b.lines(ob));
             }
         }
-        // The pool holds each distinct slice once, across streams.
-        assert_eq!(rep.pool().len(), 7);
+        // The pool holds each distinct slice once, across streams, in the
+        // capture as in its decode: a kernel equals its own decode.
         assert_eq!(back.pool(), [LineAddr(10), LineAddr(11), LineAddr(500)]);
-        assert_eq!((repeat_records(&back), back.records().len()), (2, 4));
+        assert_eq!(back, rep);
+        let records: usize = back.streams().map(|s| s.n_accesses()).sum();
+        assert_eq!((repeat_records(&back), records), (2, 4));
+    }
+
+    #[test]
+    fn encode_allocates_its_exact_size() {
+        let mut kernels = vec![sample()];
+        // With no streams the stream section is the one-byte count.
+        let mut stub = stub4();
+        stub.grid_ctas = 0;
+        kernels.push(ReplayKernel::new(stub));
+        // Long names and bodies, and run counts and starts of several bytes.
+        let mut long = KernelBuilder::new("n".repeat(300)).grid(1, 1);
+        for _ in 0..200 {
+            long = long.alu(1);
+        }
+        let long = long.load(AccessPattern::streaming(128)).build().unwrap();
+        let mut s = StreamBuilder::new(201);
+        s.push_run(Run { start: 150, count: 100_000 });
+        for line in 0..1 + 100_000 / 201 {
+            s.push(200, Some(&[LineAddr(line << 20)]));
+        }
+        kernels.push(ReplayKernel::from_streams(long, vec![s]));
+        for rep in &kernels {
+            let bytes = encode(rep);
+            assert_eq!(bytes.capacity(), bytes.len(), "{}", rep.stub.name.len());
+        }
     }
 
     #[test]
@@ -877,9 +737,7 @@ mod tests {
         ];
         let bytes = section_for(stub, &section);
         let rep = decode(&bytes).unwrap();
-        let s = rep.stream(0);
-        let lines: Vec<Vec<u64>> =
-            (0..s.n_accesses() as u32).map(|i| s.access(i).iter().map(|l| l.0).collect()).collect();
+        let lines = lines_of(&rep, 0);
         let want: [&[u64]; 7] =
             [&[1000, 1001], &[far], &[1004], &[far + 4], &[1000, 1001], &[far], &[1002]];
         assert_eq!(lines, want);
@@ -907,21 +765,27 @@ mod tests {
             3,
             zz(99), // fresh 200, against the last record's first line, 101
         ];
-        let rep = decode(&with_stream_section(&section)).unwrap();
-        let s = rep.stream(0);
-        let lines: Vec<Vec<u64>> =
-            (0..s.n_accesses() as u32).map(|i| s.access(i).iter().map(|l| l.0).collect()).collect();
+        let bytes = with_stream_section(&section);
+        let rep = decode(&bytes).unwrap();
         let want: [&[u64]; 4] = [&[100, 101, 102], &[101], &[101, 102], &[200]];
-        assert_eq!(lines, want);
-        // One-line records are their pool index; multi-line ones are table
-        // entries.
-        let spans: Vec<(u32, u32)> = rep.records().iter().map(|&w| rep.span(w)).collect();
+        assert_eq!(lines_of(&rep, 0), want);
+        let spans: Vec<(u32, u32)> = rep.stream(0).records().collect();
         assert_eq!(spans, [(0, 3), (1, 1), (1, 2), (3, 1)]);
-        assert_eq!((rep.records()[1], rep.records()[3]), (1, 3));
         assert_eq!((rep.pool().len(), repeat_records(&rep)), (4, 2));
-        // The encoder repeats only whole fresh records, so it writes these
-        // two fresh, to bytes that decode to the same lines.
-        assert_same_streams(&rep, &decode(&encode(&rep)).unwrap());
+        // The kernel keeps the file's records as they are.
+        assert_eq!(encode(&rep), bytes);
+        // Capture codes a repeat only of a whole fresh record, so the same
+        // lines recorded op by op code these two fresh.
+        let mut s = StreamBuilder::new(4);
+        for lines in rep.stream(0).accesses() {
+            s.push(0, Some(lines));
+            (1..4).for_each(|pos| s.push(pos, None));
+        }
+        let mut stub = rep.stub.clone();
+        stub.warps_per_cta = 1;
+        let recoded = ReplayKernel::from_streams(stub, vec![s]);
+        assert_eq!((recoded.pool().len(), repeat_records(&recoded)), (7, 0));
+        assert!(recoded.stream(0).accesses().eq(rep.stream(0).accesses()));
     }
 
     #[test]
@@ -942,7 +806,7 @@ mod tests {
         let split = with_stream_section(&[1, 2, 0, 2, 2, 6, 3, 10, 2, 0]);
         let rep = decode(&split).unwrap();
         assert_eq!(rep.stream(0).runs(), [Run { start: 0, count: 8 }]);
-        assert_eq!(rep.stream(0).access(1), [LineAddr(5)]);
+        assert_eq!(rep.stream(0).accesses().nth(1), Some(&[LineAddr(5)][..]));
         let canonical = with_stream_section(&[1, 1, 0, 8, 3, 10, 2, 0]);
         assert_eq!(encode(&rep), canonical);
         assert_eq!(decode(&canonical).unwrap(), rep);
@@ -1023,7 +887,7 @@ mod tests {
             assert_eq!(back.stub, raw.stub);
             assert_same_streams(&raw, &back);
             assert_eq!(encode(&back), bytes, "the raw and the decoded form encode alike");
-            assert!(back.pool().len() <= raw.pool().len());
+            assert_eq!(back, raw, "a kernel equals its own decode");
             repeats.set(repeats.get() + repeat_records(&back));
         });
         assert!(repeats.get() > 0, "no kernel wrote a repeat, so none was checked");

@@ -436,9 +436,9 @@ mod tests {
         assert_eq!(rep.stub.body[1].wait_for, Some(LoadId(0)));
         assert_eq!(rep.stub.body[2].wait_for, None);
         // 32 lanes, stride 4 → 128 consecutive bytes → 1 line per access.
-        assert_eq!(rep.stream(0).access(0).len(), 1);
+        assert_eq!(rep.stream(0).accesses().next().unwrap().len(), 1);
         // Each warp touches a distinct line.
-        let first: Vec<LineAddr> = rep.streams().map(|s| s.access(0)[0]).collect();
+        let first: Vec<LineAddr> = rep.streams().map(|s| s.accesses().next().unwrap()[0]).collect();
         assert_eq!(first.len(), 4);
         assert!(first.windows(2).all(|w| w[0] != w[1]));
     }
@@ -513,7 +513,7 @@ mod tests {
                  0010 ffffffff 1 R5 IADD3 2 R2 R2 0\n";
         let rep = import_str(t).unwrap();
         // Four lanes, lines 2, 3, 2, 4 → coalesced to three distinct lines.
-        assert_eq!(rep.stream(0).access(0).len(), 3);
+        assert_eq!(rep.stream(0).accesses().next().unwrap().len(), 3);
         assert_eq!(rep.pool(), [LineAddr(2), LineAddr(3), LineAddr(4)]);
     }
 
@@ -546,8 +546,8 @@ mod tests {
     fn masked_off_memory_op_imports_lineless() {
         let t = sample_trace().replacen("0000 ffffffff 1 R2 LDG.E", "0000 00000000 1 R2 LDG.E", 1);
         let rep = import_str(&t).unwrap();
-        assert_eq!(rep.stream(0).access(0), []);
-        assert_eq!(rep.stream(1).access(0).len(), 1);
+        assert_eq!(rep.stream(0).accesses().next().unwrap(), []);
+        assert_eq!(rep.stream(1).accesses().next().unwrap().len(), 1);
         // An ALU opcode with an address descriptor is not a memory op.
         let bad = sample_trace().replacen("IMAD 2 R2 R5 0", "IMAD 2 R2 R5 4 1 0x0 4", 1);
         match import_str(&bad) {
@@ -568,7 +568,7 @@ mod tests {
             // Two prologue/epilogue accesses, one per trip (the third
             // masked off), and nothing for the eight ALU ops.
             assert_eq!(s.n_accesses(), 6);
-            assert_eq!(s.access(3), []);
+            assert_eq!(s.accesses().nth(3).unwrap(), []);
         }
         let bytes = crate::format::encode(&rep);
         let back = crate::format::decode(&bytes).unwrap();

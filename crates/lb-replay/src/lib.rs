@@ -23,6 +23,8 @@
 pub mod capture;
 pub mod format;
 pub mod import;
+#[cfg(test)]
+mod reference;
 
 pub use capture::{capture_app, capture_spec, one_wave_kernel, replay_reencode};
 pub use format::{decode, encode, read_file, write_file, ReplayError};

@@ -89,8 +89,9 @@ fn run() -> Result<(), String> {
             // sparse patterns leave many of them without lines. Counting
             // records, never ops, keeps this linear in the file's size.
             let runs: usize = rep.streams().map(|s| s.runs().len()).sum();
-            let mem_ops = rep.records().len();
-            let lineless = rep.records().iter().filter(|&&w| rep.span(w).1 == 0).count();
+            let records = rep.streams().flat_map(|s| s.records());
+            let (mem_ops, lineless) =
+                records.fold((0, 0), |(n, none), (_, len)| (n + 1, none + usize::from(len == 0)));
             println!("kernel        {}", rep.stub.name);
             println!(
                 "grid          {} CTAs x {} warps",

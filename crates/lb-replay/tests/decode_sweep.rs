@@ -42,8 +42,8 @@ fn check_decoded(k: &ReplayKernel, case: &str) {
     for (si, (a, b)) in k.streams().zip(back.streams()).enumerate() {
         assert_eq!(a.runs(), b.runs(), "{case}: stream {si} runs");
         assert_eq!(a.n_accesses(), b.n_accesses(), "{case}: stream {si} records");
-        for i in 0..a.n_accesses() as u32 {
-            assert_eq!(a.access(i), b.access(i), "{case}: stream {si} record {i} lines");
+        for (i, (la, lb)) in a.accesses().zip(b.accesses()).enumerate() {
+            assert_eq!(la, lb, "{case}: stream {si} record {i} lines");
         }
     }
 }

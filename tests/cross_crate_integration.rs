@@ -154,6 +154,28 @@ fn captured_trace_replays_identically() {
 }
 
 #[test]
+fn fresh_capture_equals_its_own_decode() {
+    // A capture codes its records as an LBW1 file codes them, over a pool
+    // holding each distinct line slice once, so its decode gives it back
+    // whole: runs, record bytes, pool and stream starts. S1's warps re-read
+    // each other's lines, so its records include repeats.
+    let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
+    let (_, cap) = lb_replay::capture_app("S1", &cfg, 2, &baseline_factory()).unwrap();
+    let mut back = lb_replay::decode(&lb_replay::encode(&cap)).unwrap();
+    assert!(lb_replay::format::repeat_records(&back) > 0, "the capture holds no repeat");
+    // A decoded stub carries placeholder access patterns, which replay
+    // never runs; every other stub field round-trips.
+    let load_pcs = |k: &gpu_sim::KernelSpec| k.loads.iter().map(|l| l.pc).collect::<Vec<_>>();
+    assert_eq!(load_pcs(&back.stub), load_pcs(&cap.stub));
+    assert_eq!(
+        (back.stub.grid_ctas, back.stub.warps_per_cta, &back.stub.body),
+        (cap.stub.grid_ctas, cap.stub.warps_per_cta, &cap.stub.body)
+    );
+    back.stub = cap.stub.clone();
+    assert!(back == cap, "a fresh capture differs from its own decode");
+}
+
+#[test]
 fn checked_in_trace_corpus_decodes_at_the_current_version() {
     // Each corpus file: (dynamic insts, memory ops). A format change must
     // re-encode the corpus, or this fails before any CI smoke runs.
