@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the simulator's hot paths: tag array, MSHRs,
 //! coalescer, register file, DRAM, VTT, Load Monitor, `LBW1` decode, the
-//! replay record cursor, and a full-GPU cycle.
+//! replay record cursor, a full-GPU cycle, and the harness's plan and
+//! dedupe.
 //!
 //! Timed with the in-tree `testkit::bench` harness (the container has no
 //! crates.io access, so criterion is not available). Each iteration batches
 //! `OPS` operations so per-op overhead dominates the timer resolution.
 
+use std::collections::HashSet;
 use std::hint::black_box;
 
 use gpu_sim::cache::{MshrFile, TagArray};
@@ -18,6 +20,7 @@ use gpu_sim::pattern::AccessPattern;
 use gpu_sim::policy::baseline_factory;
 use gpu_sim::regfile::RegFile;
 use gpu_sim::types::{Address, CtaId, LineAddr, Pc, RegNum};
+use lb_bench::{experiments, Runner, Scale};
 use linebacker::{LbConfig, LinebackerPolicy, LoadMonitor, Vtt};
 use testkit::bench;
 
@@ -253,6 +256,22 @@ fn bench_replay() {
     });
 }
 
+/// The harness set-up the benchmark's `suite-quick` workload times: a
+/// quick-scale runner, the default suite's 18 plans, and a std `HashSet`
+/// dedupe of their keys (2,083 planned, 809 distinct).
+fn bench_harness_plan() {
+    bench("harness_plan_dedupe", 100, || {
+        let runner = Runner::new(Scale::Quick);
+        let mut seen = HashSet::new();
+        let mut keys = Vec::new();
+        for id in experiments::ALL {
+            let batch = experiments::plan(id, &runner).expect("default-suite ids have plans");
+            keys.extend(batch.into_iter().filter(|k| seen.insert(*k)));
+        }
+        black_box(keys);
+    });
+}
+
 fn main() {
     bench_tag_array();
     bench_mshr();
@@ -264,4 +283,5 @@ fn main() {
     bench_lb_policy_construction();
     bench_replay();
     bench_gpu_cycle();
+    bench_harness_plan();
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lb-experiments [--scale quick|default|full] [--jobs N] [--verbose]
-//!                [ids... | all]
+//!                [--profile [--profile-out FILE]] [ids... | all]
 //! ```
 //!
 //! Execution is plan-then-render: every requested experiment first reports
@@ -27,7 +27,7 @@ fn main() {
     let mut csv_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
     let mut profile = false;
-    let mut profile_out = String::from("BENCH_PR10.json");
+    let mut profile_out: Option<String> = None;
     let mut trace_dir: Option<String> = None;
     let mut trace_mask = gpu_sim::trace::MASK_ALL;
     let mut partitions: Option<u32> = None;
@@ -60,10 +60,10 @@ fn main() {
             "--csv-dir" => csv_dir = args.next(),
             "--profile" => profile = true,
             "--profile-out" => {
-                profile_out = args.next().unwrap_or_else(|| {
+                profile_out = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--profile-out expects a file path");
                     std::process::exit(2);
-                });
+                }));
             }
             "--trace" => {
                 trace_dir = Some(args.next().unwrap_or_else(|| {
@@ -105,8 +105,9 @@ fn main() {
                      [--no-burst] [--workload trace:PATH]... [ids... | all]\n  \
                      LB_JOBS=N overrides the default worker count (all cores); \
                      --jobs beats LB_JOBS\n  --profile prints a \
-                     hot-path throughput report to stderr and writes \
-                     BENCH_PR10.json\n  --trace DIR \
+                     hot-path throughput report to stderr; with \
+                     --profile-out FILE it also writes the JSON record to \
+                     FILE\n  --trace DIR \
                      captures one .lbt event trace per simulation into DIR; \
                      --trace-events narrows the captured kinds (names like \
                      issue,l1,dram, a 0x hex mask, or 'all')\n  --partitions N \
@@ -269,9 +270,11 @@ fn main() {
         let mut prof = runner.profile();
         prof.jobs = runner.jobs() as u64;
         eprint!("{}", prof.summary(suite_wall_s));
-        let json = prof.to_json("lb-experiments", &scale.to_string(), suite_wall_s);
-        std::fs::write(&profile_out, &json).expect("write profile json");
-        eprintln!("[profile] wrote {profile_out}");
+        if let Some(p) = profile_out {
+            let json = prof.to_json("lb-experiments", &scale.to_string(), suite_wall_s);
+            std::fs::write(&p, &json).expect("write profile json");
+            eprintln!("[profile] wrote {p}");
+        }
     }
     // No-op unless LB_PHASE_TIMERS=1 (diagnostics; see gpu_sim::phase_timer).
     gpu_sim::phase_timer::report();

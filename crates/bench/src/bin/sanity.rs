@@ -7,8 +7,8 @@
 //! ```
 //!
 //! With `--profile`, the IPC table moves to stderr and stdout carries a
-//! single JSON throughput record (the same shape `lb-experiments --profile`
-//! writes to `BENCH_PR4.json`), so CI can parse it directly. With
+//! single JSON throughput record (the same shape `lb-experiments --profile
+//! --profile-out FILE` writes to `FILE`), so CI can parse it directly. With
 //! `--trace DIR`, every timed simulation also captures an `.lbt` event
 //! trace named after its profile key (e.g. `app=GA_arch=base.lbt`).
 

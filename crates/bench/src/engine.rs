@@ -14,10 +14,12 @@
 //! the key, results are bit-identical regardless of worker count or
 //! completion order.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use gpu_sim::fastmap::{FastMap, FxHasher64};
 use gpu_sim::stats::SimStats;
 
 use crate::runkey::RunKey;
@@ -81,8 +83,12 @@ impl Drop for FlightGuard<'_> {
 }
 
 /// Memoizing, parallel, single-flight executor for [`RunKey`]s.
+///
+/// The memo and the batch dedupe hash keys with [`FxHasher64`]: a key
+/// hashes to one pre-mixed word, and one Fx step spreads it well enough
+/// that SipHash would only add cost.
 pub struct Engine {
-    slots: Mutex<HashMap<RunKey, Slot>>,
+    slots: Mutex<FastMap<RunKey, Slot>>,
     /// Simulations actually executed (monotonic; memo/flight hits excluded).
     sims_run: AtomicU64,
 }
@@ -96,7 +102,7 @@ impl Default for Engine {
 impl Engine {
     /// An empty engine.
     pub fn new() -> Self {
-        Engine { slots: Mutex::new(HashMap::new()), sims_run: AtomicU64::new(0) }
+        Engine { slots: Mutex::new(FastMap::default()), sims_run: AtomicU64::new(0) }
     }
 
     /// Number of simulations actually executed so far. Memoized and
@@ -148,7 +154,8 @@ impl Engine {
     {
         let mut todo: Vec<RunKey> = Vec::with_capacity(keys.len());
         {
-            let mut seen = std::collections::HashSet::with_capacity(keys.len());
+            let mut seen: HashSet<RunKey, BuildHasherDefault<FxHasher64>> =
+                HashSet::with_capacity_and_hasher(keys.len(), Default::default());
             let slots = self.slots.lock().unwrap();
             for &key in keys {
                 let warm = matches!(slots.get(&key), Some(Slot::Done(_)));

@@ -18,8 +18,8 @@ pub const WINDOW_FACTORS: [f64; 3] = [0.5, 1.0, 2.0];
 /// IPC bound magnitudes swept (Table 3 default: 0.10).
 pub const BOUNDS: [f64; 3] = [0.05, 0.10, 0.20];
 
-fn sensitive_apps() -> Vec<workloads::AppSpec> {
-    all_apps().into_iter().filter(|a| a.sensitivity == Sensitivity::CacheSensitive).collect()
+fn sensitive_apps() -> Vec<&'static workloads::AppSpec> {
+    all_apps().iter().filter(|a| a.sensitivity == Sensitivity::CacheSensitive).collect()
 }
 
 /// Sweep values are carried in [`Arch`] variants as integer hundredths
@@ -92,16 +92,16 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in sensitive_apps() {
-        keys.extend(r.best_swl_plan(&app));
+        keys.extend(r.best_swl_plan(app));
         for &th in &THRESHOLDS {
-            keys.push(RunKey::for_app(&app, Arch::LbThreshold(hundredths(th))));
+            keys.push(RunKey::for_app(app, Arch::LbThreshold(hundredths(th))));
         }
         for &f in &WINDOW_FACTORS {
-            keys.push(RunKey::for_app(&app, Arch::Baseline).with_window_pct(hundredths(f)));
-            keys.push(RunKey::for_app(&app, Arch::Linebacker).with_window_pct(hundredths(f)));
+            keys.push(RunKey::for_app(app, Arch::Baseline).with_window_pct(hundredths(f)));
+            keys.push(RunKey::for_app(app, Arch::Linebacker).with_window_pct(hundredths(f)));
         }
         for &bnd in &BOUNDS {
-            keys.push(RunKey::for_app(&app, Arch::LbIpcBound(hundredths(bnd))));
+            keys.push(RunKey::for_app(app, Arch::LbIpcBound(hundredths(bnd))));
         }
     }
     keys

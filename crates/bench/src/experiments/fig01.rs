@@ -19,7 +19,7 @@ pub fn run(r: &Runner) -> Table {
     let mut cold_sum = 0.0;
     let mut c2_sum = 0.0;
     for app in all_apps() {
-        let s = r.run(&app, Arch::Baseline);
+        let s = r.run(app, Arch::Baseline);
         let denom = (s.l1_hits + s.misses()) as f64;
         let cold = s.miss_cold as f64 / denom.max(1.0);
         let c2 = s.miss_2c as f64 / denom.max(1.0);

@@ -19,7 +19,7 @@ pub fn run(r: &Runner) -> Table {
     let n_sms = r.config().n_sms as f64;
     let mut exceeds = 0;
     for app in all_apps() {
-        let s = r.run_detailed(&app);
+        let s = r.run_detailed(app);
         // Rank loads by window accesses, excluding streaming loads (the
         // paper's methodology), then sum the top 4 reused working sets.
         let mut per_load: Vec<(u64, f64)> = s

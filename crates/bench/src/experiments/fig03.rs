@@ -20,7 +20,7 @@ pub fn run(r: &Runner) -> Table {
     let n_sms = r.config().n_sms as f64;
     let mut over_16 = 0;
     for app in all_apps() {
-        let s = r.run_detailed(&app);
+        let s = r.run_detailed(app);
         let mut bytes = 0.0;
         for d in s.load_detail.values() {
             if d.windows.is_empty() {

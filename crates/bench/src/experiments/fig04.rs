@@ -21,7 +21,7 @@ pub fn run(r: &Runner) -> Table {
     let mut dur_apps = 0;
     for app in all_apps() {
         let sur = app.static_unused_bytes(cfg) as f64;
-        let (limit, _) = r.best_swl(&app);
+        let (limit, _) = r.best_swl(app);
         let resident = app.resident_ctas(cfg);
         let regs_per_cta = (app.warps_per_cta * app.regs_per_thread) as u64;
         let dur = match limit {

@@ -19,14 +19,14 @@ pub fn run(r: &Runner) -> Table {
         vec!["app".into(), "Best-SWL".into(), "CacheExt".into(), "BSWL+CacheExt".into()],
     );
     for app in all_apps() {
-        let base = r.run(&app, Arch::Baseline).ipc();
-        let (limit, swl) = r.best_swl(&app);
-        let ext = r.run(&app, Arch::CacheExt).ipc();
+        let base = r.run(app, Arch::Baseline).ipc();
+        let (limit, swl) = r.best_swl(app);
+        let ext = r.run(app, Arch::CacheExt).ipc();
         // Best-SWL+CacheExt: the oracle limit plus the L1 absorbing SUR+DUR.
         let resident = app.resident_ctas(r.config());
         let both = match limit {
-            Some(l) => r.run(&app, Arch::BestSwlCacheExt(l)).ipc(),
-            None => r.run(&app, Arch::BestSwlCacheExt(resident)).ipc(),
+            Some(l) => r.run(app, Arch::BestSwlCacheExt(l)).ipc(),
+            None => r.run(app, Arch::BestSwlCacheExt(resident)).ipc(),
         };
         t.row(vec![app.abbrev.into(), f3(swl.ipc() / base), f3(ext / base), f3(both / base)]);
     }
@@ -39,8 +39,8 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
-        keys.extend(r.best_swl_plan(&app));
-        keys.push(RunKey::for_app(&app, Arch::CacheExt));
+        keys.extend(r.best_swl_plan(app));
+        keys.push(RunKey::for_app(app, Arch::CacheExt));
     }
     keys
 }

@@ -26,7 +26,7 @@ pub fn run(r: &Runner) -> Table {
     let mut stat_sum = 0.0;
     let mut dyn_sum = 0.0;
     for app in all_apps() {
-        let s = r.run(&app, Arch::Linebacker);
+        let s = r.run(app, Arch::Linebacker);
         // rf_samples are concatenated across SMs; the averages are per SM.
         let _ = n_windows_per_sm(s.rf_samples.len());
         let stat = s.avg_static_unused_bytes();

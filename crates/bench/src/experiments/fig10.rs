@@ -26,8 +26,8 @@ pub fn run(r: &Runner) -> Table {
         let mut util_num = 0.0;
         let mut util_den = 0.0;
         for app in all_apps() {
-            let s = r.run(&app, arch);
-            let bswl = r.best_swl_ipc(&app);
+            let s = r.run(app, arch);
+            let bswl = r.best_swl_ipc(app);
             ratios.push(s.ipc() / bswl.max(1e-9));
             util_num += s.avg_victim_in_use_bytes();
             util_den += s.avg_static_unused_bytes() + s.avg_dynamic_unused_bytes();
@@ -43,10 +43,10 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
-        keys.extend(r.best_swl_plan(&app));
+        keys.extend(r.best_swl_plan(app));
         for assoc in ASSOCS {
             let arch = if assoc == 4 { Arch::Linebacker } else { Arch::LinebackerAssoc(assoc) };
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

@@ -17,10 +17,10 @@ pub fn run(r: &Runner) -> Table {
         vec!["app".into(), "VictimCaching".into(), "SelectiveVC".into(), "Throttling+SVC".into()],
     );
     for app in all_apps() {
-        let bswl = r.best_swl_ipc(&app);
-        let vc = r.run(&app, Arch::VictimCaching).ipc();
-        let svc = r.run(&app, Arch::Svc).ipc();
-        let full = r.run(&app, Arch::Linebacker).ipc();
+        let bswl = r.best_swl_ipc(app);
+        let vc = r.run(app, Arch::VictimCaching).ipc();
+        let svc = r.run(app, Arch::Svc).ipc();
+        let full = r.run(app, Arch::Linebacker).ipc();
         t.row(vec![app.abbrev.into(), f3(vc / bswl), f3(svc / bswl), f3(full / bswl)]);
     }
     t.gm_row("GM", &[1, 2, 3]);
@@ -33,9 +33,9 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
-        keys.extend(r.best_swl_plan(&app));
+        keys.extend(r.best_swl_plan(app));
         for arch in [Arch::VictimCaching, Arch::Svc, Arch::Linebacker] {
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

@@ -24,8 +24,8 @@ pub fn run(r: &Runner) -> Table {
         ],
     );
     for app in all_apps() {
-        let bswl = r.best_swl_ipc(&app);
-        let norm = |arch: Arch| f3(r.run(&app, arch).ipc() / bswl.max(1e-9));
+        let bswl = r.best_swl_ipc(app);
+        let norm = |arch: Arch| f3(r.run(app, arch).ipc() / bswl.max(1e-9));
         t.row(vec![
             app.abbrev.into(),
             norm(Arch::Baseline),
@@ -45,9 +45,9 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
-        keys.extend(r.best_swl_plan(&app));
+        keys.extend(r.best_swl_plan(app));
         for arch in [Arch::Baseline, Arch::Pcal, Arch::Cerf, Arch::Linebacker] {
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

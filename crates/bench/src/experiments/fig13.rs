@@ -34,7 +34,7 @@ pub fn run(r: &Runner) -> Table {
     ];
     let mut agg: Vec<(f64, f64)> = vec![(0.0, 0.0); archs.len()]; // (hit+reg, reg)
     for app in all_apps() {
-        let (limit, _) = r.best_swl(&app);
+        let (limit, _) = r.best_swl(app);
         for (i, (label, arch)) in archs.iter().enumerate() {
             let arch = if *label == "S" {
                 match limit {
@@ -44,7 +44,7 @@ pub fn run(r: &Runner) -> Table {
             } else {
                 *arch
             };
-            let s = r.run(&app, arch);
+            let s = r.run(app, arch);
             let hit = s.outcome_fraction(AccessOutcome::L1Hit);
             let reg = s.outcome_fraction(AccessOutcome::RegHit);
             let byp = s.outcome_fraction(AccessOutcome::Bypass);
@@ -78,9 +78,9 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
-        keys.extend(r.best_swl_plan(&app));
+        keys.extend(r.best_swl_plan(app));
         for arch in [Arch::Baseline, Arch::Pcal, Arch::Cerf, Arch::Linebacker] {
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

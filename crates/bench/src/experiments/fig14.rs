@@ -25,9 +25,9 @@ pub fn run(r: &Runner) -> Table {
         let mut lb_ratios = Vec::new();
         let mut cerf_ratios = Vec::new();
         for app in all_apps() {
-            let base = r.run_l1(&app, Arch::Baseline, bytes).ipc();
-            let lb = r.run_l1(&app, Arch::Linebacker, bytes).ipc();
-            let cerf = r.run_l1(&app, Arch::Cerf, bytes).ipc();
+            let base = r.run_l1(app, Arch::Baseline, bytes).ipc();
+            let lb = r.run_l1(app, Arch::Linebacker, bytes).ipc();
+            let cerf = r.run_l1(app, Arch::Cerf, bytes).ipc();
             lb_ratios.push(lb / base.max(1e-9));
             cerf_ratios.push(cerf / base.max(1e-9));
         }
@@ -49,7 +49,7 @@ pub fn runs(_r: &Runner) -> Vec<RunKey> {
         let bytes = kbs * 1024;
         for app in all_apps() {
             for arch in [Arch::Baseline, Arch::Linebacker, Arch::Cerf] {
-                keys.push(RunKey::for_app(&app, arch).with_l1(bytes));
+                keys.push(RunKey::for_app(app, arch).with_l1(bytes));
             }
         }
     }

@@ -18,15 +18,15 @@ pub fn run(r: &Runner) -> Table {
         vec!["app".into(), "CERF".into(), "LB".into()],
     );
     for app in all_apps() {
-        let base = r.run(&app, Arch::Baseline);
+        let base = r.run(app, Arch::Baseline);
         // Normalize per executed instruction so IPC differences between the
         // architectures do not distort the conflict comparison.
         let rate = |s: &gpu_sim::stats::SimStats| {
             s.rf_bank_conflicts as f64 / s.instructions.max(1) as f64
         };
         let b = rate(&base).max(1e-12);
-        let cerf = rate(&r.run(&app, Arch::Cerf));
-        let lb = rate(&r.run(&app, Arch::Linebacker));
+        let cerf = rate(&r.run(app, Arch::Cerf));
+        let lb = rate(&r.run(app, Arch::Linebacker));
         t.row(vec![app.abbrev.into(), f3(cerf / b), f3(lb / b)]);
     }
     t.gm_row("GM", &[1, 2]);
@@ -39,7 +39,7 @@ pub fn runs(_r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
         for arch in [Arch::Baseline, Arch::Cerf, Arch::Linebacker] {
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

@@ -21,9 +21,9 @@ pub fn run(r: &Runner) -> Table {
         let per_inst = |s: &gpu_sim::stats::SimStats| {
             s.dram_bytes.iter().sum::<u64>() as f64 / s.instructions.max(1) as f64
         };
-        let base = per_inst(&r.run(&app, Arch::Baseline)).max(1e-12);
-        let cerf = per_inst(&r.run(&app, Arch::Cerf));
-        let lb_stats = r.run(&app, Arch::Linebacker);
+        let base = per_inst(&r.run(app, Arch::Baseline)).max(1e-12);
+        let cerf = per_inst(&r.run(app, Arch::Cerf));
+        let lb_stats = r.run(app, Arch::Linebacker);
         let lb = per_inst(&lb_stats);
         let total: u64 = lb_stats.dram_bytes.iter().sum();
         let backup = lb_stats.dram_bytes[2] + lb_stats.dram_bytes[3];
@@ -44,7 +44,7 @@ pub fn runs(_r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
         for arch in [Arch::Baseline, Arch::Cerf, Arch::Linebacker] {
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

@@ -19,9 +19,9 @@ pub fn run(r: &Runner) -> Table {
     );
     for app in all_apps() {
         let per_inst = |s: &gpu_sim::stats::SimStats| s.energy_mj / s.instructions.max(1) as f64;
-        let base = per_inst(&r.run(&app, Arch::Baseline)).max(1e-18);
-        let cerf = per_inst(&r.run(&app, Arch::Cerf));
-        let lb = per_inst(&r.run(&app, Arch::Linebacker));
+        let base = per_inst(&r.run(app, Arch::Baseline)).max(1e-18);
+        let cerf = per_inst(&r.run(app, Arch::Cerf));
+        let lb = per_inst(&r.run(app, Arch::Linebacker));
         t.row(vec![app.abbrev.into(), f3(cerf / base), f3(lb / base)]);
     }
     t.gm_row("GM", &[1, 2]);
@@ -34,7 +34,7 @@ pub fn runs(_r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
         for arch in [Arch::Baseline, Arch::Cerf, Arch::Linebacker] {
-            keys.push(RunKey::for_app(&app, arch));
+            keys.push(RunKey::for_app(app, arch));
         }
     }
     keys

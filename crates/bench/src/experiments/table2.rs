@@ -24,8 +24,8 @@ pub fn run(r: &Runner) -> Table {
     );
     let mut agree = 0;
     for app in all_apps() {
-        let small = r.run(&app, Arch::Baseline);
-        let large = r.run_l1(&app, Arch::Baseline, 192 * 1024);
+        let small = r.run(app, Arch::Baseline);
+        let large = r.run_l1(app, Arch::Baseline, 192 * 1024);
         let speedup = if small.ipc() > 0.0 { large.ipc() / small.ipc() } else { 1.0 };
         let measured = if speedup > 1.30 { "sensitive" } else { "insensitive" };
         let expected = match app.sensitivity {
@@ -53,8 +53,8 @@ pub fn run(r: &Runner) -> Table {
 pub fn runs(_r: &Runner) -> Vec<RunKey> {
     let mut keys = Vec::new();
     for app in all_apps() {
-        keys.push(RunKey::for_app(&app, Arch::Baseline));
-        keys.push(RunKey::for_app(&app, Arch::Baseline).with_l1(192 * 1024));
+        keys.push(RunKey::for_app(app, Arch::Baseline));
+        keys.push(RunKey::for_app(app, Arch::Baseline).with_l1(192 * 1024));
     }
     keys
 }

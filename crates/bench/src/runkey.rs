@@ -6,6 +6,12 @@
 //! plain `Hash + Eq` value type, so two distinct configurations can never
 //! alias (the previous string-formatted key could only promise this
 //! informally), and plans for whole figure suites are just `Vec<RunKey>`.
+//!
+//! The harness hashes every planned key at least twice (plan dedupe, then
+//! the memo), so [`RunKey`]'s `Hash` writes one pre-mixed `u64` instead of
+//! the dozen field writes a derive would feed the hasher.
+
+use std::hash::{Hash, Hasher};
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::policy::PolicyFactory;
@@ -16,8 +22,9 @@ use crate::arch::Arch;
 /// Identity of one simulation run within a [`crate::Runner`].
 ///
 /// Equality is structural: every field that influences the simulation's
-/// configuration participates, so collisions are unrepresentable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// configuration participates, so collisions are unrepresentable. The hash
+/// covers every field too (see the `Hash` impl).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunKey {
     /// Application abbreviation (the paper's two-letter code, e.g. `"S2"`).
     pub app: &'static str,
@@ -87,6 +94,75 @@ impl RunKey {
             partitions: self.partitions,
             window_pct: self.window_pct,
         }
+    }
+}
+
+/// Odd multiplier of the mixing steps (2^64 / golden ratio).
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One multiply-xor step: folds `word` into `h`. For a fixed `h` the step
+/// is a bijection of `word` (an odd multiply, then an xor-shift), so two
+/// keys that differ in one folded word always hash apart.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    let x = (h ^ word).wrapping_mul(MIX);
+    x ^ (x >> 32)
+}
+
+/// `(variant, payload)` of an architecture, packed as `variant << 32 |
+/// payload`. The match is exhaustive, so a new variant cannot compile
+/// without a code of its own.
+fn arch_code(arch: Arch) -> u64 {
+    let (variant, payload): (u64, u32) = match arch {
+        Arch::Baseline => (0, 0),
+        Arch::StaticLimit(l) => (1, l),
+        Arch::Pcal => (2, 0),
+        Arch::Cerf => (3, 0),
+        Arch::Linebacker => (4, 0),
+        Arch::LinebackerAssoc(a) => (5, a),
+        Arch::VictimCaching => (6, 0),
+        Arch::Svc => (7, 0),
+        Arch::PcalCerf => (8, 0),
+        Arch::PcalSvc => (9, 0),
+        Arch::BaselineSvc => (10, 0),
+        Arch::CacheExt => (11, 0),
+        Arch::BestSwlCacheExt(l) => (12, l),
+        Arch::LbCacheExt => (13, 0),
+        Arch::LbThreshold(t) => (14, t),
+        Arch::LbIpcBound(b) => (15, b),
+    };
+    variant << 32 | payload as u64
+}
+
+impl Hash for RunKey {
+    /// Writes one `u64`: the app's bytes folded 8 at a time, then the
+    /// architecture code with the option and flag bits above it, then the
+    /// two `u32` overrides, then the L1 override. The destructuring names
+    /// every field, so a new one cannot compile unhashed.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let RunKey { app, arch, l1_override, detailed, partitions, window_pct } = *self;
+        let bytes = app.as_bytes();
+        let mut h = bytes.len() as u64;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks_exact(8) yields 8 bytes");
+            h = mix(h, u64::from_le_bytes(word));
+        }
+        // The short tail (an app abbreviation's only word) is gathered
+        // byte by byte: a variable-length copy into a buffer costs a
+        // `memcpy` call, as much as the rest of the hash.
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            h = mix(h, tail.iter().rev().fold(0, |w, &b| w << 8 | b as u64));
+        }
+        let flags = detailed as u64
+            | (l1_override.is_some() as u64) << 1
+            | (partitions.is_some() as u64) << 2
+            | (window_pct.is_some() as u64) << 3;
+        h = mix(h, arch_code(arch) | flags << 40);
+        h = mix(h, (partitions.unwrap_or(0) as u64) << 32 | window_pct.unwrap_or(0) as u64);
+        h = mix(h, l1_override.unwrap_or(0));
+        state.write_u64(h);
     }
 }
 
@@ -182,6 +258,140 @@ impl ArchSpec {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::hash::{BuildHasher, BuildHasherDefault};
+
+    use gpu_sim::fastmap::FxHasher64;
+    use testkit::Rng;
+
+    /// The key's hash as the engine's memo sees it. One Fx step of one
+    /// word is an odd multiply, a bijection, so distinct values here mean
+    /// distinct hash words.
+    fn hash_of(key: &RunKey) -> u64 {
+        BuildHasherDefault::<FxHasher64>::default().hash_one(key)
+    }
+
+    /// A `trace:` name longer than 8 bytes, so it folds over several words.
+    fn trace_name(rng: &mut Rng) -> &'static str {
+        let len = rng.range_usize(3, 24);
+        let name: String = (0..len).map(|_| (b'a' + rng.range_u32(0, 26) as u8) as char).collect();
+        Box::leak(format!("trace:{name}").into_boxed_str())
+    }
+
+    fn random_app(rng: &mut Rng) -> &'static str {
+        if rng.bool() {
+            rng.pick(workloads::all_apps()).abbrev
+        } else {
+            trace_name(rng)
+        }
+    }
+
+    /// Every variant, payload-carrying ones with a random payload.
+    fn random_arch(rng: &mut Rng) -> Arch {
+        let p = rng.u64() as u32;
+        match rng.range_u32(0, 16) {
+            0 => Arch::Baseline,
+            1 => Arch::StaticLimit(p),
+            2 => Arch::Pcal,
+            3 => Arch::Cerf,
+            4 => Arch::Linebacker,
+            5 => Arch::LinebackerAssoc(p),
+            6 => Arch::VictimCaching,
+            7 => Arch::Svc,
+            8 => Arch::PcalCerf,
+            9 => Arch::PcalSvc,
+            10 => Arch::BaselineSvc,
+            11 => Arch::CacheExt,
+            12 => Arch::BestSwlCacheExt(p),
+            13 => Arch::LbCacheExt,
+            14 => Arch::LbThreshold(p),
+            _ => Arch::LbIpcBound(p),
+        }
+    }
+
+    fn random_opt_u32(rng: &mut Rng) -> Option<u32> {
+        rng.bool().then(|| rng.u64() as u32)
+    }
+
+    fn random_key(rng: &mut Rng) -> RunKey {
+        RunKey {
+            app: random_app(rng),
+            arch: random_arch(rng),
+            l1_override: rng.bool().then(|| rng.u64()),
+            detailed: rng.bool(),
+            partitions: random_opt_u32(rng),
+            window_pct: random_opt_u32(rng),
+        }
+    }
+
+    #[test]
+    fn hash_follows_equality_and_every_field() {
+        testkit::check("runkey_hash", |rng| {
+            let key = random_key(rng);
+            // A copy, and an equal key whose app string lives elsewhere.
+            let copy = key;
+            let moved: &'static str = Box::leak(key.app.to_string().into_boxed_str());
+            let relocated = RunKey { app: moved, ..key };
+            assert_eq!(hash_of(&copy), hash_of(&key));
+            assert_eq!(relocated, key);
+            assert_eq!(hash_of(&relocated), hash_of(&key), "{key}");
+
+            // Changing any one field changes the key and its hash.
+            let mut changed = Vec::new();
+            let mut other = key;
+            while other.app == key.app {
+                other.app = random_app(rng);
+            }
+            changed.push(other);
+            let mut other = key;
+            while other.arch == key.arch {
+                other.arch = random_arch(rng);
+            }
+            changed.push(other);
+            let mut other = key;
+            while other.l1_override == key.l1_override {
+                other.l1_override = rng.bool().then(|| rng.u64());
+            }
+            changed.push(other);
+            changed.push(RunKey { detailed: !key.detailed, ..key });
+            let mut other = key;
+            while other.partitions == key.partitions {
+                other.partitions = random_opt_u32(rng);
+            }
+            changed.push(other);
+            let mut other = key;
+            while other.window_pct == key.window_pct {
+                other.window_pct = random_opt_u32(rng);
+            }
+            changed.push(other);
+            for other in changed {
+                assert_ne!(other, key);
+                assert_ne!(hash_of(&other), hash_of(&key), "{key} and {other} hash alike");
+            }
+        });
+    }
+
+    #[test]
+    fn payload_and_override_bits_stay_apart() {
+        // Equal numbers in different fields, and `Some(0)` against `None`,
+        // must not cancel out in the packed words.
+        let base = RunKey::new("GA", Arch::Baseline);
+        let keys = [
+            base,
+            RunKey::new("GA", Arch::StaticLimit(0)),
+            RunKey::new("GA", Arch::StaticLimit(4)),
+            RunKey::new("GA", Arch::LinebackerAssoc(4)),
+            base.with_l1(0),
+            base.with_l1(4),
+            base.with_partitions(0),
+            base.with_partitions(4),
+            RunKey { window_pct: Some(0), ..base },
+            base.with_window_pct(4),
+            base.with_detailed(),
+            RunKey::new("GA\0", Arch::Baseline),
+        ];
+        let hashes: HashSet<u64> = keys.iter().map(hash_of).collect();
+        assert_eq!(hashes.len(), keys.len());
+    }
 
     #[test]
     fn distinct_configs_never_alias() {

@@ -11,10 +11,10 @@
 //! batch prefetching covers it, and the arg-max itself is cached so repeat
 //! calls re-run nothing).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use gpu_sim::config::GpuConfig;
+use gpu_sim::fastmap::FastMap;
 use gpu_sim::gpu::{run_kernel, run_kernel_traced, run_replay_kernel, run_replay_kernel_traced};
 use gpu_sim::stats::SimStats;
 use gpu_sim::trace::{TraceWriter, Tracer};
@@ -65,7 +65,7 @@ pub struct Runner {
     engine: Engine,
     /// Memoized Best-SWL oracle results per app (the arg-max over the
     /// sweep, not just the individual runs).
-    best_swl: Mutex<HashMap<&'static str, BestSwl>>,
+    best_swl: Mutex<FastMap<&'static str, BestSwl>>,
     /// Worker threads used by [`Runner::prefetch`]; `None` until set, for
     /// the machine's available parallelism.
     jobs: Option<usize>,
@@ -100,7 +100,7 @@ impl Runner {
             cfg: scale.config(),
             scale,
             engine: Engine::new(),
-            best_swl: Mutex::new(HashMap::new()),
+            best_swl: Mutex::new(FastMap::default()),
             jobs: None,
             verbose: false,
             profile: Mutex::new(Profile::default()),

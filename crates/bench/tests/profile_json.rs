@@ -1,7 +1,8 @@
 //! End-to-end profiler smoke: a forced `--profile` run of the `sanity`
 //! binary must emit exactly one valid JSON document on stdout, with the
 //! stepped/skipped accounting consistent and skipping engaged somewhere in
-//! the suite.
+//! the suite; `lb-experiments --profile` writes a record only where
+//! `--profile-out` points.
 
 use std::process::Command;
 
@@ -83,4 +84,40 @@ fn sanity_profile_counters_are_consistent() {
         desc_hits > desc_misses,
         "steady-state replays must outnumber decodes ({desc_hits} vs {desc_misses})"
     );
+}
+
+#[test]
+fn lb_experiments_profile_writes_only_to_profile_out() {
+    // `overhead` plans no simulation, so both runs are instant. Run in an
+    // empty directory: `--profile` alone must leave it empty (a default
+    // file name would overwrite a committed record when run from the
+    // repository root), and `--profile-out` must write exactly its file.
+    let dir = std::env::temp_dir().join(format!("lb-profile-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_lb-experiments"))
+            .args(["--scale", "quick", "--profile"])
+            .args(extra)
+            .arg("overhead")
+            .current_dir(&dir)
+            .output()
+            .expect("lb-experiments must run");
+        assert!(out.status.success(), "lb-experiments exited with {:?}", out.status);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("[profile]"), "--profile must print its report: {stderr}");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        files
+    };
+    let bare = run(&[]);
+    let named = run(&["--profile-out", "record.json"]);
+    let json = std::fs::read_to_string(dir.join("record.json"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(bare.is_empty(), "--profile alone wrote {bare:?}");
+    assert_eq!(named, ["record.json"]);
+    let json = json.unwrap();
+    validate_json(&json).unwrap_or_else(|at| panic!("invalid JSON at byte {at}: {json}"));
 }

@@ -1,19 +1,21 @@
 //! Fast hashing for the simulator's integer-keyed hot-path maps.
 //!
 //! The memory system keys maps by line address (a `u64` newtype, or a page
-//! of lines) on every L1/L2 miss and fill. `std`'s default SipHash is
-//! DoS-resistant, but the hash itself was costing more than the probe it
-//! guards, and the only outside keys are a replayed trace's addresses:
-//! lines crafted to collide could slow a simulation, never change its
-//! result. [`FxHasher64`] is the classic multiply–xor construction (the
-//! `FxHash` used by rustc's own interner): one rotate, one xor and one
-//! multiply per word.
+//! of lines) on every L1/L2 miss and fill, and the bench harness keys its
+//! memo by run key. `std`'s default SipHash is DoS-resistant, but the hash
+//! itself was costing more than the probe it guards, and the only outside
+//! keys are a replayed trace's addresses and the `trace:<name>` run keys
+//! that `--workload` files register: keys crafted to collide could slow a
+//! simulation or a plan, never change a result. [`FxHasher64`] is the
+//! classic multiply–xor construction (the `FxHash` used by rustc's own
+//! interner): one rotate, one xor and one multiply per word.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiply–xor hasher for integer keys. Not DoS-resistant — internal use
-/// only, never fed externally controlled keys.
+/// Multiply–xor hasher for integer keys. Not DoS-resistant: the outside
+/// keys it sees (trace addresses, `trace:<name>` run keys) can only cost
+/// time, never correctness.
 #[derive(Debug, Default)]
 pub struct FxHasher64 {
     hash: u64,

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod backup;
 pub mod config;
 pub mod ctl;
 pub mod hpc;

@@ -17,6 +17,8 @@ pub struct StorageOverhead {
     /// Victim tag table: entries x (1 valid + 18 tag + 5 meta bits).
     pub vtt_bytes: u64,
     /// 6-entry transfer buffer: (4-byte address + 128-byte line) each.
+    /// Counted as storage only; the timing model sends backup and restore
+    /// lines straight to the interconnect.
     pub buffer_bytes: u64,
 }
 

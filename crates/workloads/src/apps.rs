@@ -6,6 +6,8 @@
 //! CUDA sources are not executed; see DESIGN.md §1 for the substitution
 //! rationale.
 
+use std::sync::OnceLock;
+
 use gpu_sim::pattern::AccessPattern;
 
 use crate::spec::{AppLoad, AppSpec, Sensitivity};
@@ -55,8 +57,14 @@ fn divergent(ws_kb: u64, lines: u32, gap: u32) -> AppLoad {
 }
 
 /// All 20 applications in the paper's Table 2 order (cache-sensitive group
-/// first).
-pub fn all_apps() -> Vec<AppSpec> {
+/// first). The table is built once per process; every plan, render and
+/// simulation of the harness reads this one copy.
+pub fn all_apps() -> &'static [AppSpec] {
+    static TABLE: OnceLock<Vec<AppSpec>> = OnceLock::new();
+    TABLE.get_or_init(build_table)
+}
+
+fn build_table() -> Vec<AppSpec> {
     vec![
         // ---------------- cache-sensitive ----------------
         AppSpec {
@@ -263,9 +271,10 @@ pub fn all_apps() -> Vec<AppSpec> {
     ]
 }
 
-/// Looks an application up by its Table 2 abbreviation.
+/// Looks an application up by its Table 2 abbreviation and returns a copy
+/// of its table entry.
 pub fn app(abbrev: &str) -> Option<AppSpec> {
-    all_apps().into_iter().find(|a| a.abbrev == abbrev)
+    all_apps().iter().find(|a| a.abbrev == abbrev).cloned()
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! Cross-crate integration tests: every architecture runs on every class of
 //! workload, and invariants hold across the substrate/policy boundary.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 
 use gpu_sim::config::GpuConfig;
+use gpu_sim::fastmap::FxHasher64;
 use gpu_sim::gpu::{run_kernel, run_replay_kernel};
 use gpu_sim::policy::baseline_factory;
-use lb_bench::{Arch, Runner, Scale};
+use lb_bench::{experiments, Arch, RunKey, Runner, Scale};
 use workloads::{all_apps, app, Sensitivity};
 
 fn cfg() -> GpuConfig {
@@ -62,7 +65,7 @@ fn access_outcomes_partition_all_accesses() {
 
 #[test]
 fn baseline_never_produces_reg_hits_or_bypasses() {
-    for a in all_apps().into_iter().take(4) {
+    for a in all_apps().iter().take(4) {
         let c = cfg();
         let k = a.kernel(c.n_sms);
         let s = run_kernel(c, k, &baseline_factory());
@@ -94,6 +97,29 @@ fn suite_covers_both_sensitivity_classes() {
     let apps = all_apps();
     assert_eq!(apps.len(), 20);
     assert_eq!(apps.iter().filter(|a| a.sensitivity == Sensitivity::CacheSensitive).count(), 10);
+}
+
+#[test]
+fn suite_plan_keys_hash_apart() {
+    // The default suite's plan, as the harness dedupes and memoizes it:
+    // every distinct key must get its own hash word, and every duplicate
+    // the word of its first copy. Duplicates are found by `Eq` alone, so
+    // the check does not trust the hash it tests.
+    let hasher = BuildHasherDefault::<FxHasher64>::default();
+    let r = Runner::new(Scale::Quick);
+    let planned: Vec<RunKey> =
+        experiments::ALL.iter().flat_map(|id| experiments::plan(id, &r).unwrap()).collect();
+    let mut firsts: Vec<(RunKey, u64)> = Vec::new();
+    for key in &planned {
+        let h = hasher.hash_one(key);
+        match firsts.iter().find(|(k, _)| k == key) {
+            Some(&(_, first)) => assert_eq!(h, first, "{key} hashes unlike its first copy"),
+            None => firsts.push((*key, h)),
+        }
+    }
+    assert!(firsts.len() < planned.len(), "the suite's plans share no key");
+    let hashes: HashSet<u64> = firsts.iter().map(|&(_, h)| h).collect();
+    assert_eq!(hashes.len(), firsts.len(), "distinct plan keys share a hash");
 }
 
 #[test]
