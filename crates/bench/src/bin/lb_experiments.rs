@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! lb-experiments [--scale quick|default|full] [--jobs N] [--verbose]
-//!                [--profile [--profile-out FILE]] [ids... | all]
+//!                [--out FILE] [--csv-dir DIR] [--profile] [--profile-out FILE]
+//!                [ids... | all]
 //! ```
 //!
 //! Execution is plan-then-render: every requested experiment first reports
@@ -11,13 +12,24 @@
 //! default: all cores), then a second round covers plan nodes whose
 //! identity depends on first-round results (the Best-SWL+CacheExt points).
 //! Rendering reads from the warm memo, so tables are byte-identical at any
-//! worker count.
+//! worker count. Output paths (`--out`, `--profile-out`, `--csv-dir`) are
+//! created before planning, so a bad one exits 2 before any simulation.
 
 #![forbid(unsafe_code)]
 
+use std::fmt::Display;
 use std::io::Write;
 
 use lb_bench::{experiments, Runner, Scale};
+
+/// The value of an I/O call on an output path, or exit 2 with `context`
+/// and the OS error.
+fn or_exit<T>(result: std::io::Result<T>, context: impl Display) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{context}: {e}");
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let mut scale = Scale::Default;
@@ -56,14 +68,25 @@ fn main() {
                 };
             }
             "--verbose" => verbose = true,
-            "--out" => out_path = args.next(),
-            "--csv-dir" => csv_dir = args.next(),
+            "--out" => {
+                out_path = Some(args.next().unwrap_or_else(|| {
+                    eprintln!("--out expects a file path");
+                    std::process::exit(2);
+                }));
+            }
+            "--csv-dir" => {
+                csv_dir = Some(args.next().unwrap_or_else(|| {
+                    eprintln!("--csv-dir expects a directory path");
+                    std::process::exit(2);
+                }));
+            }
             "--profile" => profile = true,
             "--profile-out" => {
                 profile_out = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--profile-out expects a file path");
                     std::process::exit(2);
                 }));
+                profile = true;
             }
             "--trace" => {
                 trace_dir = Some(args.next().unwrap_or_else(|| {
@@ -105,8 +128,8 @@ fn main() {
                      [--no-burst] [--workload trace:PATH]... [ids... | all]\n  \
                      LB_JOBS=N overrides the default worker count (all cores); \
                      --jobs beats LB_JOBS\n  --profile prints a \
-                     hot-path throughput report to stderr; with \
-                     --profile-out FILE it also writes the JSON record to \
+                     hot-path throughput report to stderr; --profile-out \
+                     FILE does too and also writes the JSON record to \
                      FILE\n  --trace DIR \
                      captures one .lbt event trace per simulation into DIR; \
                      --trace-events narrows the captured kinds (names like \
@@ -157,6 +180,17 @@ fn main() {
         if !ids.iter().any(|i| i == "trace_replay") {
             ids.push("trace_replay".to_string());
         }
+    }
+
+    // Output paths are created now, so a bad one fails before the suite runs.
+    let create = |flag: &str, p: String| {
+        let f = or_exit(std::fs::File::create(&p), format_args!("{flag} {p}"));
+        (p, f)
+    };
+    let out_file = out_path.map(|p| create("--out", p));
+    let profile_file = profile_out.map(|p| create("--profile-out", p));
+    if let Some(dir) = &csv_dir {
+        or_exit(std::fs::create_dir_all(dir), format_args!("--csv-dir {dir}"));
     }
 
     let mut runner = Runner::new(scale);
@@ -236,9 +270,11 @@ fn main() {
                 rendered.push_str(&s);
                 rendered.push('\n');
                 if let Some(dir) = &csv_dir {
-                    std::fs::create_dir_all(dir).expect("create csv dir");
                     let path = format!("{dir}/{}.csv", t.id);
-                    std::fs::write(&path, t.render_csv()).expect("write csv");
+                    or_exit(
+                        std::fs::write(&path, t.render_csv()),
+                        format_args!("--csv-dir {path}"),
+                    );
                 }
                 eprintln!(
                     "[{id}] done in {:.1}s ({} sims so far)",
@@ -260,9 +296,8 @@ fn main() {
         started.elapsed().as_secs_f64(),
         scale
     );
-    if let Some(p) = out_path {
-        let mut f = std::fs::File::create(&p).expect("create output file");
-        f.write_all(rendered.as_bytes()).expect("write output file");
+    if let Some((p, mut f)) = out_file {
+        or_exit(f.write_all(rendered.as_bytes()), format_args!("--out {p}"));
         eprintln!("wrote {p}");
     }
     if profile {
@@ -270,9 +305,9 @@ fn main() {
         let mut prof = runner.profile();
         prof.jobs = runner.jobs() as u64;
         eprint!("{}", prof.summary(suite_wall_s));
-        if let Some(p) = profile_out {
+        if let Some((p, mut f)) = profile_file {
             let json = prof.to_json("lb-experiments", &scale.to_string(), suite_wall_s);
-            std::fs::write(&p, &json).expect("write profile json");
+            or_exit(f.write_all(json.as_bytes()), format_args!("--profile-out {p}"));
             eprintln!("[profile] wrote {p}");
         }
     }

@@ -7,12 +7,16 @@
 //! ```
 //!
 //! With `--profile`, the IPC table moves to stderr and stdout carries a
-//! single JSON throughput record (the same shape `lb-experiments --profile
-//! --profile-out FILE` writes to `FILE`), so CI can parse it directly. With
+//! single JSON throughput record (the same shape `lb-experiments
+//! --profile-out FILE` writes to `FILE`), so CI can parse it directly;
+//! `--profile-out FILE` implies `--profile` and also writes the record to
+//! `FILE`, which is created before any simulation runs. With
 //! `--trace DIR`, every timed simulation also captures an `.lbt` event
 //! trace named after its profile key (e.g. `app=GA_arch=base.lbt`).
 
 #![forbid(unsafe_code)]
+
+use std::io::Write;
 
 use baselines::{best_swl_sweep, cerf_factory, pcal_factory};
 use gpu_sim::config::GpuConfig;
@@ -42,7 +46,13 @@ fn main() {
         match a.as_str() {
             "--profile" => profile = true,
             "--quick" => quick = true,
-            "--profile-out" => profile_out = args.next(),
+            "--profile-out" => {
+                profile_out = Some(args.next().unwrap_or_else(|| {
+                    eprintln!("--profile-out expects a file path");
+                    std::process::exit(2);
+                }));
+                profile = true;
+            }
             "--trace" => {
                 trace_dir = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--trace expects a directory path");
@@ -105,8 +115,18 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir).expect("create trace dir");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            eprintln!("--trace {dir}: {e}");
+            std::process::exit(2);
+        });
     }
+    let profile_file = profile_out.map(|p| {
+        let f = std::fs::File::create(&p).unwrap_or_else(|e| {
+            eprintln!("--profile-out {p}: {e}");
+            std::process::exit(2);
+        });
+        (p, f)
+    });
     if !desc_cache {
         cfg = cfg.with_desc_cache(false);
     }
@@ -257,8 +277,11 @@ fn main() {
         let scale = if quick { "sanity-quick" } else { "sanity" };
         let json = prof.to_json("sanity", scale, suite_wall_s);
         print!("{json}");
-        if let Some(p) = profile_out {
-            std::fs::write(&p, &json).expect("write profile json");
+        if let Some((p, mut f)) = profile_file {
+            f.write_all(json.as_bytes()).unwrap_or_else(|e| {
+                eprintln!("--profile-out {p}: {e}");
+                std::process::exit(2);
+            });
             eprintln!("[profile] wrote {p}");
         }
     } else {

@@ -28,6 +28,11 @@ fn hundredths(x: f64) -> u32 {
     (x * 100.0).round() as u32
 }
 
+/// A window factor as the percentage [`RunKey::with_window_pct`] takes.
+fn window_pct(factor: f64) -> u16 {
+    u16::try_from(hundredths(factor)).expect("window factors stay below 655.36x")
+}
+
 /// Runs the three ablation sweeps. Geometric means are over the ten
 /// cache-sensitive apps, normalized to the Best-SWL oracle.
 pub fn run(r: &Runner) -> Table {
@@ -56,7 +61,7 @@ pub fn run(r: &Runner) -> Table {
     //    keys the rest of the suite has already simulated, and the off-
     //    centre points are memoized, profiled, and counted like any run.
     for &f in &WINDOW_FACTORS {
-        let pct = hundredths(f);
+        let pct = window_pct(f);
         let mut ratios = Vec::new();
         for a in &apps {
             let base = r.run_key(RunKey::for_app(a, Arch::Baseline).with_window_pct(pct));
@@ -97,8 +102,8 @@ pub fn runs(r: &Runner) -> Vec<RunKey> {
             keys.push(RunKey::for_app(app, Arch::LbThreshold(hundredths(th))));
         }
         for &f in &WINDOW_FACTORS {
-            keys.push(RunKey::for_app(app, Arch::Baseline).with_window_pct(hundredths(f)));
-            keys.push(RunKey::for_app(app, Arch::Linebacker).with_window_pct(hundredths(f)));
+            keys.push(RunKey::for_app(app, Arch::Baseline).with_window_pct(window_pct(f)));
+            keys.push(RunKey::for_app(app, Arch::Linebacker).with_window_pct(window_pct(f)));
         }
         for &bnd in &BOUNDS {
             keys.push(RunKey::for_app(app, Arch::LbIpcBound(hundredths(bnd))));

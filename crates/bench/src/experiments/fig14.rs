@@ -11,7 +11,7 @@ use crate::runner::Runner;
 use crate::table::{f3, Table};
 
 /// The swept L1 sizes in KB.
-pub const L1_SIZES_KB: [u64; 5] = [16, 48, 64, 96, 128];
+pub const L1_SIZES_KB: [u32; 5] = [16, 48, 64, 96, 128];
 
 /// Runs the cache-size sweep.
 pub fn run(r: &Runner) -> Table {

@@ -27,7 +27,7 @@ use crate::runner::Runner;
 use crate::table::{f3, Table};
 
 /// Partition counts swept (powers of two; 1 is the monolithic baseline).
-pub const SWEEP: [u32; 4] = [1, 2, 4, 8];
+pub const SWEEP: [u8; 4] = [1, 2, 4, 8];
 
 /// Apps under study: GE (cache-sensitive), LI (streaming), S2
 /// (cache-sensitive, the paper's headline app).

@@ -1,15 +1,18 @@
 //! Typed run identity: the memo/planning key of the experiment harness.
 //!
 //! A [`RunKey`] names one simulation — `(app, architecture, L1 override,
-//! detailed flag)` — and an [`ArchSpec`] turns that identity into the exact
-//! [`GpuConfig`] transform and policy factory the run uses. The key is a
-//! plain `Hash + Eq` value type, so two distinct configurations can never
-//! alias (the previous string-formatted key could only promise this
-//! informally), and plans for whole figure suites are just `Vec<RunKey>`.
+//! detailed flag, partition override, window override)` — and an
+//! [`ArchSpec`] turns that identity into the exact [`GpuConfig`] transform
+//! and policy factory the run uses. The key is a plain `Hash + Eq` value
+//! type, so two distinct configurations can never alias (the previous
+//! string-formatted key could only promise this informally), and plans for
+//! whole figure suites are just `Vec<RunKey>`.
 //!
 //! The harness hashes every planned key at least twice (plan dedupe, then
-//! the memo), so [`RunKey`]'s `Hash` writes one pre-mixed `u64` instead of
-//! the dozen field writes a derive would feed the hasher.
+//! the memo) and moves it through every plan vector, so a key is 32 bytes:
+//! the app, the architecture and one word holding the four overrides. Its
+//! `Hash` writes one pre-mixed `u64` instead of the dozen field writes a
+//! derive would feed the hasher.
 
 use std::hash::{Hash, Hasher};
 
@@ -23,33 +26,57 @@ use crate::arch::Arch;
 ///
 /// Equality is structural: every field that influences the simulation's
 /// configuration participates, so collisions are unrepresentable. The hash
-/// covers every field too (see the `Hash` impl).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// covers every field too (see the `Hash` impl). The four overrides share
+/// one private word; read them with [`RunKey::l1_override`],
+/// [`RunKey::detailed`], [`RunKey::partitions`] and [`RunKey::window_pct`],
+/// and set them with the `with_*` builders, whose parameter types hold
+/// exactly the values the word can store.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct RunKey {
     /// Application abbreviation (the paper's two-letter code, e.g. `"S2"`).
     pub app: &'static str,
     /// Architecture under evaluation.
     pub arch: Arch,
-    /// Optional L1 size override in bytes (Figure 14 / Table 2 sweeps).
-    pub l1_override: Option<u64>,
-    /// Detailed per-load statistics (Figures 2/3; forces the paper's
-    /// 50 k-cycle window definition).
-    pub detailed: bool,
-    /// Optional memory-partition count override (`None` = the scale's base
-    /// config, i.e. one partition). Part of the key so memoization can
-    /// never alias runs across partition counts.
-    pub partitions: Option<u32>,
-    /// Optional monitoring-window length override, as a percentage of the
-    /// scale's window (ablation sweep). `None` = the scale's window; the
-    /// builder collapses 100% to `None` so the sweep's identity point
-    /// shares memoized runs with every other figure.
-    pub window_pct: Option<u32>,
+    /// The overrides, laid out by `L1`, `WINDOW`, `PARTS` and `DETAILED`.
+    overrides: u64,
 }
+
+/// One optional override in [`RunKey`]'s packed word: a `width`-bit
+/// payload at `shift`, and a presence bit of its own, so `Some(0)` stays
+/// distinct from `None`.
+struct Field {
+    shift: u32,
+    width: u32,
+    set: u64,
+}
+
+impl Field {
+    /// The word shifted down to the payload, if present; the accessors'
+    /// casts to the payload's type drop the bits above it.
+    fn get(&self, word: u64) -> Option<u64> {
+        (word & self.set != 0).then_some(word >> self.shift)
+    }
+
+    /// `word` with this field replaced by `value`.
+    fn put(&self, word: u64, value: Option<u64>) -> u64 {
+        let cleared = word & !(self.set | ((1 << self.width) - 1) << self.shift);
+        value.map_or(cleared, |v| cleared | self.set | v << self.shift)
+    }
+}
+
+/// L1 size override in bytes (Figure 14 / Table 2 sweeps).
+const L1: Field = Field { shift: 0, width: u32::BITS, set: 1 << 56 };
+/// Monitoring-window override in percent of the scale's window.
+const WINDOW: Field = Field { shift: 32, width: u16::BITS, set: 1 << 57 };
+/// Memory-partition count override.
+const PARTS: Field = Field { shift: 48, width: u8::BITS, set: 1 << 58 };
+/// Detailed per-load statistics (Figures 2/3).
+const DETAILED: u64 = 1 << 59;
 
 impl RunKey {
     /// A plain run of `app` under `arch` on the scale's base config.
     pub fn new(app: &'static str, arch: Arch) -> Self {
-        RunKey { app, arch, l1_override: None, detailed: false, partitions: None, window_pct: None }
+        RunKey { app, arch, overrides: 0 }
     }
 
     /// A plain run keyed by an [`AppSpec`].
@@ -58,20 +85,22 @@ impl RunKey {
     }
 
     /// Overrides the L1 size (bytes).
-    pub fn with_l1(mut self, bytes: u64) -> Self {
-        self.l1_override = Some(bytes);
+    pub fn with_l1(mut self, bytes: u32) -> Self {
+        self.overrides = L1.put(self.overrides, Some(bytes.into()));
         self
     }
 
-    /// Enables detailed per-load statistics.
+    /// Enables detailed per-load statistics (forces the paper's 50 k-cycle
+    /// window definition).
     pub fn with_detailed(mut self) -> Self {
-        self.detailed = true;
+        self.overrides |= DETAILED;
         self
     }
 
-    /// Overrides the memory-partition count (power of two).
-    pub fn with_partitions(mut self, n: u32) -> Self {
-        self.partitions = Some(n);
+    /// Overrides the memory-partition count (power of two). Part of the
+    /// key so memoization can never alias runs across partition counts.
+    pub fn with_partitions(mut self, n: u8) -> Self {
+        self.overrides = PARTS.put(self.overrides, Some(n.into()));
         self
     }
 
@@ -79,20 +108,42 @@ impl RunKey {
     /// scale's window. 100% is the identity transform and deliberately
     /// collapses to the plain key, so the ablation sweep's centre point
     /// memo-shares with the rest of the suite instead of re-simulating.
-    pub fn with_window_pct(mut self, pct: u32) -> Self {
-        self.window_pct = if pct == 100 { None } else { Some(pct) };
+    pub fn with_window_pct(mut self, pct: u16) -> Self {
+        self.overrides = WINDOW.put(self.overrides, (pct != 100).then_some(pct.into()));
         self
     }
 
+    /// The L1 size override in bytes, if any.
+    pub fn l1_override(&self) -> Option<u32> {
+        L1.get(self.overrides).map(|v| v as u32)
+    }
+
+    /// Whether the run collects detailed per-load statistics.
+    pub fn detailed(&self) -> bool {
+        self.overrides & DETAILED != 0
+    }
+
+    /// The memory-partition count override (`None` = the scale's base
+    /// config, i.e. one partition).
+    pub fn partitions(&self) -> Option<u8> {
+        PARTS.get(self.overrides).map(|v| v as u8)
+    }
+
+    /// The monitoring-window override in percent of the scale's window
+    /// (`None` = the scale's window).
+    pub fn window_pct(&self) -> Option<u16> {
+        WINDOW.get(self.overrides).map(|v| v as u16)
+    }
+
     /// The architecture specification part of the key (everything except
-    /// the application).
+    /// the application), with the overrides unpacked.
     pub fn spec(&self) -> ArchSpec {
         ArchSpec {
             arch: self.arch,
-            l1_override: self.l1_override,
-            detailed: self.detailed,
-            partitions: self.partitions,
-            window_pct: self.window_pct,
+            l1_override: self.l1_override().map(u64::from),
+            detailed: self.detailed(),
+            partitions: self.partitions().map(u32::from),
+            window_pct: self.window_pct().map(u32::from),
         }
     }
 }
@@ -136,11 +187,11 @@ fn arch_code(arch: Arch) -> u64 {
 
 impl Hash for RunKey {
     /// Writes one `u64`: the app's bytes folded 8 at a time, then the
-    /// architecture code with the option and flag bits above it, then the
-    /// two `u32` overrides, then the L1 override. The destructuring names
-    /// every field, so a new one cannot compile unhashed.
+    /// architecture code, then the packed overrides word. The
+    /// destructuring names every field, so a new one cannot compile
+    /// unhashed.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let RunKey { app, arch, l1_override, detailed, partitions, window_pct } = *self;
+        let RunKey { app, arch, overrides } = *self;
         let bytes = app.as_bytes();
         let mut h = bytes.len() as u64;
         let mut words = bytes.chunks_exact(8);
@@ -155,14 +206,24 @@ impl Hash for RunKey {
         if !tail.is_empty() {
             h = mix(h, tail.iter().rev().fold(0, |w, &b| w << 8 | b as u64));
         }
-        let flags = detailed as u64
-            | (l1_override.is_some() as u64) << 1
-            | (partitions.is_some() as u64) << 2
-            | (window_pct.is_some() as u64) << 3;
-        h = mix(h, arch_code(arch) | flags << 40);
-        h = mix(h, (partitions.unwrap_or(0) as u64) << 32 | window_pct.unwrap_or(0) as u64);
-        h = mix(h, l1_override.unwrap_or(0));
+        h = mix(h, arch_code(arch));
+        h = mix(h, overrides);
         state.write_u64(h);
+    }
+}
+
+impl std::fmt::Debug for RunKey {
+    /// The key with its overrides unpacked, as a derive over separate
+    /// fields would print it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunKey")
+            .field("app", &self.app)
+            .field("arch", &self.arch)
+            .field("l1_override", &self.l1_override())
+            .field("detailed", &self.detailed())
+            .field("partitions", &self.partitions())
+            .field("window_pct", &self.window_pct())
+            .finish()
     }
 }
 
@@ -171,20 +232,20 @@ impl std::fmt::Display for RunKey {
     /// `GA/Baseline+detailed`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.app, self.arch.label())?;
-        if let Some(l1) = self.l1_override {
+        if let Some(l1) = self.l1_override() {
             if l1 % 1024 == 0 {
                 write!(f, "+l1={}K", l1 / 1024)?;
             } else {
                 write!(f, "+l1={l1}B")?;
             }
         }
-        if self.detailed {
+        if self.detailed() {
             write!(f, "+detailed")?;
         }
-        if let Some(p) = self.partitions {
+        if let Some(p) = self.partitions() {
             write!(f, "+p={p}")?;
         }
-        if let Some(w) = self.window_pct {
+        if let Some(w) = self.window_pct() {
             write!(f, "+win={w}%")?;
         }
         Ok(())
@@ -308,25 +369,105 @@ mod tests {
         }
     }
 
-    fn random_opt_u32(rng: &mut Rng) -> Option<u32> {
-        rng.bool().then(|| rng.u64() as u32)
+    /// A key's four overrides, unpacked: L1 bytes, detailed flag,
+    /// partition count and window percentage.
+    type Overrides = (Option<u32>, bool, Option<u8>, Option<u16>);
+
+    /// A value of an override of `max`'s type, from the whole domain: zero
+    /// and `max` often, anything in between otherwise.
+    fn random_payload(rng: &mut Rng, max: u64) -> u64 {
+        match rng.range_u32(0, 4) {
+            0 => 0,
+            1 => max,
+            _ => rng.u64() % (max + 1),
+        }
     }
 
-    fn random_key(rng: &mut Rng) -> RunKey {
-        RunKey {
-            app: random_app(rng),
-            arch: random_arch(rng),
-            l1_override: rng.bool().then(|| rng.u64()),
-            detailed: rng.bool(),
-            partitions: random_opt_u32(rng),
-            window_pct: random_opt_u32(rng),
+    fn random_l1(rng: &mut Rng) -> Option<u32> {
+        rng.bool().then(|| random_payload(rng, u32::MAX.into()) as u32)
+    }
+
+    fn random_partitions(rng: &mut Rng) -> Option<u8> {
+        rng.bool().then(|| random_payload(rng, u8::MAX.into()) as u8)
+    }
+
+    fn random_window(rng: &mut Rng) -> Option<u16> {
+        rng.bool().then(|| random_payload(rng, u16::MAX.into()) as u16)
+    }
+
+    fn random_overrides(rng: &mut Rng) -> Overrides {
+        (random_l1(rng), rng.bool(), random_partitions(rng), random_window(rng))
+    }
+
+    /// `key` with `overrides` applied by the builders.
+    fn apply(mut key: RunKey, overrides: Overrides) -> RunKey {
+        let (l1, detailed, partitions, window) = overrides;
+        if let Some(bytes) = l1 {
+            key = key.with_l1(bytes);
         }
+        if detailed {
+            key = key.with_detailed();
+        }
+        if let Some(n) = partitions {
+            key = key.with_partitions(n);
+        }
+        if let Some(pct) = window {
+            key = key.with_window_pct(pct);
+        }
+        key
+    }
+
+    /// The key the builders make from `app`, `arch` and `overrides`.
+    fn key_with(app: &'static str, arch: Arch, overrides: Overrides) -> RunKey {
+        apply(RunKey::new(app, arch), overrides)
+    }
+
+    #[test]
+    fn overrides_round_trip_over_their_whole_domains() {
+        testkit::check("runkey_round_trip", |rng| {
+            let arch = random_arch(rng);
+            let ov @ (l1, detailed, partitions, window) = random_overrides(rng);
+            let key = key_with("GA", arch, ov);
+            // 100% is the identity window and collapses to `None`.
+            let kept_window = window.filter(|&pct| pct != 100);
+            assert_eq!(key.l1_override(), l1, "{key:?}");
+            assert_eq!(key.detailed(), detailed, "{key:?}");
+            assert_eq!(key.partitions(), partitions, "{key:?}");
+            assert_eq!(key.window_pct(), kept_window, "{key:?}");
+            let spec = key.spec();
+            assert_eq!(spec.arch, arch);
+            assert_eq!(spec.l1_override, l1.map(u64::from));
+            assert_eq!(spec.detailed, detailed);
+            assert_eq!(spec.partitions, partitions.map(u32::from));
+            assert_eq!(spec.window_pct, kept_window.map(u32::from));
+
+            // The builders commute, and a later value replaces an earlier
+            // one whole, leaving the other fields alone.
+            let reversed = [
+                (None, false, None, window),
+                (None, false, partitions, None),
+                (None, detailed, None, None),
+                (l1, false, None, None),
+            ]
+            .into_iter()
+            .fold(RunKey::new("GA", arch), apply);
+            assert_eq!(reversed, key);
+            let noise = (
+                l1.map(|_| rng.u64() as u32),
+                false,
+                partitions.map(|_| rng.u64() as u8),
+                window.map(|_| rng.u64() as u16),
+            );
+            assert_eq!(apply(apply(RunKey::new("GA", arch), noise), ov), key);
+        });
     }
 
     #[test]
     fn hash_follows_equality_and_every_field() {
         testkit::check("runkey_hash", |rng| {
-            let key = random_key(rng);
+            let (app, arch) = (random_app(rng), random_arch(rng));
+            let ov @ (l1, detailed, partitions, window) = random_overrides(rng);
+            let key = key_with(app, arch, ov);
             // A copy, and an equal key whose app string lives elsewhere.
             let copy = key;
             let moved: &'static str = Box::leak(key.app.to_string().into_boxed_str());
@@ -348,19 +489,19 @@ mod tests {
             }
             changed.push(other);
             let mut other = key;
-            while other.l1_override == key.l1_override {
-                other.l1_override = rng.bool().then(|| rng.u64());
+            while other.l1_override() == key.l1_override() {
+                other = key_with(app, arch, (random_l1(rng), detailed, partitions, window));
             }
             changed.push(other);
-            changed.push(RunKey { detailed: !key.detailed, ..key });
+            changed.push(key_with(app, arch, (l1, !detailed, partitions, window)));
             let mut other = key;
-            while other.partitions == key.partitions {
-                other.partitions = random_opt_u32(rng);
+            while other.partitions() == key.partitions() {
+                other = key_with(app, arch, (l1, detailed, random_partitions(rng), window));
             }
             changed.push(other);
             let mut other = key;
-            while other.window_pct == key.window_pct {
-                other.window_pct = random_opt_u32(rng);
+            while other.window_pct() == key.window_pct() {
+                other = key_with(app, arch, (l1, detailed, partitions, random_window(rng)));
             }
             changed.push(other);
             for other in changed {
@@ -372,8 +513,9 @@ mod tests {
 
     #[test]
     fn payload_and_override_bits_stay_apart() {
-        // Equal numbers in different fields, and `Some(0)` against `None`,
-        // must not cancel out in the packed words.
+        // Equal numbers in different fields, `Some(0)` against `None`, and
+        // each field's largest value must not cancel out or spill into a
+        // neighbour in the packed words.
         let base = RunKey::new("GA", Arch::Baseline);
         let keys = [
             base,
@@ -382,10 +524,13 @@ mod tests {
             RunKey::new("GA", Arch::LinebackerAssoc(4)),
             base.with_l1(0),
             base.with_l1(4),
+            base.with_l1(u32::MAX),
             base.with_partitions(0),
             base.with_partitions(4),
-            RunKey { window_pct: Some(0), ..base },
+            base.with_partitions(u8::MAX),
+            base.with_window_pct(0),
             base.with_window_pct(4),
+            base.with_window_pct(u16::MAX),
             base.with_detailed(),
             RunKey::new("GA\0", Arch::Baseline),
         ];
@@ -416,15 +561,8 @@ mod tests {
                 for l1 in l1s {
                     for detailed in [false, true] {
                         for partitions in [None, Some(2)] {
-                            for window_pct in [None, Some(50)] {
-                                let key = RunKey {
-                                    app,
-                                    arch,
-                                    l1_override: l1,
-                                    detailed,
-                                    partitions,
-                                    window_pct,
-                                };
+                            for window in [None, Some(50)] {
+                                let key = key_with(app, arch, (l1, detailed, partitions, window));
                                 assert!(seen.insert(key), "key aliased: {key}");
                                 n += 1;
                             }
@@ -453,8 +591,8 @@ mod tests {
     fn builders_set_fields() {
         let k = RunKey::new("BI", Arch::Cerf).with_l1(96 * 1024).with_detailed();
         assert_eq!(k.app, "BI");
-        assert_eq!(k.l1_override, Some(96 * 1024));
-        assert!(k.detailed);
+        assert_eq!(k.l1_override(), Some(96 * 1024));
+        assert!(k.detailed());
         assert_eq!(k.spec().arch, Arch::Cerf);
     }
 

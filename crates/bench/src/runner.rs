@@ -177,7 +177,7 @@ impl Runner {
     }
 
     /// Runs with an overridden L1 size (Figure 14 sweeps).
-    pub fn run_l1(&self, app: &AppSpec, arch: Arch, l1_bytes: u64) -> Arc<SimStats> {
+    pub fn run_l1(&self, app: &AppSpec, arch: Arch, l1_bytes: u32) -> Arc<SimStats> {
         self.run_key(RunKey::for_app(app, arch).with_l1(l1_bytes))
     }
 
@@ -216,8 +216,14 @@ impl Runner {
             None => {
                 let app = workloads::app(key.app)
                     .unwrap_or_else(|| panic!("unknown app in run key: {key}"));
-                let cfg = key.spec().config(&self.cfg, &app);
-                let kernel = app.kernel(cfg.n_sms);
+                // One kernel serves both the config transform and the run:
+                // no transform changes the SM count it is sized for.
+                let kernel = app.kernel(self.cfg.n_sms);
+                let cfg = key.spec().config_for_kernel(&self.cfg, &kernel);
+                debug_assert_eq!(
+                    cfg.n_sms, self.cfg.n_sms,
+                    "{key}: transform changed the SM count"
+                );
                 (cfg, Some(kernel))
             }
         };

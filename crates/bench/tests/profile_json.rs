@@ -2,7 +2,8 @@
 //! binary must emit exactly one valid JSON document on stdout, with the
 //! stepped/skipped accounting consistent and skipping engaged somewhere in
 //! the suite; `lb-experiments --profile` writes a record only where
-//! `--profile-out` points.
+//! `--profile-out` points, `--profile-out` alone turns profiling on, and a
+//! missing or unwritable output path exits 2 before anything runs.
 
 use std::process::Command;
 
@@ -120,4 +121,44 @@ fn lb_experiments_profile_writes_only_to_profile_out() {
     assert_eq!(named, ["record.json"]);
     let json = json.unwrap();
     validate_json(&json).unwrap_or_else(|at| panic!("invalid JSON at byte {at}: {json}"));
+}
+
+#[test]
+fn output_flags_fail_fast_and_profile_out_implies_profile() {
+    // `overhead` plans no simulation, and `sanity` with an app filter that
+    // matches nothing runs none, so every run here is instant.
+    let dir = std::env::temp_dir().join(format!("lb-output-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin).args(args).current_dir(&dir).output().expect("binary must run");
+        (out.status.code(), String::from_utf8(out.stderr).unwrap())
+    };
+    let lb = env!("CARGO_BIN_EXE_lb-experiments");
+    let sanity = env!("CARGO_BIN_EXE_sanity");
+
+    let (code, stderr) = run(lb, &["--scale", "quick", "--profile-out", "rec.json", "overhead"]);
+    let json = std::fs::read_to_string(dir.join("rec.json"));
+    let (sanity_code, _) = run(sanity, &["--quick", "--profile-out", "sanity.json", "none"]);
+    let sanity_json = std::fs::read_to_string(dir.join("sanity.json"));
+    let failures = [
+        (lb, &["--out"][..]),
+        (lb, &["--csv-dir"]),
+        (lb, &["--scale", "quick", "--out", "/nonexistent/dir/x.txt", "overhead"]),
+        (lb, &["--scale", "quick", "--profile-out", "/nonexistent/dir/p.json", "overhead"]),
+        (lb, &["--scale", "quick", "--csv-dir", "rec.json/csv", "overhead"]),
+        (sanity, &["--profile-out"]),
+        (sanity, &["--quick", "--profile-out", "/nonexistent/dir/p.json"]),
+    ]
+    .map(|(bin, args)| (args, run(bin, args)));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("[profile] wrote rec.json"), "{stderr}");
+    assert!(json.unwrap().contains("\"schema\": 1"));
+    assert_eq!(sanity_code, Some(0));
+    assert!(sanity_json.unwrap().contains("\"schema\": 1"));
+    for (args, (code, stderr)) in failures {
+        assert_eq!(code, Some(2), "{args:?} exited with {code:?}: {stderr}");
+        assert!(!stderr.contains("[plan]"), "{args:?} planned before failing: {stderr}");
+    }
 }

@@ -104,7 +104,10 @@ fn suite_plan_keys_hash_apart() {
     // The default suite's plan, as the harness dedupes and memoizes it:
     // every distinct key must get its own hash word, and every duplicate
     // the word of its first copy. Duplicates are found by `Eq` alone, so
-    // the check does not trust the hash it tests.
+    // the check does not trust the hash it tests. Every plan vector, the
+    // dedupe set and the memo hold keys by value, so the key stays at two
+    // words of app, one of architecture and one of packed overrides.
+    assert_eq!(std::mem::size_of::<RunKey>(), 32);
     let hasher = BuildHasherDefault::<FxHasher64>::default();
     let r = Runner::new(Scale::Quick);
     let planned: Vec<RunKey> =
@@ -120,6 +123,10 @@ fn suite_plan_keys_hash_apart() {
     assert!(firsts.len() < planned.len(), "the suite's plans share no key");
     let hashes: HashSet<u64> = firsts.iter().map(|&(_, h)| h).collect();
     assert_eq!(hashes.len(), firsts.len(), "distinct plan keys share a hash");
+    // The profile record and the `--trace` file names are keyed on the
+    // display string, so it must tell the distinct keys apart too.
+    let shown: HashSet<String> = firsts.iter().map(|(k, _)| k.to_string()).collect();
+    assert_eq!(shown.len(), firsts.len(), "distinct plan keys display alike");
 }
 
 #[test]
