@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator's hot paths: tag array, MSHRs,
 //! coalescer, register file, DRAM, VTT, Load Monitor, `LBW1` decode, the
-//! replay record cursor, a full-GPU cycle, and the harness's plan and
-//! dedupe.
+//! replay record cursor, a full-GPU cycle, a 16-SM GPU construction, and
+//! the harness's plan and dedupe.
 //!
 //! Timed with the in-tree `testkit::bench` harness (the container has no
 //! crates.io access, so criterion is not available). Each iteration batches
@@ -20,7 +20,7 @@ use gpu_sim::pattern::AccessPattern;
 use gpu_sim::policy::baseline_factory;
 use gpu_sim::regfile::RegFile;
 use gpu_sim::types::{Address, CtaId, LineAddr, Pc, RegNum};
-use lb_bench::{experiments, Runner, Scale};
+use lb_bench::{experiments, Arch, Runner, Scale};
 use linebacker::{LbConfig, LinebackerPolicy, LoadMonitor, Vtt};
 use testkit::bench;
 
@@ -130,7 +130,7 @@ fn bench_dram() {
         for _ in 0..OPS {
             i += 1;
             if i.is_multiple_of(2) {
-                d.push(LineAddr(i * 7), TrafficClass::DemandRead, i, i);
+                d.push(LineAddr(i * 7), TrafficClass::DemandRead, i as u32, i);
             }
             done.clear();
             d.tick(i, &mut done, &gpu_sim::trace::Tracer::off());
@@ -223,6 +223,21 @@ fn bench_gpu_cycle() {
     });
 }
 
+/// `Gpu::new` of the Table 1 machine (16 SMs) for S2 under Linebacker: the
+/// construction `gpu.new_ms` times per simulation, ten per iteration.
+fn bench_gpu_new() {
+    let cfg = GpuConfig::default();
+    let kernel = workloads::app("S2").expect("S2 is a Table 2 app").kernel(cfg.n_sms);
+    let arch = Arch::Linebacker;
+    let cfg = arch.transform_config_with(&cfg, &kernel);
+    let factory = arch.factory();
+    bench("gpu_new_table1_lb", ITERS, || {
+        for _ in 0..10 {
+            black_box(Gpu::new(cfg.clone(), kernel.clone(), &factory));
+        }
+    });
+}
+
 /// The checked-in `LBW1` corpus: three captured kernels of 7,680 to 9,216
 /// ops each.
 fn corpus() -> Vec<Vec<u8>> {
@@ -283,5 +298,6 @@ fn main() {
     bench_lb_policy_construction();
     bench_replay();
     bench_gpu_cycle();
+    bench_gpu_new();
     bench_harness_plan();
 }

@@ -305,9 +305,10 @@ impl Profile {
 
     /// Total wall-clock seconds spent simulating (sum over sims; on one
     /// worker this approximates the suite wall-clock, on N workers it can
-    /// exceed it).
+    /// exceed it). Folded from `0.0`: `f64`'s `Sum` starts at `-0.0`, which
+    /// an empty profile would print as `-0.000`.
     pub fn sim_wall_s(&self) -> f64 {
-        self.records.iter().map(|r| r.wall_s).sum()
+        self.records.iter().fold(0.0, |sum, r| sum + r.wall_s)
     }
 
     /// Total simulated cycles.
@@ -829,6 +830,16 @@ mod tests {
         assert!(j.contains("\"mean_burst_len\": 12.000"));
         assert!(j.starts_with(&format!("{{\n  \"schema\": {SCHEMA},\n")));
         assert!(j.contains("\"workers\": {\"jobs\": 2},"));
+    }
+
+    #[test]
+    fn a_profile_without_simulations_reports_zero_time() {
+        let p = Profile::default();
+        assert!(p.sim_wall_s().is_sign_positive());
+        let j = p.to_json("test", "quick", 0.0);
+        assert!(j.contains("\"sim_wall_s\": 0.000,"), "{j}");
+        assert!(p.summary(0.0).contains("(0.0s summed sim time"));
+        assert!(!j.contains("-0.0") && !p.summary(0.0).contains("-0.0"));
     }
 
     #[test]

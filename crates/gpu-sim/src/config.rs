@@ -1,5 +1,6 @@
 //! GPU configuration (the paper's Table 1) and a builder for variants.
 
+use crate::mem::{MAX_CTA_SLOTS, MAX_SMS, MAX_WARP_SLOTS};
 use crate::types::LINE_BYTES;
 
 /// Full configuration of the simulated GPU.
@@ -190,8 +191,10 @@ impl GpuConfig {
         self
     }
 
-    /// Checks the whole configuration: at least one SM, a nonzero window
-    /// length and interconnect bandwidth, L1 and L2 geometries a
+    /// Checks the whole configuration: at least one SM, warp slot and CTA
+    /// slot, and no more than a [`MemReq`](crate::mem::MemReq) can name
+    /// ([`MAX_SMS`], [`MAX_WARP_SLOTS`], [`MAX_CTA_SLOTS`]), a nonzero
+    /// window length and interconnect bandwidth, L1 and L2 geometries a
     /// [`TagArray`](crate::cache::TagArray) can hold (see
     /// [`CacheConfig::check`]) and a memory-partition count that splits the
     /// memory system ([`GpuConfig::check_mem_partitions`]). `Gpu::new`
@@ -200,6 +203,17 @@ impl GpuConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.n_sms == 0 {
             return Err("GPU must have at least one SM".into());
+        }
+        if self.n_sms > MAX_SMS {
+            return Err(format!("at most {MAX_SMS} SMs, got {}", self.n_sms));
+        }
+        if !(1..=MAX_WARP_SLOTS).contains(&self.max_warps_per_sm) {
+            let n = self.max_warps_per_sm;
+            return Err(format!("warp slots per SM must be 1 to {MAX_WARP_SLOTS}, got {n}"));
+        }
+        if !(1..=MAX_CTA_SLOTS).contains(&self.max_ctas_per_sm) {
+            let n = self.max_ctas_per_sm;
+            return Err(format!("CTA slots per SM must be 1 to {MAX_CTA_SLOTS}, got {n}"));
         }
         if self.window_cycles == 0 {
             return Err("monitoring window must be at least one cycle".into());
@@ -495,6 +509,21 @@ mod tests {
         rejects(GpuConfig::default().with_sms(0), "GPU must have at least one SM");
         // Scaling from zero SMs back up is well defined.
         assert_eq!(GpuConfig::default().with_sms(0).with_sms(2).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_bounds_the_fields_a_memory_request_names() {
+        let c = GpuConfig::default();
+        rejects(c.clone().with_sms(MAX_SMS + 1), "at most 65536 SMs, got 65537");
+        assert_eq!(c.clone().with_sms(MAX_SMS).validate(), Ok(()));
+        let warps = |n| GpuConfig { max_warps_per_sm: n, ..c.clone() };
+        rejects(warps(0), "warp slots per SM must be 1 to 256, got 0");
+        rejects(warps(MAX_WARP_SLOTS + 1), "warp slots per SM must be 1 to 256, got 257");
+        assert_eq!(warps(MAX_WARP_SLOTS).validate(), Ok(()));
+        let ctas = |n| GpuConfig { max_ctas_per_sm: n, ..c.clone() };
+        rejects(ctas(0), "CTA slots per SM must be 1 to 65536, got 0");
+        rejects(ctas(MAX_CTA_SLOTS + 1), "CTA slots per SM must be 1 to 65536, got 65537");
+        assert_eq!(ctas(MAX_CTA_SLOTS).validate(), Ok(()));
     }
 
     #[test]

@@ -27,18 +27,18 @@ pub enum TrafficClass {
     RegRestore,
 }
 
-/// An in-flight DRAM request.
+/// An in-flight DRAM request (24 bytes).
 #[derive(Debug, Clone)]
 struct DramReq {
     line: LineAddr,
     class: TrafficClass,
     /// Opaque completion token delivered back to the issuer.
-    token: u64,
+    token: u32,
     /// Earliest cycle the request may be serviced (arrival time).
     ready_at: Cycle,
 }
 
-/// A completed DRAM request.
+/// A completed DRAM request (16 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramDone {
     /// The requested line.
@@ -46,7 +46,7 @@ pub struct DramDone {
     /// Traffic class of the request.
     pub class: TrafficClass,
     /// The issuer's completion token.
-    pub token: u64,
+    pub token: u32,
 }
 
 /// Token-bucket burst cap, in lines (bounds how much unused bandwidth can
@@ -221,7 +221,7 @@ impl Dram {
     /// Enqueues a one-line request arriving at `cycle`. Reads and register
     /// restores go to the latency-sensitive queue; stores and register
     /// backups to the write queue.
-    pub fn push(&mut self, line: LineAddr, class: TrafficClass, token: u64, cycle: Cycle) {
+    pub fn push(&mut self, line: LineAddr, class: TrafficClass, token: u32, cycle: Cycle) {
         let req = DramReq { line, class, token, ready_at: cycle };
         match class {
             TrafficClass::DemandRead | TrafficClass::RegRestore => self.queue.push_back(req),
@@ -517,10 +517,16 @@ mod tests {
     }
 
     #[test]
+    fn queued_and_completed_requests_stay_small() {
+        assert_eq!(std::mem::size_of::<DramReq>(), 24);
+        assert_eq!(std::mem::size_of::<DramDone>(), 16);
+    }
+
+    #[test]
     fn bandwidth_bounds_throughput() {
         let mut d = Dram::new(DramConfig::default(), 0.5); // 1 line per 2 cycles
-        for i in 0..100 {
-            d.push(LineAddr(i * 64), TrafficClass::DemandRead, i, 0);
+        for i in 0..100u32 {
+            d.push(LineAddr(u64::from(i) * 64), TrafficClass::DemandRead, i, 0);
         }
         let done = run_until_done(&mut d, 0, 10_000);
         assert_eq!(done.len(), 100);
@@ -603,7 +609,7 @@ mod tests {
         let build = || {
             let mut d = Dram::new(DramConfig::default(), 0.3);
             for (i, &(at, class, line)) in schedule.iter().enumerate() {
-                d.push(LineAddr(line), class, i as u64, at);
+                d.push(LineAddr(line), class, i as u32, at);
             }
             d
         };

@@ -127,7 +127,9 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// Panics when [`GpuConfig::validate`] rejects `cfg`.
+    /// Panics when [`GpuConfig::validate`] rejects `cfg` or
+    /// [`KernelSpec::validate`] rejects `kernel` (a spec written as a
+    /// literal skips the builder's check).
     fn new_inner(
         cfg: GpuConfig,
         kernel: KernelSpec,
@@ -138,6 +140,9 @@ impl Gpu {
     ) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid GPU configuration: {e}");
+        }
+        if let Err(e) = kernel.validate() {
+            panic!("invalid kernel: {e}");
         }
         let sms = (0..cfg.n_sms)
             .map(|i| {
@@ -498,13 +503,13 @@ impl Gpu {
                 scratch_msgs.clear();
                 part.from_l2.pop_ready(cycle, scratch_msgs);
                 for &rsp in scratch_msgs.iter() {
-                    let sm = &mut sms[rsp.sm.0 as usize];
-                    sm.handle_response(rsp, cycle);
+                    let i = rsp.sm().0 as usize;
+                    sms[i].handle_response(rsp, cycle);
                     // Every delivery answers exactly one request this SM
                     // emitted; the counter going dry re-opens its horizon.
-                    debug_assert!(in_flight[rsp.sm.0 as usize] > 0);
-                    in_flight[rsp.sm.0 as usize] -= 1;
-                    calendar.wake_at(rsp.sm.0 as usize, cycle + 1);
+                    debug_assert!(in_flight[i] > 0);
+                    in_flight[i] -= 1;
+                    calendar.wake_at(i, cycle + 1);
                 }
             }
         }
@@ -580,7 +585,7 @@ impl Gpu {
             }
             let (_, mut batch) = self.pending_out[i].pop_front().unwrap();
             for req in batch.drain(..) {
-                self.partitions[(req.line.0 & part_mask) as usize].to_l2.push(req, cycle);
+                self.partitions[(req.line().0 & part_mask) as usize].to_l2.push(req, cycle);
             }
             self.sms[i].outbox_pool.push(batch); // keep the allocation
         }
@@ -638,7 +643,7 @@ impl Gpu {
                 self.in_flight[i] += batch.len() as u32;
                 if stamp <= cycle {
                     for req in batch.drain(..) {
-                        self.partitions[(req.line.0 & part_mask) as usize].to_l2.push(req, cycle);
+                        self.partitions[(req.line().0 & part_mask) as usize].to_l2.push(req, cycle);
                     }
                     sm.outbox_pool.push(batch);
                 } else {
@@ -984,6 +989,17 @@ mod tests {
     #[should_panic(expected = "invalid GPU configuration: GPU must have at least one SM")]
     fn construction_panics_through_validate() {
         let _ = Gpu::new(fast_cfg().with_sms(0), cache_friendly_kernel(), &baseline_factory());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid kernel: 65537 static loads exceed 65536")]
+    fn construction_panics_on_a_kernel_the_builder_would_reject() {
+        let mut k = cache_friendly_kernel();
+        let load = k.loads[0].clone();
+        k.loads = (0..=crate::mem::MAX_LOADS)
+            .map(|i| crate::kernel::LoadSpec { id: crate::types::LoadId(i), ..load.clone() })
+            .collect();
+        let _ = Gpu::new(fast_cfg(), k, &baseline_factory());
     }
 
     #[test]

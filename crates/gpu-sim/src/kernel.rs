@@ -5,6 +5,7 @@
 //! (SIMT: all warps share the instruction stream but access different data,
 //! driven by the per-load [`AccessPattern`](crate::pattern::AccessPattern)).
 
+use crate::mem::MAX_LOADS;
 use crate::pattern::AccessPattern;
 use crate::types::{LoadId, Pc};
 
@@ -150,6 +151,9 @@ impl KernelSpec {
         }
         if self.iterations == 0 {
             return Err("kernel has zero iterations".into());
+        }
+        if self.loads.len() > MAX_LOADS as usize {
+            return Err(format!("{} static loads exceed {MAX_LOADS}", self.loads.len()));
         }
         for (i, l) in self.loads.iter().enumerate() {
             if l.id.0 as usize != i {
@@ -382,6 +386,16 @@ mod tests {
     fn zero_iterations_rejected() {
         let err = KernelBuilder::new("bad").alu(1).iterations(0).build().unwrap_err();
         assert!(err.contains("zero iterations"));
+    }
+
+    #[test]
+    fn static_loads_are_bounded_by_the_request_field() {
+        let loads = |n: u32| {
+            (0..n).fold(KernelBuilder::new("wide"), |b, _| b.load(AccessPattern::streaming(128)))
+        };
+        assert!(loads(MAX_LOADS).build().is_ok());
+        let err = loads(MAX_LOADS + 1).build().unwrap_err();
+        assert_eq!(err, "65537 static loads exceed 65536");
     }
 
     #[test]

@@ -39,9 +39,11 @@ pub struct MemPartition {
     pub(crate) from_l2: IcntQueue<MemReq>,
     /// The DRAM channel (1/n of the banks and bandwidth).
     pub(crate) dram: Dram,
-    /// Requests whose DRAM token indexes this table.
+    /// Requests whose DRAM token indexes this table: every request at
+    /// the DRAM, and every read merged into an L2 MSHR entry.
     dram_pending: Vec<MemReq>,
-    dram_free: Vec<usize>,
+    /// Free indices of `dram_pending`.
+    dram_free: Vec<u32>,
     /// Completion scratch for `step_dram` (reused across ticks).
     scratch_done: Vec<DramDone>,
     /// MSHR-waiter scratch for `step_dram` (reused across ticks).
@@ -92,13 +94,14 @@ impl MemPartition {
         }
     }
 
-    fn alloc_dram_slot(&mut self, req: MemReq) -> u64 {
+    fn alloc_dram_slot(&mut self, req: MemReq) -> u32 {
         if let Some(i) = self.dram_free.pop() {
-            self.dram_pending[i] = req;
-            i as u64
+            self.dram_pending[i as usize] = req;
+            i
         } else {
+            let i = u32::try_from(self.dram_pending.len()).expect("DRAM slot table exceeds u32");
             self.dram_pending.push(req);
-            (self.dram_pending.len() - 1) as u64
+            i
         }
     }
 
@@ -106,13 +109,13 @@ impl MemPartition {
     /// the DRAM arrival cycle if the request was forwarded to the channel
     /// (the caller wakes this partition's calendar slot at that cycle).
     pub(crate) fn handle_at_l2(&mut self, req: MemReq, cycle: Cycle) -> Option<Cycle> {
-        match req.kind {
+        match req.kind() {
             MemReqKind::Read | MemReqKind::BypassRead => {
                 self.l2_access_count += 1;
-                let hit = self.l2.access(req.line);
+                let hit = self.l2.access(req.line());
                 self.tracer.emit(
                     cycle,
-                    TraceEvent::L2Access { part: self.id as u64, line: req.line.0, hit },
+                    TraceEvent::L2Access { part: self.id as u64, line: req.line().0, hit },
                 );
                 if hit {
                     // L2 hit: response after the L2 pipeline latency.
@@ -120,13 +123,18 @@ impl MemPartition {
                     None
                 } else {
                     let token = self.alloc_dram_slot(req);
-                    match self.l2.mshrs().allocate(req.line, token) {
+                    match self.l2.mshrs().allocate(req.line(), u64::from(token)) {
                         MshrOutcome::NewEntry => {
                             // The DRAM request itself carries a fresh token
                             // so the fill can find the merged waiter list.
                             let dram_token = self.alloc_dram_slot(req);
                             let arrival = cycle + self.l2_latency;
-                            self.dram.push(req.line, TrafficClass::DemandRead, dram_token, arrival);
+                            self.dram.push(
+                                req.line(),
+                                TrafficClass::DemandRead,
+                                dram_token,
+                                arrival,
+                            );
                             Some(arrival)
                         }
                         MshrOutcome::Merged => {
@@ -134,8 +142,8 @@ impl MemPartition {
                                 cycle,
                                 TraceEvent::MshrMerge {
                                     level: 1,
-                                    sm: req.sm.0 as u64,
-                                    line: req.line.0,
+                                    sm: req.sm().0 as u64,
+                                    line: req.line().0,
                                 },
                             );
                             None
@@ -143,7 +151,7 @@ impl MemPartition {
                         MshrOutcome::Full => {
                             // Model back-pressure as a retried request.
                             self.to_l2.push(req, cycle + 16);
-                            self.dram_free.push(token as usize);
+                            self.dram_free.push(token);
                             None
                         }
                     }
@@ -153,17 +161,17 @@ impl MemPartition {
                 // Write-through, no-allocate: straight to DRAM.
                 self.l2_access_count += 1;
                 let token = self.alloc_dram_slot(req);
-                self.dram.push(req.line, TrafficClass::StoreWrite, token, cycle);
+                self.dram.push(req.line(), TrafficClass::StoreWrite, token, cycle);
                 Some(cycle)
             }
             MemReqKind::RegBackup { .. } => {
                 let token = self.alloc_dram_slot(req);
-                self.dram.push(req.line, TrafficClass::RegBackup, token, cycle);
+                self.dram.push(req.line(), TrafficClass::RegBackup, token, cycle);
                 Some(cycle)
             }
             MemReqKind::RegRestore { .. } => {
                 let token = self.alloc_dram_slot(req);
-                self.dram.push(req.line, TrafficClass::RegRestore, token, cycle);
+                self.dram.push(req.line(), TrafficClass::RegRestore, token, cycle);
                 Some(cycle)
             }
         }
@@ -177,17 +185,17 @@ impl MemPartition {
         for i in 0..self.scratch_done.len() {
             let d = self.scratch_done[i];
             let req = self.dram_pending[d.token as usize];
-            self.dram_free.push(d.token as usize);
-            match req.kind {
+            self.dram_free.push(d.token);
+            match req.kind() {
                 MemReqKind::Read | MemReqKind::BypassRead => {
-                    self.l2.fill(req.line);
+                    self.l2.fill(req.line());
                     self.l2_access_count += 1;
                     // Wake all L2-MSHR waiters merged on this line.
                     let mut waiters = std::mem::take(&mut self.scratch_waiters);
-                    self.l2.mshrs().complete_into(req.line, &mut waiters);
+                    self.l2.mshrs().complete_into(req.line(), &mut waiters);
                     for &t in &waiters {
                         let waiter = self.dram_pending[t as usize];
-                        self.dram_free.push(t as usize);
+                        self.dram_free.push(t as u32);
                         self.from_l2.push(waiter, cycle);
                     }
                     self.scratch_waiters = waiters;

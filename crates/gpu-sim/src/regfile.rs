@@ -5,10 +5,16 @@
 //!
 //! * per-CTA contiguous allocation (FRN/count, as Linebacker's CTA manager
 //!   assumes),
-//! * per-cycle bank conflicts (the paper's Figure 16 metric),
-//! * synthetic register *contents* so CTA backup/restore can be verified
-//!   end-to-end, and
+//! * per-cycle bank conflicts (the paper's Figure 16 metric), and
 //! * statically / dynamically unused space (SUR / DUR, Figure 4).
+//!
+//! It keeps no register contents: its state is one `(first, count)` range
+//! and one backed-up bit per CTA slot, so its size does not grow with the
+//! register count. What contents would show is ownership, and that is
+//! checked instead: a register is *live* while it lies in the range of a
+//! resident CTA that is not backed up ([`RegFile::is_live`]). A policy that
+//! stores victim lines in idle registers must never write or read a live
+//! one; Linebacker debug-asserts this at every victim insert and hit.
 
 use crate::types::{CtaId, Cycle, RegNum};
 
@@ -47,9 +53,6 @@ pub struct RegFile {
     /// CTA slots whose registers are currently backed up off-chip (their
     /// space is DUR).
     backed_up: Vec<bool>,
-    /// Synthetic 8-byte digest per warp register, standing in for the 128 B
-    /// of architectural state. Lets backup/restore be checked end-to-end.
-    contents: Vec<u64>,
     reads: u64,
     writes: u64,
     conflicts: u64,
@@ -71,7 +74,6 @@ impl RegFile {
             bank_cycle: u64::MAX,
             alloc: vec![None; cta_slots as usize],
             backed_up: vec![false; cta_slots as usize],
-            contents: vec![0; total_regs as usize],
             reads: 0,
             writes: 0,
             conflicts: 0,
@@ -95,10 +97,6 @@ impl RegFile {
         let first = self.find_gap(count)?;
         self.alloc[slot] = Some((first, count));
         self.backed_up[slot] = false;
-        // Initialize synthetic contents deterministically.
-        for r in first..first + count {
-            self.contents[r as usize] = crate::pattern::mix64(((cta.0 as u64) << 32) | r as u64);
-        }
         Some(RegNum(first))
     }
 
@@ -153,6 +151,16 @@ impl RegFile {
     /// Allocation of a CTA, if any: (first register, count).
     pub fn cta_range(&self, cta: CtaId) -> Option<(RegNum, u32)> {
         self.alloc[cta.0 as usize].map(|(f, c)| (RegNum(f), c))
+    }
+
+    /// Does `reg` hold live state: does it lie in the range of a resident
+    /// CTA that is not backed up? Idle registers (SUR, and DUR once a
+    /// backup completed) are not live.
+    pub fn is_live(&self, reg: RegNum) -> bool {
+        self.alloc.iter().zip(&self.backed_up).any(|(a, &bu)| match *a {
+            Some((f, c)) => !bu && (f..f + c).contains(&reg.0),
+            None => false,
+        })
     }
 
     /// Largest register number allocated to any *non-backed-up* CTA — the
@@ -244,20 +252,17 @@ impl RegFile {
         extra
     }
 
-    /// Reads the synthetic contents of a register (for backup).
-    pub fn read_contents(&self, reg: RegNum) -> u64 {
-        self.contents[reg.0 as usize]
-    }
-
-    /// Overwrites the synthetic contents of a register (victim-line store or
-    /// restore).
-    pub fn write_contents(&mut self, reg: RegNum, value: u64) {
-        self.contents[reg.0 as usize] = value;
-    }
-
     /// Lifetime (reads, writes, bank conflicts).
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.reads, self.writes, self.conflicts)
+    }
+
+    /// Heap bytes this register file holds: its per-bank and per-CTA-slot
+    /// tables, none of which grows with the register count.
+    pub fn heap_bytes(&self) -> usize {
+        self.bank_use.capacity()
+            + self.alloc.capacity() * std::mem::size_of::<Option<(u32, u32)>>()
+            + self.backed_up.capacity()
     }
 }
 
@@ -378,30 +383,26 @@ mod tests {
     }
 
     #[test]
-    fn contents_deterministic_per_allocation() {
-        let mut r1 = rf();
-        let mut r2 = rf();
-        r1.allocate_cta(CtaId(3), 10);
-        r2.allocate_cta(CtaId(3), 10);
-        for i in 0..10 {
-            assert_eq!(r1.read_contents(RegNum(i)), r2.read_contents(RegNum(i)));
-        }
+    fn liveness_follows_resident_unbacked_ranges() {
+        let mut r = rf();
+        r.allocate_cta(CtaId(0), 100);
+        r.allocate_cta(CtaId(1), 100);
+        assert!(r.is_live(RegNum(0)) && r.is_live(RegNum(199)));
+        assert!(!r.is_live(RegNum(200)), "SUR is idle");
+        r.mark_backed_up(CtaId(1));
+        assert!(!r.is_live(RegNum(100)) && !r.is_live(RegNum(199)), "DUR is idle");
+        assert!(r.is_live(RegNum(99)));
+        r.mark_restored(CtaId(1));
+        assert!(r.is_live(RegNum(150)));
+        r.free_cta(CtaId(0));
+        assert!(!r.is_live(RegNum(0)));
     }
 
     #[test]
-    fn contents_roundtrip() {
-        let mut r = rf();
-        r.allocate_cta(CtaId(0), 4);
-        let saved: Vec<u64> = (0..4).map(|i| r.read_contents(RegNum(i))).collect();
-        // Clobber (as victim caching would), then restore.
-        for i in 0..4 {
-            r.write_contents(RegNum(i), 0xdead_beef);
-        }
-        for (i, v) in saved.iter().enumerate() {
-            r.write_contents(RegNum(i as u32), *v);
-        }
-        for (i, v) in saved.iter().enumerate() {
-            assert_eq!(r.read_contents(RegNum(i as u32)), *v);
-        }
+    fn heap_bytes_do_not_grow_with_the_register_count() {
+        let small = RegFile::new(2048, 32, 32);
+        let large = RegFile::new(65_536, 32, 32);
+        assert_eq!(small.heap_bytes(), large.heap_bytes());
+        assert!(small.heap_bytes() > 0);
     }
 }

@@ -2,7 +2,7 @@
 //! CTA lifecycle (including throttling-driven register backup/restore).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use crate::cache::{L1Cache, L1Lookup, MshrOutcome};
@@ -17,9 +17,7 @@ use crate::regfile::RegFile;
 use crate::replay::{ReplayKernel, StreamBuilder};
 use crate::scheduler::{CandList, GtoScheduler};
 use crate::stats::{RfSpaceSample, SimStats};
-use crate::types::{
-    hashed_pc5, CtaId, Cycle, LineAddr, LoadId, MissClass, Pc, RegNum, SmId, WarpId,
-};
+use crate::types::{hashed_pc5, CtaId, Cycle, LineAddr, LoadId, MissClass, Pc, SmId, WarpId};
 use crate::warp::{WarpSlab, META_DEP, META_LOAD, META_READY, META_STORE};
 use lb_trace::{Event as TraceEvent, L1Outcome as TraceL1Outcome, Tracer};
 
@@ -160,8 +158,6 @@ pub struct Sm {
     /// numbers unique).
     launch_seq: u64,
     warp_seq: u64,
-    /// Backed-up register contents per CTA slot (verifies restore fidelity).
-    backup_store: HashMap<u32, Vec<u64>>,
     /// Next backup line offset in this SM's dedicated backup address region.
     backup_cursor: u64,
     window_start_insts: u64,
@@ -286,7 +282,6 @@ impl Sm {
             cta_limit: None,
             launch_seq: 0,
             warp_seq: 0,
-            backup_store: HashMap::new(),
             backup_cursor: 0,
             window_start_insts: 0,
             window_index: 0,
@@ -752,14 +747,8 @@ impl Sm {
                         outcome: TraceL1Outcome::Bypass,
                     },
                 );
-                self.outbox.push(MemReq {
-                    sm: self.id,
-                    warp: req.warp,
-                    gen: req.gen,
-                    load: req.load,
-                    line: req.line,
-                    kind: MemReqKind::BypassRead,
-                });
+                self.outbox
+                    .push(MemReq::bypass_read(self.id, req.warp, req.gen, req.load, req.line));
                 self.lsu_queue.pop_front();
                 self.lsu_serviced += 1;
                 continue;
@@ -870,14 +859,9 @@ impl Sm {
                                             outcome: miss_outcome,
                                         },
                                     );
-                                    self.outbox.push(MemReq {
-                                        sm: self.id,
-                                        warp: req.warp,
-                                        gen: req.gen,
-                                        load: req.load,
-                                        line: req.line,
-                                        kind: MemReqKind::Read,
-                                    });
+                                    self.outbox.push(MemReq::read(
+                                        self.id, req.warp, req.gen, req.load, req.line,
+                                    ));
                                 }
                                 MshrOutcome::Full => {
                                     // Structural stall: the head stays in
@@ -1289,7 +1273,7 @@ impl Sm {
                     self.lsu_queue.push_back(LsuReq { warp: wid.0, gen, load, pc, hpc, line });
                 }
             }
-            InstKind::Store { load } => {
+            InstKind::Store { .. } => {
                 self.capture_op(slot, body_pos, true);
                 self.warps.set_next_ready(slot, cycle + 1 + extra_delay as u64);
                 // Write-evict (hit) / write-no-allocate (miss): invalidate L1
@@ -1307,14 +1291,7 @@ impl Sm {
                         stats: &mut self.stats,
                     };
                     self.policy.on_store(line, &mut ctx);
-                    self.outbox.push(MemReq {
-                        sm: self.id,
-                        warp: wid.0,
-                        gen: 0,
-                        load,
-                        line,
-                        kind: MemReqKind::Store,
-                    });
+                    self.outbox.push(MemReq::store(self.id, line));
                 }
             }
         }
@@ -1467,19 +1444,19 @@ impl Sm {
         // Any response can change warp eligibility (load completion, store
         // credit return, backup/restore progress toggling CTA status).
         self.issue_wake = true;
-        match req.kind {
+        match req.kind() {
             MemReqKind::Read => {
                 // Fill L1; evicted victim goes to the policy. The waiter
                 // list is drained into a reusable scratch buffer (taken out
                 // of `self` for the duration so `wake_warp` below can
                 // borrow freely).
                 let mut waiters = std::mem::take(&mut self.waiter_buf);
-                self.l1.mshrs().complete_into(req.line, &mut waiters);
+                self.l1.mshrs().complete_into(req.line(), &mut waiters);
                 let fill_hpc = waiters
                     .first()
                     .map(|&t| self.load_hpc[(t & 0xffff_ffff) as usize])
                     .unwrap_or(0);
-                let evicted = self.l1.fill(req.line, fill_hpc);
+                let evicted = self.l1.fill(req.line(), fill_hpc);
                 if let Some(ev) = evicted {
                     let preserved = {
                         let mut ctx = PolicyCtx {
@@ -1507,7 +1484,7 @@ impl Sm {
                 self.waiter_buf = waiters;
             }
             MemReqKind::BypassRead => {
-                self.complete(req.gen << 16 | req.warp, req.load.0);
+                self.complete(req.gen() << 16 | req.warp(), req.load().0);
             }
             MemReqKind::Store => {
                 self.stores_in_flight = self.stores_in_flight.saturating_sub(1);
@@ -1610,7 +1587,7 @@ impl Sm {
 
     fn deactivate_cta(&mut self, cta: CtaId, cycle: Cycle) {
         let slot = cta.0 as usize;
-        let (first, count) = match self.regfile.cta_range(cta) {
+        let (_, count) = match self.regfile.cta_range(cta) {
             Some(r) => r,
             None => return,
         };
@@ -1624,21 +1601,9 @@ impl Sm {
             self.policy.on_cta_deactivate(cta, &mut ctx);
         }
         self.tracer.emit(cycle, TraceEvent::Backup { sm: self.id.0 as u64, cta: cta.0 as u64 });
-        // Snapshot architectural state for fidelity checking.
-        let contents: Vec<u64> =
-            (first.0..first.0 + count).map(|r| self.regfile.read_contents(RegNum(r))).collect();
-        self.backup_store.insert(cta.0, contents);
         // Emit backup traffic: one line per warp register.
         for i in 0..count {
-            let line = self.backup_line_addr(i);
-            self.outbox.push(MemReq {
-                sm: self.id,
-                warp: 0,
-                gen: 0,
-                load: LoadId(0),
-                line,
-                kind: MemReqKind::RegBackup { cta },
-            });
+            self.outbox.push(MemReq::reg_backup(self.id, cta, self.backup_line_addr(i)));
         }
         self.backup_cursor += count as u64;
         if let Some(c) = self.ctas[slot].as_mut() {
@@ -1671,15 +1636,7 @@ impl Sm {
         }
         self.tracer.emit(cycle, TraceEvent::Restore { sm: self.id.0 as u64, cta: cta.0 as u64 });
         for i in 0..count {
-            let line = self.backup_line_addr(i);
-            self.outbox.push(MemReq {
-                sm: self.id,
-                warp: 0,
-                gen: 0,
-                load: LoadId(0),
-                line,
-                kind: MemReqKind::RegRestore { cta },
-            });
+            self.outbox.push(MemReq::reg_restore(self.id, cta, self.backup_line_addr(i)));
         }
         self.backup_cursor += count as u64;
         if let Some(c) = self.ctas[slot].as_mut() {
@@ -1725,14 +1682,7 @@ impl Sm {
                 let lo = *c.warps.first().expect("CTA has warps");
                 let hi = *c.warps.last().expect("CTA has warps");
                 let _ = cycle;
-                if let Some((first, count)) = self.regfile.mark_restored(cta) {
-                    if let Some(saved) = self.backup_store.remove(&cta.0) {
-                        debug_assert_eq!(saved.len(), count as usize);
-                        for (i, v) in saved.into_iter().enumerate() {
-                            self.regfile.write_contents(RegNum(first.0 + i as u32), v);
-                        }
-                    }
-                }
+                self.regfile.mark_restored(cta);
                 // The CTA is schedulable again: re-list its warps.
                 for wi in lo..=hi {
                     self.warps.set_cta_ok(wi as usize, true);
@@ -1801,11 +1751,6 @@ impl Sm {
         self.wake_all_warps();
         self.cta_limit = limit;
         self.enforce_cta_limit(cycle);
-    }
-
-    /// Snapshot of backed-up register contents for a CTA (tests).
-    pub fn backup_snapshot(&self, cta: CtaId) -> Option<&[u64]> {
-        self.backup_store.get(&cta.0).map(|v| v.as_slice())
     }
 
     /// Finalizes per-SM stats (MSHR stall counts etc.).
@@ -1917,7 +1862,7 @@ mod tests {
             // Service memory requests instantly for this unit test.
             let reqs: Vec<_> = sm.outbox.drain(..).collect();
             for r in reqs {
-                if matches!(r.kind, MemReqKind::Read | MemReqKind::BypassRead) {
+                if matches!(r.kind(), MemReqKind::Read | MemReqKind::BypassRead) {
                     sm.handle_response(r, c);
                 }
             }
@@ -1938,7 +1883,7 @@ mod tests {
                 sm.tick(c, &k, &cfg);
                 let reqs: Vec<_> = sm.outbox.drain(..).collect();
                 for r in reqs {
-                    if matches!(r.kind, MemReqKind::Read | MemReqKind::BypassRead) {
+                    if matches!(r.kind(), MemReqKind::Read | MemReqKind::BypassRead) {
                         sm.handle_response(r, c);
                     }
                 }
@@ -1992,14 +1937,14 @@ mod tests {
         sm.set_cta_limit(Some(2), 0);
         // Backup traffic must be in the outbox.
         let backups =
-            sm.outbox.iter().filter(|r| matches!(r.kind, MemReqKind::RegBackup { .. })).count()
+            sm.outbox.iter().filter(|r| matches!(r.kind(), MemReqKind::RegBackup { .. })).count()
                 as u32;
         assert_eq!(backups, 2 * k.regs_per_cta());
         assert_eq!(sm.active_ctas(), 2);
         // CTAs 2 and 3 (highest ids) are the deactivated ones.
         let reqs: Vec<_> = sm.outbox.drain(..).collect();
         for r in &reqs {
-            if let MemReqKind::RegBackup { cta } = r.kind {
+            if let MemReqKind::RegBackup { cta } = r.kind() {
                 assert!(cta.0 >= 2);
             }
         }
@@ -2013,16 +1958,15 @@ mod tests {
     }
 
     #[test]
-    fn restore_roundtrips_register_contents() {
+    fn backup_then_restore_keeps_the_cta_range() {
         let cfg = small_cfg();
         let k = kernel();
         let mut sm = sm();
         for _ in 0..4 {
             sm.try_launch_cta(&k, &cfg);
         }
-        let (first, count) = sm.regfile.cta_range(CtaId(3)).unwrap();
-        let before: Vec<u64> =
-            (first.0..first.0 + count).map(|r| sm.regfile.read_contents(RegNum(r))).collect();
+        let range = sm.regfile.cta_range(CtaId(3)).unwrap();
+        let count = range.1;
 
         sm.set_cta_limit(Some(3), 0);
         let reqs: Vec<_> = sm.outbox.drain(..).collect();
@@ -2030,20 +1974,20 @@ mod tests {
             sm.handle_response(r, 5);
         }
         assert!(sm.regfile.is_backed_up(CtaId(3)));
-        // Clobber the register contents (as victim caching would).
-        for r in first.0..first.0 + count {
-            sm.regfile.write_contents(RegNum(r), 0xbad);
-        }
-        // Lift the limit: CTA 3 restores.
+        assert!(!sm.regfile.is_live(range.0), "a backed-up CTA's registers are idle");
+        // Lift the limit: CTA 3 restores, one line per warp register.
         sm.set_cta_limit(None, 100);
         let reqs: Vec<_> = sm.outbox.drain(..).collect();
-        assert!(reqs.iter().all(|r| matches!(r.kind, MemReqKind::RegRestore { .. })));
+        assert_eq!(reqs.len(), count as usize);
+        assert!(reqs
+            .iter()
+            .all(|r| r.kind() == MemReqKind::RegRestore { cta: CtaId(3) } && r.sm() == sm.id));
         for r in reqs {
             sm.handle_response(r, 200);
         }
-        let after: Vec<u64> =
-            (first.0..first.0 + count).map(|r| sm.regfile.read_contents(RegNum(r))).collect();
-        assert_eq!(before, after, "restore must reproduce the backed-up state");
+        assert_eq!(sm.regfile.cta_range(CtaId(3)), Some(range));
+        assert!(!sm.regfile.is_backed_up(CtaId(3)));
+        assert!(sm.regfile.is_live(range.0), "a restored CTA's registers are live again");
         assert_eq!(sm.active_ctas(), 4);
     }
 

@@ -94,7 +94,7 @@ fn dram_conserves_requests() {
         let lines = r.vec(1, 100, |r| r.range_u64(0, 10_000));
         let mut d = Dram::new(DramConfig::default(), 2.0);
         for (i, &l) in lines.iter().enumerate() {
-            d.push(LineAddr(l), TrafficClass::DemandRead, i as u64, 0);
+            d.push(LineAddr(l), TrafficClass::DemandRead, i as u32, 0);
         }
         let mut done = Vec::new();
         let mut out = 0usize;

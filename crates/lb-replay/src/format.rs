@@ -15,7 +15,7 @@
 //! name    uvarint len + UTF-8 bytes
 //! header  grid_ctas, warps_per_cta, regs_per_thread,
 //!         shared_mem_per_cta, iterations          (uvarints)
-//! loads   n, then per load: pc                    (uvarints)
+//! loads   n (at most 65,536), then per load: pc   (uvarints)
 //! body    n, then per inst: pc, tag u8 (0 ALU / 1 LOAD / 2 STORE),
 //!         arg (ALU latency or load index), wait (0 = none, else id+1)
 //! streams n (must equal grid_ctas * warps_per_cta), then per stream:
@@ -98,6 +98,7 @@
 //! exactly.
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
+use gpu_sim::mem::MAX_LOADS;
 use gpu_sim::pattern::AccessPattern;
 use gpu_sim::replay::{self, uvarint_len, KernelReader, ReplayKernel, Run, StreamFault};
 use gpu_sim::types::{LoadId, Pc};
@@ -332,6 +333,9 @@ pub(crate) fn decode_header(buf: &[u8]) -> Result<(KernelSpec, usize, usize), Re
     let iterations = as_u32(get_uvarint(buf, &mut pos)?, "iterations")?;
 
     let n_loads = get_count(buf, &mut pos)?;
+    if n_loads > MAX_LOADS as usize {
+        return Err(ReplayError::Malformed(format!("{n_loads} static loads exceed {MAX_LOADS}")));
+    }
     let mut loads = Vec::with_capacity(n_loads);
     for i in 0..n_loads as u32 {
         let pc = as_u32(get_uvarint(buf, &mut pos)?, "load pc")?;
@@ -643,6 +647,24 @@ mod tests {
     /// [`section_for`] over `stub4()`: a load, then three ALU ops.
     fn with_stream_section(section: &[u64]) -> Vec<u8> {
         section_for(stub4(), section)
+    }
+
+    #[test]
+    fn static_loads_past_the_request_field_rejected() {
+        // A header declaring one load more than a memory request can name,
+        // each with PC 0; the body and streams never get read.
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        for v in [0, 1, 1, 16, 0, 1, u64::from(MAX_LOADS) + 1] {
+            put_uvarint(&mut bytes, v);
+        }
+        bytes.resize(bytes.len() + MAX_LOADS as usize + 1, 0);
+        match decode(&bytes) {
+            Err(ReplayError::Malformed(msg)) => {
+                assert_eq!(msg, "65537 static loads exceed 65536")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
+use gpu_sim::mem::MAX_LOADS;
 use gpu_sim::pattern::{coalesce_bytes, AccessPattern};
 use gpu_sim::replay::{ReplayKernel, StreamBuilder, GROWING_BODY};
 use gpu_sim::types::{LineAddr, LoadId, Pc};
@@ -331,6 +332,9 @@ pub fn import_str(text: &str) -> Result<ReplayKernel, ReplayError> {
         if body.len() > u32::MAX as usize {
             return Err(malformed(line_no, "static body exceeds u32::MAX instructions"));
         }
+        if loads.len() > MAX_LOADS as usize {
+            return Err(malformed(line_no, format!("more than {MAX_LOADS} memory PCs")));
+        }
         // The body kind at this PC's first occurrence decides the op's kind.
         let mem = !matches!(body[pos as usize].kind, InstKind::Alu { .. });
         if !mem && inst.has_addresses {
@@ -457,6 +461,28 @@ mod tests {
         let bad = sample_trace().replace("warp = 1", "warp = 9");
         match import_str(&bad) {
             Err(ReplayError::Malformed(msg)) => assert!(msg.contains("out of range")),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn memory_pcs_past_the_request_field_rejected() {
+        // One warp whose every instruction is a masked-off load at a new PC.
+        let trace = |pcs: u32| {
+            let mut t = format!(
+                "-grid dim = (1,1,1)\n-block dim = (32,1,1)\n\
+                 #BEGIN_TB\nthread block = 0,0,0\nwarp = 0\ninsts = {pcs}\n"
+            );
+            for pc in 0..pcs {
+                t.push_str(&format!("{:x} 0 0 LDG.E 0 4 1 0x0 4\n", pc * 16));
+            }
+            t + "#END_TB\n"
+        };
+        assert_eq!(import_str(&trace(MAX_LOADS)).unwrap().stub.loads.len(), MAX_LOADS as usize);
+        match import_str(&trace(MAX_LOADS + 1)) {
+            Err(ReplayError::Malformed(msg)) => {
+                assert_eq!(msg, "line 65543: more than 65536 memory PCs")
+            }
             other => panic!("expected Malformed, got {other:?}"),
         }
     }

@@ -49,8 +49,9 @@ pub struct LinebackerPolicy {
     limit: Option<u32>,
     /// Hashed PCs selected as high-locality (cached from the LM).
     selected: Vec<u8>,
-    /// CTAs whose restore is in flight: (cta, last register of its range).
-    restoring: Vec<(CtaId, u32)>,
+    /// CTAs whose restore is in flight: (cta, first and last register of
+    /// its range).
+    restoring: Vec<(CtaId, u32, u32)>,
     /// Set after a re-activation (back-off): the next IPC improvement is
     /// explained by the back-off itself, so further throttling is latched
     /// off until IPC degrades again. Prevents throttle/activate ping-pong
@@ -141,8 +142,16 @@ impl LinebackerPolicy {
     /// and above any in-flight restore range.
     fn min_free_rn(&self, ctx: &PolicyCtx<'_>) -> u32 {
         let lrn = ctx.regfile.largest_active_rn().map(|r| r.0 + 1).unwrap_or(0);
-        let restoring = self.restoring.iter().map(|&(_, last)| last + 1).max().unwrap_or(0);
+        let restoring = self.restoring.iter().map(|&(_, _, last)| last + 1).max().unwrap_or(0);
         lrn.max(restoring)
+    }
+
+    /// May victim storage use `rn`: is it neither live (see
+    /// [`RegFile::is_live`](gpu_sim::regfile::RegFile::is_live)) nor inside
+    /// a restore in flight? Checked at every victim insert and hit.
+    fn owns(&self, rn: RegNum, ctx: &PolicyCtx<'_>) -> bool {
+        !ctx.regfile.is_live(rn)
+            && !self.restoring.iter().any(|&(_, first, last)| (first..=last).contains(&rn.0))
     }
 
     fn refresh_partitions(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -198,6 +207,11 @@ impl SmPolicy for LinebackerPolicy {
                 self.charge(ctx, self.cfg.vtt_pj);
                 match self.vtt.lookup(line) {
                     Some(hit) => {
+                        debug_assert!(
+                            self.owns(hit.rn, ctx),
+                            "victim hit in live or restoring {}",
+                            hit.rn
+                        );
                         // Register-file read for the victim line: sequential
                         // VP searches + arbitration + bank conflicts.
                         let conflict = ctx.regfile.access(hit.rn, ctx.cycle, false);
@@ -224,10 +238,13 @@ impl SmPolicy for LinebackerPolicy {
                 if self.preserve_victim(victim_hpc) {
                     self.charge(ctx, self.cfg.vtt_pj);
                     if let Some(rn) = self.vtt.insert(victim) {
+                        debug_assert!(
+                            self.owns(rn, ctx),
+                            "victim insert into live or restoring {rn}"
+                        );
                         // Register write of the preserved line (the
                         // register-to-register move of the paper).
                         ctx.regfile.access(rn, ctx.cycle, true);
-                        ctx.regfile.write_contents(rn, victim.0);
                         return true;
                     }
                 }
@@ -250,7 +267,7 @@ impl SmPolicy for LinebackerPolicy {
         // Retire completed restores (their registers are live again).
         let restoring = std::mem::take(&mut self.restoring);
         self.restoring =
-            restoring.into_iter().filter(|&(cta, _)| ctx.regfile.is_backed_up(cta)).collect();
+            restoring.into_iter().filter(|&(cta, ..)| ctx.regfile.is_backed_up(cta)).collect();
 
         // Phase transitions from the Load Monitor.
         if self.phase == Phase::Monitoring {
@@ -356,7 +373,7 @@ impl SmPolicy for LinebackerPolicy {
         self.charge(ctx, self.cfg.cta_mgr_pj);
         self.cta_mgr.begin_restore(cta);
         if let Some((first, count)) = ctx.regfile.cta_range(cta) {
-            self.restoring.push((cta, first.0 + count - 1));
+            self.restoring.push((cta, first.0, first.0 + count - 1));
             self.cta_mgr.complete_restore(cta, first);
         }
         // Partitions over the restored range must release immediately so the

@@ -143,6 +143,16 @@ fn runner_best_swl_consistent_with_direct_runs() {
     }
 }
 
+/// S2 makes the most victim inserts of the quick suite. In a debug build
+/// Linebacker asserts at every victim insert and hit that the register is
+/// neither live nor inside a restore in flight, so this run fails if a
+/// victim partition ever overlaps CTA registers.
+#[test]
+fn linebacker_victim_registers_stay_idle_on_s2() {
+    let s = Runner::new(Scale::Quick).run(&app("S2").unwrap(), Arch::Linebacker);
+    assert!(s.reg_hits > 0, "S2 must hit in victim registers at quick scale");
+}
+
 #[test]
 fn cache_insensitive_app_unharmed_by_linebacker() {
     // The Load Monitor's self-disable keeps LB from hurting streaming apps.

@@ -1,7 +1,7 @@
 //! Randomized property tests over the core data structures and mechanism
 //! invariants (seeded and deterministic, via the in-tree `testkit` crate).
 
-use testkit::check;
+use testkit::{check, check_n};
 
 use gpu_sim::cache::{L1Cache, L1Lookup, MshrFile, MshrOutcome, TagArray};
 use gpu_sim::coalesce::coalesce;
@@ -169,24 +169,63 @@ fn regfile_allocations_disjoint() {
     });
 }
 
-/// Backup/restore round-trips register contents for arbitrary CTA sizes.
+/// Register ownership under random allocate / back-up / restore / free
+/// sequences over 32 CTA slots: after every step, each register's liveness,
+/// the LRN and the space split equal a reference computed from the ranges.
 #[test]
-fn regfile_backup_restore_roundtrip() {
-    check("regfile_backup_restore_roundtrip", |r| {
-        let count = r.range_u32(1, 500);
-        let mut rf = RegFile::new(2048, 32, 32);
-        let first = rf.allocate_cta(CtaId(0), count).unwrap();
-        let saved: Vec<u64> = (0..count).map(|i| rf.read_contents(RegNum(first.0 + i))).collect();
-        rf.mark_backed_up(CtaId(0));
-        for i in 0..count {
-            rf.write_contents(RegNum(first.0 + i), 0xDEAD); // victim-cache clobber
-        }
-        rf.mark_restored(CtaId(0));
-        for (i, v) in saved.iter().enumerate() {
-            rf.write_contents(RegNum(first.0 + i as u32), *v);
-        }
-        for (i, v) in saved.iter().enumerate() {
-            assert_eq!(rf.read_contents(RegNum(first.0 + i as u32)), *v);
+fn regfile_ownership_matches_range_reference() {
+    check_n("regfile_ownership_matches_range_reference", 64, |r| {
+        const REGS: u32 = 2048;
+        let mut rf = RegFile::new(REGS, 32, 32);
+        // Reference: per CTA slot, its (first, count, backed up).
+        let mut slots: [Option<(u32, u32, bool)>; 32] = [None; 32];
+        for _ in 0..r.range_usize(1, 48) {
+            let slot = r.range_u32(0, 32);
+            let cta = CtaId(slot);
+            let entry = &mut slots[slot as usize];
+            match (r.range_u32(0, 4), *entry) {
+                (0, None) => {
+                    let count = r.range_u32(1, 400);
+                    if let Some(first) = rf.allocate_cta(cta, count) {
+                        *entry = Some((first.0, count, false));
+                    }
+                }
+                (0, Some(_)) => assert!(rf.allocate_cta(cta, 1).is_none(), "slot taken"),
+                (1, Some((f, c, _))) => {
+                    assert_eq!(rf.mark_backed_up(cta), Some((RegNum(f), c)));
+                    *entry = Some((f, c, true));
+                }
+                (2, Some((f, c, _))) => {
+                    assert_eq!(rf.mark_restored(cta), Some((RegNum(f), c)));
+                    *entry = Some((f, c, false));
+                }
+                (3, Some(_)) => {
+                    rf.free_cta(cta);
+                    *entry = None;
+                }
+                _ => {}
+            }
+            let mut live = vec![false; REGS as usize];
+            let (mut active, mut dynamic) = (0, 0);
+            for &(f, c, backed_up) in slots.iter().flatten() {
+                if backed_up {
+                    dynamic += c;
+                } else {
+                    active += c;
+                    for reg in f..f + c {
+                        assert!(!live[reg as usize], "ranges overlap at r{reg}");
+                        live[reg as usize] = true;
+                    }
+                }
+            }
+            for (reg, &l) in live.iter().enumerate() {
+                assert_eq!(rf.is_live(RegNum(reg as u32)), l, "liveness of r{reg}");
+            }
+            let lrn = live.iter().rposition(|&l| l).map(|reg| RegNum(reg as u32));
+            assert_eq!(rf.largest_active_rn(), lrn);
+            let s = rf.space();
+            assert_eq!((s.total, s.active_used, s.dynamic_unused), (REGS, active, dynamic));
+            assert_eq!(s.active_used + s.static_unused + s.dynamic_unused, REGS);
         }
     });
 }
