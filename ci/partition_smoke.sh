@@ -1,17 +1,16 @@
 #!/usr/bin/env sh
 # Partitioned-memory smoke test.
 #
-# Exercises the partition layer end to end at quick scale and checks the
-# invariants the refactor promises:
+# Exercises the partition layer end to end at quick scale. That
+# `--partitions 1` output is byte-identical to the default (the
+# partitioned path with one partition IS the monolithic memory subsystem)
+# is checked by `ci/identity.sh`; this script checks the rest:
 #
-#   1. transparency  - `--partitions 1` output is byte-identical to the
-#                      default (the partitioned path with one partition IS
-#                      the monolithic memory subsystem);
-#   2. functionality - a 4-partition run of the same experiments completes
-#                      with exit code 0;
-#   3. conservation  - the `partition` sensitivity sweep renders its full
+#   1. functionality - a 4-partition run of `fig01 table2` completes with
+#                      exit code 0;
+#   2. conservation  - the `partition` sensitivity sweep renders its full
 #                      table and every P=1 row reports conserved totals;
-#   4. validation    - non-power-of-two partition counts, and a power of
+#   3. validation    - non-power-of-two partition counts, and a power of
 #                      two the 16 DRAM banks cannot split across, are
 #                      rejected with exit code 2.
 #
@@ -23,15 +22,7 @@ LBX=${1:-target/release/lb-experiments}
 T=$(mktemp -d)
 trap 'rm -rf "$T"' EXIT
 
-echo "partition_smoke: default vs explicit --partitions 1 (must be byte-identical)"
-"$LBX" --scale quick --jobs 1 --out "$T/default.txt" fig01 table2 2> /dev/null
-"$LBX" --scale quick --jobs 1 --partitions 1 --out "$T/p1.txt" fig01 table2 2> /dev/null
-cmp "$T/default.txt" "$T/p1.txt" || {
-    echo "partition_smoke: FAIL - one explicit partition changed experiment output" >&2
-    exit 1
-}
-
-echo "partition_smoke: 4-partition run of the same experiments"
+echo "partition_smoke: 4-partition run of fig01 table2"
 "$LBX" --scale quick --jobs 1 --partitions 4 --out "$T/p4.txt" fig01 table2 2> /dev/null
 [ -s "$T/p4.txt" ] || { echo "partition_smoke: empty 4-partition output" >&2; exit 1; }
 

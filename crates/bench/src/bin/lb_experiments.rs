@@ -43,7 +43,6 @@ fn main() {
     let mut trace_dir: Option<String> = None;
     let mut trace_mask = gpu_sim::trace::MASK_ALL;
     let mut partitions: Option<u32> = None;
-    let mut desc_cache = true;
     let mut burst = true;
     let mut workloads_specs: Vec<String> = Vec::new();
 
@@ -111,7 +110,6 @@ fn main() {
                     }
                 };
             }
-            "--no-desc-cache" => desc_cache = false,
             "--no-burst" => burst = false,
             "--workload" => {
                 workloads_specs.push(args.next().unwrap_or_else(|| {
@@ -124,8 +122,8 @@ fn main() {
                     "usage: lb-experiments [--scale quick|default|full] [--jobs N] \
                      [--verbose] [--out FILE] [--csv-dir DIR] \
                      [--profile] [--profile-out FILE] [--trace DIR] \
-                     [--trace-events MASK] [--partitions N] [--no-desc-cache] \
-                     [--no-burst] [--workload trace:PATH]... [ids... | all]\n  \
+                     [--trace-events MASK] [--partitions N] [--no-burst] \
+                     [--workload trace:PATH]... [ids... | all]\n  \
                      LB_JOBS=N overrides the default worker count (all cores); \
                      --jobs beats LB_JOBS\n  --profile prints a \
                      hot-path throughput report to stderr; --profile-out \
@@ -135,9 +133,7 @@ fn main() {
                      --trace-events narrows the captured kinds (names like \
                      issue,l1,dram, a 0x hex mask, or 'all')\n  --partitions N \
                      splits the memory subsystem into N L2-slice/DRAM-channel \
-                     pairs (power of two; default 1)\n  --no-desc-cache disables \
-                     the decoded access-descriptor cache (slower, byte-identical \
-                     output; a verification escape hatch)\n  --no-burst disables \
+                     pairs (power of two; default 1)\n  --no-burst disables \
                      greedy-run burst execution and SM local clocks (slower, \
                      byte-identical output; a verification escape hatch)\n  \
                      --workload trace:PATH loads a workload trace (.lbw1, or \
@@ -146,6 +142,10 @@ fn main() {
                     experiments::ALL.join(" ")
                 );
                 return;
+            }
+            other if other.starts_with('-') => {
+                eprintln!("unknown option '{other}' (see --help)");
+                std::process::exit(2);
             }
             other => ids.push(other.to_string()),
         }
@@ -198,10 +198,6 @@ fn main() {
     if let Some(n) = partitions {
         runner.set_partitions(n);
         eprintln!("[config] memory subsystem split into {n} partitions");
-    }
-    if !desc_cache {
-        runner.set_desc_cache(false);
-        eprintln!("[config] descriptor cache disabled (verification mode)");
     }
     if !burst {
         runner.set_burst(false);

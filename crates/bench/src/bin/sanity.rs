@@ -3,8 +3,11 @@
 //! ```text
 //! sanity [--quick] [--profile] [--profile-out FILE]
 //!        [--trace DIR] [--trace-events MASK] [--partitions N]
-//!        [--no-desc-cache] [--no-burst] [apps...]
+//!        [--no-burst] [--workload trace:PATH]... [apps...]
 //! ```
+//!
+//! `apps` are Table 2 abbreviations (default: all of them); an unknown
+//! name exits 2 before any output file or directory is created.
 //!
 //! With `--profile`, the IPC table moves to stderr and stdout carries a
 //! single JSON throughput record (the same shape `lb-experiments
@@ -37,7 +40,6 @@ fn main() {
     let mut trace_dir: Option<String> = None;
     let mut trace_mask = MASK_ALL;
     let mut partitions: Option<u32> = None;
-    let mut desc_cache = true;
     let mut burst = true;
     let mut only: Vec<String> = Vec::new();
     let mut workload_specs: Vec<String> = Vec::new();
@@ -76,7 +78,6 @@ fn main() {
                     }
                 };
             }
-            "--no-desc-cache" => desc_cache = false,
             "--no-burst" => burst = false,
             "--workload" => {
                 workload_specs.push(args.next().unwrap_or_else(|| {
@@ -88,15 +89,24 @@ fn main() {
                 eprintln!(
                     "usage: sanity [--quick] [--profile] [--profile-out FILE] \
                      [--trace DIR] [--trace-events MASK] [--partitions N] \
-                     [--no-desc-cache] [--no-burst] \
-                     [--workload trace:PATH]... [apps...]\n  --workload replays a \
+                     [--no-burst] [--workload trace:PATH]... [apps...]\n  \
+                     apps are Table 2 abbreviations (default: all)\n  --workload replays a \
                      workload trace (.lbw1, or .traceg to import) as an extra \
                      table row (no Best-SWL sweep for traces)"
                 );
                 return;
             }
+            other if other.starts_with('-') => {
+                eprintln!("unknown option '{other}' (see --help)");
+                std::process::exit(2);
+            }
             other => only.push(other.to_string()),
         }
+    }
+    if let Some(bad) = only.iter().find(|a| !all_apps().iter().any(|app| app.abbrev == *a)) {
+        let known: Vec<&str> = all_apps().iter().map(|app| app.abbrev).collect();
+        eprintln!("unknown app '{bad}' (Table 2 apps: {})", known.join(" "));
+        std::process::exit(2);
     }
     let mut cfg = if quick {
         GpuConfig::default().with_sms(4).with_windows(5_000, 60_000)
@@ -127,9 +137,6 @@ fn main() {
         });
         (p, f)
     });
-    if !desc_cache {
-        cfg = cfg.with_desc_cache(false);
-    }
     if !burst {
         cfg = cfg.with_burst(false);
     }

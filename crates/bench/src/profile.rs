@@ -1,18 +1,18 @@
 //! Built-in hot-path profiler: wall-clock and event accounting for every
-//! simulation the harness launches, reported by `--profile` and written to
-//! `BENCH_PR10.json` so the perf trajectory of the simulator has a recorded
-//! baseline. Since the component-calendar scheduler, the record includes
-//! per-component sleep fractions (how often each SM / the DRAM / the
-//! interconnect was gated) and a breakdown of what bounded each
-//! fast-forward jump; since the partitioned memory subsystem it also
-//! carries a per-partition breakdown (traffic and sleep fractions for
-//! each L2-slice/DRAM-channel pair); since the decoded access-descriptor
-//! cache it also reports the cache's hit rate (per run and aggregated)
-//! and splits stepped SM cycles into LSU-busy and issue-scan phases; since
-//! greedy-run bursting the `sm_phases` block also carries a `burst`
-//! sub-record (span counts, a span-length histogram, and LSU entries
-//! serviced on batched local cycles). A top-level `workers` block records
-//! the harness's `--jobs` count.
+//! simulation the harness launches, reported on stderr by `--profile` and
+//! written as a JSON record to the file `--profile-out` names (`sanity
+//! --profile` also prints it on stdout). Since the component-calendar
+//! scheduler, the record includes per-component sleep fractions (how often
+//! each SM / the DRAM / the interconnect was gated) and a breakdown of what
+//! bounded each fast-forward jump; since the partitioned memory subsystem
+//! it also carries a per-partition breakdown (traffic and sleep fractions
+//! for each L2-slice/DRAM-channel pair); since the per-SM descriptor memo
+//! it also reports the memo's hit rate (per run and aggregated) and splits
+//! stepped SM cycles into LSU-busy and issue-scan phases; since greedy-run
+//! bursting the `sm_phases` block also carries a `burst` sub-record (span
+//! counts, a span-length histogram, and LSU entries serviced on batched
+//! local cycles). A top-level `workers` block records the harness's
+//! `--jobs` count.
 //!
 //! The record carries a `schema` version ([`SCHEMA`]) instead of a tag
 //! naming the change that produced it: bump the constant whenever a key
@@ -453,7 +453,7 @@ impl Profile {
         }
     }
 
-    /// The `BENCH_PR10.json` throughput record.
+    /// The JSON throughput record (what `--profile-out` writes).
     ///
     /// `label` names the producing binary, `scale` the run scale, and
     /// `suite_wall_s` the end-to-end harness wall-clock.

@@ -130,13 +130,6 @@ impl Runner {
         self.cfg = self.cfg.clone().with_mem_partitions(n);
     }
 
-    /// Enables or disables the decoded access-descriptor cache (the
-    /// `--no-desc-cache` escape hatch of the harness binaries). Output is
-    /// byte-identical either way; the cache is purely a speed optimization.
-    pub fn set_desc_cache(&mut self, on: bool) {
-        self.cfg = self.cfg.clone().with_desc_cache(on);
-    }
-
     /// Enables or disables greedy-run burst execution and SM local clocks
     /// (the `--no-burst` escape hatch of the harness binaries). Output is
     /// byte-identical either way; bursting is purely a speed optimization.

@@ -51,10 +51,7 @@ fn trace_kernel(n_sms: u32) -> KernelSpec {
 }
 
 fn capture(factory: &PolicyFactory<'_>, mask: u64) -> Vec<u8> {
-    capture_cfg(factory, mask, GpuConfig::default().with_sms(2).with_windows(2_500, 30_000))
-}
-
-fn capture_cfg(factory: &PolicyFactory<'_>, mask: u64, cfg: GpuConfig) -> Vec<u8> {
+    let cfg = GpuConfig::default().with_sms(2).with_windows(2_500, 30_000);
     let kernel = trace_kernel(cfg.n_sms);
     let tracer = Tracer::new(TraceWriter::to_memory(mask));
     run_kernel_traced(cfg, kernel, factory, tracer.clone());
@@ -127,38 +124,6 @@ fn identical_runs_produce_identical_traces() {
     let b = capture(&linebacker_factory(LbConfig::default()), MASK_ALL);
     let outcome = diff(&a, &b).expect("traces must parse");
     assert!(outcome.is_identical(), "same config diverged: {outcome}");
-}
-
-/// The decoded access-descriptor cache must be invisible at event
-/// granularity: with the cache *disabled*, every policy's capture must
-/// diff clean — zero divergence — against the pinned golden traces
-/// (which the cache-on tests above already match). The traces are never
-/// re-pinned here: a divergence is a replay bug, not a new golden.
-#[test]
-fn desc_cache_off_traces_match_pinned_goldens() {
-    let uncached =
-        GpuConfig::default().with_sms(2).with_windows(2_500, 30_000).with_desc_cache(false);
-    let cases = [
-        ("baseline.lbt", baseline_factory()),
-        ("pcal.lbt", pcal_factory()),
-        ("cerf.lbt", cerf_factory()),
-        ("linebacker.lbt", linebacker_factory(LbConfig::default())),
-    ];
-    for (name, factory) in &cases {
-        let fresh = capture_cfg(factory, golden_mask(), uncached.clone());
-        let pinned = read_file(&golden_path(name)).unwrap_or_else(|e| {
-            panic!("cannot read pinned golden {name} ({e}); pin via the cache-on tests first")
-        });
-        match diff(&pinned, &fresh).expect("both traces must parse") {
-            DiffOutcome::Identical { events } => {
-                assert!(events > 0, "golden trace {name} is empty");
-            }
-            other => panic!(
-                "--no-desc-cache run diverged from pinned {name}: the descriptor \
-                 replay path is not exact.\n{other}"
-            ),
-        }
-    }
 }
 
 /// Different policies must produce *different* streams (the diff tool's

@@ -1,9 +1,10 @@
-//! End-to-end profiler smoke: a forced `--profile` run of the `sanity`
-//! binary must emit exactly one valid JSON document on stdout, with the
+//! End-to-end profiler smoke: a profiled run of the `sanity` binary must
+//! emit exactly one valid JSON document on stdout, with the
 //! stepped/skipped accounting consistent and skipping engaged somewhere in
 //! the suite; `lb-experiments --profile` writes a record only where
-//! `--profile-out` points, `--profile-out` alone turns profiling on, and a
-//! missing or unwritable output path exits 2 before anything runs.
+//! `--profile-out` points, `--profile-out` alone turns profiling on in both
+//! binaries, and a missing or unwritable output path (or an unknown
+//! `sanity` app) exits 2 before anything runs.
 
 use std::process::Command;
 
@@ -23,15 +24,22 @@ fn field(json: &str, key: &str) -> f64 {
 
 #[test]
 fn sanity_profile_emits_valid_json() {
-    // One app keeps this fast; --quick shrinks windows further.
+    // One app keeps this fast; --quick shrinks windows further. No
+    // `--profile`: `--profile-out` alone must turn profiling on.
+    let file = std::env::temp_dir().join(format!("lb-sanity-profile-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_sanity"))
-        .args(["--profile", "--quick", "GA"])
+        .args(["--quick", "--profile-out"])
+        .arg(&file)
+        .arg("GA")
         .output()
         .expect("sanity binary must run");
+    let written = std::fs::read_to_string(&file);
+    let _ = std::fs::remove_file(&file);
     assert!(out.status.success(), "sanity exited with {:?}", out.status);
 
     let stdout = String::from_utf8(out.stdout).expect("stdout must be UTF-8");
     validate_json(&stdout).unwrap_or_else(|at| panic!("invalid JSON at byte {at}: {stdout}"));
+    assert_eq!(written.expect("--profile-out must write its file"), stdout);
 
     assert!(
         stdout.contains(&format!("\"schema\": {SCHEMA},")),
@@ -125,8 +133,8 @@ fn lb_experiments_profile_writes_only_to_profile_out() {
 
 #[test]
 fn output_flags_fail_fast_and_profile_out_implies_profile() {
-    // `overhead` plans no simulation, and `sanity` with an app filter that
-    // matches nothing runs none, so every run here is instant.
+    // `overhead` plans no simulation, and `sanity` rejects an unknown app
+    // before it runs one, so every run here is instant.
     let dir = std::env::temp_dir().join(format!("lb-output-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let run = |bin: &str, args: &[&str]| {
@@ -138,16 +146,19 @@ fn output_flags_fail_fast_and_profile_out_implies_profile() {
 
     let (code, stderr) = run(lb, &["--scale", "quick", "--profile-out", "rec.json", "overhead"]);
     let json = std::fs::read_to_string(dir.join("rec.json"));
-    let (sanity_code, _) = run(sanity, &["--quick", "--profile-out", "sanity.json", "none"]);
-    let sanity_json = std::fs::read_to_string(dir.join("sanity.json"));
+    let (sanity_code, sanity_err) =
+        run(sanity, &["--quick", "--profile-out", "sanity.json", "none"]);
+    let sanity_json = dir.join("sanity.json").exists();
     let failures = [
         (lb, &["--out"][..]),
         (lb, &["--csv-dir"]),
         (lb, &["--scale", "quick", "--out", "/nonexistent/dir/x.txt", "overhead"]),
         (lb, &["--scale", "quick", "--profile-out", "/nonexistent/dir/p.json", "overhead"]),
         (lb, &["--scale", "quick", "--csv-dir", "rec.json/csv", "overhead"]),
+        (lb, &["--scale", "quick", "--no-such-option", "overhead"]),
         (sanity, &["--profile-out"]),
         (sanity, &["--quick", "--profile-out", "/nonexistent/dir/p.json"]),
+        (sanity, &["--quick", "--no-such-option", "GA"]),
     ]
     .map(|(bin, args)| (args, run(bin, args)));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -155,8 +166,9 @@ fn output_flags_fail_fast_and_profile_out_implies_profile() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("[profile] wrote rec.json"), "{stderr}");
     assert!(json.unwrap().contains("\"schema\": 1"));
-    assert_eq!(sanity_code, Some(0));
-    assert!(sanity_json.unwrap().contains("\"schema\": 1"));
+    assert_eq!(sanity_code, Some(2), "{sanity_err}");
+    assert!(sanity_err.contains("unknown app 'none'"), "{sanity_err}");
+    assert!(!sanity_json, "an unknown app must fail before --profile-out is created");
     for (args, (code, stderr)) in failures {
         assert_eq!(code, Some(2), "{args:?} exited with {code:?}: {stderr}");
         assert!(!stderr.contains("[plan]"), "{args:?} planned before failing: {stderr}");

@@ -92,18 +92,6 @@ pub struct GpuConfig {
     /// Enable expensive per-load working-set/streaming statistics
     /// (needed for reproducing Figures 2 and 3 only).
     pub detailed_load_stats: bool,
-    /// Enable the per-SM decoded access-descriptor cache: the first
-    /// execution of a (warp slot, static load) pair decodes the pattern's
-    /// per-warp constants into a [`crate::pattern::LineDesc`] and later
-    /// executions replay it, skipping address generation and coalescing.
-    /// Replay is exact, so this is a pure speed knob — simulated results
-    /// are byte-identical either way (`--no-desc-cache` is the escape
-    /// hatch that proves it).
-    pub desc_cache: bool,
-    /// Hard cap on descriptor-table entries per SM
-    /// (`warp slots x static loads`); a kernel exceeding it simply runs
-    /// uncached, which cannot change simulated results.
-    pub desc_cache_max_entries: u32,
     /// Enable greedy-run burst execution and decoupled SM local clocks:
     /// between interactions with the memory side, an SM simulates several
     /// cycles per `Gpu::step` (a tight local loop bounded by the earliest
@@ -145,8 +133,6 @@ impl Default for GpuConfig {
             window_cycles: 50_000,
             max_cycles: 400_000,
             detailed_load_stats: false,
-            desc_cache: true,
-            desc_cache_max_entries: 64 * 1024,
             burst: true,
             energy: crate::energy::EnergyConfig::default(),
         }
@@ -260,14 +246,6 @@ impl GpuConfig {
             panic!("{e}");
         }
         self.n_mem_partitions = n;
-        self
-    }
-
-    /// Returns a copy with the decoded access-descriptor cache enabled or
-    /// disabled (the `--no-desc-cache` escape hatch). Purely a simulator
-    /// speed knob: simulated results are identical either way.
-    pub fn with_desc_cache(mut self, enabled: bool) -> Self {
-        self.desc_cache = enabled;
         self
     }
 
@@ -431,10 +409,7 @@ mod tests {
         assert_eq!(c.dram.t_cl, 12);
         assert_eq!(c.dram.t_wr, 12);
         assert_eq!(c.dram.t_ras, 28);
-        // Simulator-engineering knobs (not Table 1): descriptor cache on by
-        // default, sized far above any real kernel's slot x load product.
-        assert!(c.desc_cache);
-        assert_eq!(c.desc_cache_max_entries, 64 * 1024);
+        // Simulator-engineering knob (not Table 1): bursting on by default.
         assert!(c.burst);
     }
 
@@ -442,13 +417,6 @@ mod tests {
     fn burst_escape_hatch() {
         assert!(!GpuConfig::default().with_burst(false).burst);
         assert!(GpuConfig::default().with_burst(true).burst);
-    }
-
-    #[test]
-    fn desc_cache_escape_hatch() {
-        let c = GpuConfig::default().with_desc_cache(false);
-        assert!(!c.desc_cache);
-        assert!(GpuConfig::default().with_desc_cache(true).desc_cache);
     }
 
     #[test]

@@ -136,94 +136,33 @@ impl AccessPattern {
     }
 
     /// Generates the (already coalesced) line addresses of one dynamic
-    /// access, appending them to `out`.
+    /// access, appending them to `out`: `decode` + [`LineDesc::replay`],
+    /// the one mapping from a pattern to lines.
     ///
     /// The common GPU case — a fully coalesced warp access — produces exactly
     /// one line. [`AccessPattern::Divergent`] produces several, via per-lane
     /// address generation and the hardware coalescer model.
     pub fn gen_lines(&self, ctx: AccessCtx, out: &mut Vec<LineAddr>) {
-        let region = region_base(ctx.load, ctx.sm);
-        match *self {
-            AccessPattern::ReuseWorkingSet { ws_bytes, shared } => {
-                let lines = ws_lines(ws_bytes);
-                let base = if shared { region } else { region + private_slice(ctx.global_warp) };
-                // Different warps start at hashed offsets of the same sweep so
-                // shared working sets see inter-warp reuse without lockstep.
-                let start =
-                    if shared { fast_mod(mix64(ctx.seed ^ ctx.global_warp), lines) } else { 0 };
-                let idx = fast_mod(start + ctx.access_index, lines);
-                out.push(LineAddr(base + idx));
-            }
-            AccessPattern::Streaming { bytes_per_access } => {
-                let n = lines_per_access(bytes_per_access);
-                // Unique, never-revisited region per warp.
-                let base = region + private_slice(ctx.global_warp);
-                let first = ctx.access_index * n;
-                for k in 0..n {
-                    out.push(LineAddr(base + first + k));
-                }
-            }
-            AccessPattern::Tiled { tile_bytes, reuse, shared } => {
-                let tile_lines = ws_lines(tile_bytes);
-                let reuse = reuse.max(1) as u64;
-                let accesses_per_tile = tile_lines * reuse;
-                let tile = fast_div(ctx.access_index, accesses_per_tile);
-                let idx = fast_mod(ctx.access_index, tile_lines);
-                let base = if shared { region } else { region + private_slice(ctx.global_warp) };
-                out.push(LineAddr(base + tile * tile_lines + idx));
-            }
-            AccessPattern::RandomInSet { ws_bytes, shared } => {
-                let lines = ws_lines(ws_bytes);
-                let base = if shared { region } else { region + private_slice(ctx.global_warp) };
-                let h = mix64(
-                    ctx.seed
-                        ^ mix64(ctx.access_index ^ ((ctx.load.0 as u64) << 32))
-                        ^ if shared { 0 } else { ctx.global_warp },
-                );
-                out.push(LineAddr(base + fast_mod(h, lines)));
-            }
-            AccessPattern::Divergent { ws_bytes, lines_per_access } => {
-                // A warp's 32 lanes split into `groups` address groups; every
-                // lane of one group hashes to the same line (the lane id only
-                // picks the intra-line byte), and lanes visit the groups in
-                // round-robin order. Generating one line per group in group
-                // order and deduplicating against this access's lines is
-                // therefore exactly the 32-lane coalescer output — without
-                // materializing the per-lane address vector.
-                let lines = ws_lines(ws_bytes);
-                let groups = lines_per_access.clamp(1, 32) as u64;
-                let start = out.len();
-                for group in 0..groups {
-                    let h =
-                        mix64(ctx.seed ^ mix64(ctx.access_index ^ (group << 40) ^ ctx.global_warp));
-                    let line = LineAddr(region + fast_mod(h, lines));
-                    crate::coalesce::push_line_dedup(out, start, line);
-                }
-            }
-            AccessPattern::SparseStream { period } => {
-                let period = period.max(1) as u64;
-                if fast_mod(ctx.access_index, period) == 0 {
-                    let base = region + private_slice(ctx.global_warp);
-                    out.push(LineAddr(base + fast_div(ctx.access_index, period)));
-                }
-            }
-        }
+        let AccessCtx { seed, sm, global_warp, load, access_index } = ctx;
+        self.decode(DecodeCtx { seed, sm, global_warp, load }).replay(access_index, out);
     }
 
     /// Decodes this pattern's per-(warp, load) constants into a [`LineDesc`],
-    /// so repeated dynamic executions replay with only the
-    /// `access_index`-dependent arithmetic. `decode(d).replay(i, out)` pushes
-    /// exactly the lines of `gen_lines` with `access_index == i` — see
-    /// [`LineDesc`] for the per-variant argument.
+    /// so that [`LineDesc::replay`] applies only the `access_index`-dependent
+    /// arithmetic. The SM memoizes the result per (warp slot, load); see
+    /// [`LineDesc`] for the per-variant folding.
     pub fn decode(&self, d: DecodeCtx) -> LineDesc {
         let region = region_base(d.load, d.sm);
         match *self {
             AccessPattern::ReuseWorkingSet { ws_bytes, shared } => {
                 let lines = ws_lines(ws_bytes);
                 let base = if shared { region } else { region + private_slice(d.global_warp) };
+                // Different warps start at hashed offsets of the same sweep so
+                // shared working sets see inter-warp reuse without lockstep.
                 let start = if shared { fast_mod(mix64(d.seed ^ d.global_warp), lines) } else { 0 };
                 LineDesc::Cyclic { base, start, lines }
             }
+            // Unique, never-revisited region per warp.
             AccessPattern::Streaming { bytes_per_access } => LineDesc::Stream {
                 base: region + private_slice(d.global_warp),
                 n: lines_per_access(bytes_per_access),
@@ -257,8 +196,8 @@ impl AccessPattern {
 /// Identifies one (warp, static-load) *decode context*: everything an
 /// [`AccessCtx`] carries except the iteration-dependent `access_index`.
 /// All addresses a warp's load can ever touch are a function of these four
-/// fields plus the access index, which is what makes the decoded-descriptor
-/// cache exact.
+/// fields plus the access index, which is what lets the SM memoize the
+/// decoded descriptor.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeCtx {
     /// Global seed for the whole simulation.
@@ -271,11 +210,11 @@ pub struct DecodeCtx {
     pub load: LoadId,
 }
 
-/// A decoded access descriptor: the per-(warp, load) constants of
-/// [`AccessPattern::gen_lines`] folded into closed form, so per-iteration
-/// replay applies only the `access_index`-dependent offset.
+/// A decoded access descriptor: the per-(warp, load) constants of an
+/// [`AccessPattern`] folded into closed form, so per-iteration replay
+/// applies only the `access_index`-dependent offset.
 ///
-/// Replay is *exact*, not approximate:
+/// The folding is exact, not approximate:
 /// - arithmetic patterns (`Cyclic`, `Stream`, `Tile`, `Sparse`) pre-add
 ///   `region_base` + `private_slice` and pre-hash the shared-sweep start,
 ///   leaving pure offset math per access;
@@ -286,9 +225,9 @@ pub struct DecodeCtx {
 ///   index with the group id) but skips `region_base`/`ws_lines` and shares
 ///   the coalescer dedup rule via [`crate::coalesce::push_line_dedup`].
 ///
-/// The equivalence with `gen_lines` is locked per variant by the
-/// `decoded_replay_matches_gen_lines` test and re-checked on every cache
-/// miss by a debug assertion in the SM.
+/// The root package's `decoded_replay_matches_frozen_reference` property
+/// test holds `decode` + `replay` to a frozen copy of the direct
+/// per-access generator this folding was derived from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LineDesc {
     /// [`AccessPattern::ReuseWorkingSet`]: cyclic sweep of `lines` lines from
@@ -352,9 +291,8 @@ pub enum LineDesc {
 }
 
 impl LineDesc {
-    /// Replays the descriptor for one dynamic access, appending exactly the
-    /// lines [`AccessPattern::gen_lines`] would generate for the same
-    /// context and `access_index`.
+    /// Replays the descriptor for one dynamic access, appending its lines
+    /// for `access_index` to `out`.
     #[inline]
     pub fn replay(&self, access_index: u64, out: &mut Vec<LineAddr>) {
         match *self {
@@ -377,6 +315,13 @@ impl LineDesc {
                 out.push(LineAddr(base + fast_mod(h, lines)));
             }
             LineDesc::Div { region, lines, seed, warp, groups } => {
+                // A warp's 32 lanes split into `groups` address groups; every
+                // lane of one group hashes to the same line (the lane id only
+                // picks the intra-line byte), and lanes visit the groups in
+                // round-robin order. Generating one line per group in group
+                // order and deduplicating against this access's lines is
+                // therefore exactly the 32-lane coalescer output — without
+                // materializing the per-lane address vector.
                 let start = out.len();
                 for group in 0..groups {
                     let h = mix64(seed ^ mix64(access_index ^ (group << 40) ^ warp));
@@ -601,58 +546,6 @@ mod tests {
     fn determinism() {
         let p = AccessPattern::RandomInSet { ws_bytes: 1 << 16, shared: false };
         assert_eq!(gen(&p, 5, 99), gen(&p, 5, 99));
-    }
-
-    /// The descriptor cache's correctness argument: for every pattern
-    /// variant (shared and private, power-of-two and odd sizes), every warp
-    /// and every access index, `decode` + `replay` pushes exactly the lines
-    /// `gen_lines` generates. This is what makes caching descriptors
-    /// output-invariant rather than an approximation.
-    #[test]
-    fn decoded_replay_matches_gen_lines() {
-        let patterns = [
-            AccessPattern::ReuseWorkingSet { ws_bytes: 16 * LINE_BYTES, shared: false },
-            AccessPattern::ReuseWorkingSet { ws_bytes: 16 * 1024, shared: true },
-            AccessPattern::ReuseWorkingSet { ws_bytes: 3 * LINE_BYTES, shared: true },
-            AccessPattern::Streaming { bytes_per_access: LINE_BYTES },
-            AccessPattern::Streaming { bytes_per_access: 4 * LINE_BYTES },
-            AccessPattern::Tiled { tile_bytes: 2 * LINE_BYTES, reuse: 3, shared: true },
-            AccessPattern::Tiled { tile_bytes: 8 * LINE_BYTES, reuse: 1, shared: false },
-            AccessPattern::RandomInSet { ws_bytes: 1 << 16, shared: true },
-            AccessPattern::RandomInSet { ws_bytes: 48 * 1024, shared: false },
-            AccessPattern::Divergent { ws_bytes: 1 << 14, lines_per_access: 8 },
-            AccessPattern::Divergent { ws_bytes: 128, lines_per_access: 32 },
-            AccessPattern::SparseStream { period: 6 },
-            AccessPattern::SparseStream { period: 1 },
-        ];
-        for p in &patterns {
-            for (seed, sm, load) in [(7u64, 0u32, 0u32), (0x5eed, 3, 2)] {
-                for warp in [0u64, 1, 13, 65_537] {
-                    let d = p.decode(DecodeCtx {
-                        seed,
-                        sm: SmId(sm),
-                        global_warp: warp,
-                        load: LoadId(load),
-                    });
-                    for idx in (0..40).chain([997, 12_345]) {
-                        let mut reference = vec![LineAddr(0xdead)];
-                        p.gen_lines(
-                            AccessCtx {
-                                seed,
-                                sm: SmId(sm),
-                                global_warp: warp,
-                                load: LoadId(load),
-                                access_index: idx,
-                            },
-                            &mut reference,
-                        );
-                        let mut replayed = vec![LineAddr(0xdead)];
-                        d.replay(idx, &mut replayed);
-                        assert_eq!(replayed, reference, "{p:?} warp={warp} idx={idx}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

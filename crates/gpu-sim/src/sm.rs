@@ -10,7 +10,7 @@ use crate::config::GpuConfig;
 use crate::cta::{CtaState, CtaStatus};
 use crate::kernel::{InstKind, KernelSpec};
 use crate::mem::{MemReq, MemReqKind};
-use crate::pattern::{AccessCtx, DecodeCtx, LineDesc};
+use crate::pattern::{DecodeCtx, LineDesc};
 use crate::phase_timer;
 use crate::policy::{MissService, PolicyCtx, PreAccess, SmPolicy, WindowInfo};
 use crate::regfile::RegFile;
@@ -50,6 +50,11 @@ const STORE_BUFFER_CAP: u32 = 64;
 /// lists and the exact slot re-lists it); the rare longer latency stays a
 /// candidate and is re-examined instead.
 const WAKE_RING: u64 = 256;
+
+/// Cap on descriptor-memo entries per SM (`warp slots x static loads`).
+/// A kernel above it decodes afresh on every access, through the same
+/// `decode` + `replay` as a memo miss.
+const MAX_DESC_ENTRIES: usize = 64 * 1024;
 
 /// Completion-ring span in cycles (power of two). Must exceed every local
 /// completion delay (`l1_hit_latency`, plus the victim-probe penalty on a
@@ -188,14 +193,14 @@ pub struct Sm {
     /// Outstanding store lines in flight toward DRAM.
     stores_in_flight: u32,
     seed: u64,
-    /// Decoded access-descriptor table: `warp slot * desc_stride + load`
-    /// holds the interned [`LineDesc`] of that (warp, load) pair, or `None`
-    /// until its first execution. A CTA launch clears the rows of the slots
-    /// it occupies (slot reuse changes the global warp number, so stale
-    /// descriptors must never survive a relaunch).
+    /// Descriptor memo: `warp slot * desc_stride + load` holds the decoded
+    /// [`LineDesc`] of that (warp, load) pair, or `None` until its first
+    /// execution. A CTA launch clears the rows of the slots it occupies
+    /// (slot reuse changes the global warp number, so stale descriptors
+    /// must never survive a relaunch).
     desc_table: Vec<Option<LineDesc>>,
-    /// Loads per warp slot in `desc_table`; 0 while the cache is disabled
-    /// (`--no-desc-cache`, a load-free kernel, or the sizing cap).
+    /// Loads per warp slot in `desc_table`; 0 without a memo (a replayed
+    /// or load-free kernel, or one above [`MAX_DESC_ENTRIES`]).
     desc_stride: usize,
     /// Precomputed operand rotation per body position:
     /// `(pos * 3) % regs_per_warp`. The issue stage reads it once per
@@ -207,9 +212,9 @@ pub struct Sm {
     /// common configuration), else 0 with [`Sm::sched_of`] falling back to
     /// a real modulo. Warp-to-scheduler mapping runs on every wake event.
     sched_mask: Option<u32>,
-    /// Descriptor-cache hits (replays) this run.
+    /// Descriptor-memo hits (replays) this run.
     desc_hits: u64,
-    /// Descriptor-cache misses (decode + intern) this run.
+    /// Descriptor-memo misses (decode + store) this run.
     desc_misses: u64,
     /// Per-load hashed PC, precomputed at kernel init.
     load_hpc: Vec<u8>,
@@ -433,11 +438,7 @@ impl Sm {
             // Replay never decodes patterns (lines come from the trace, and
             // the kernel's line pool already plays the descriptor role), so
             // the table would only cost memory and stats noise.
-            if self.replay.is_none()
-                && cfg.desc_cache
-                && entries > 0
-                && entries <= cfg.desc_cache_max_entries as usize
-            {
+            if self.replay.is_none() && entries > 0 && entries <= MAX_DESC_ENTRIES {
                 self.desc_stride = kernel.loads.len();
                 self.desc_table = vec![None; entries];
             }
@@ -1374,67 +1375,50 @@ impl Sm {
 
     /// Generates the coalesced line addresses of one dynamic access of
     /// `load` into `line_buf` — the single entry point behind synthetic
-    /// Load and Store ops in [`Sm::fetch_op`], so the cached and uncached
-    /// paths cannot drift.
+    /// Load and Store ops in [`Sm::fetch_op`].
     ///
-    /// With the descriptor cache enabled, the first execution of a
-    /// (warp slot, load) pair decodes the pattern's per-warp constants into
-    /// a [`LineDesc`] and interns it; every later execution replays the
-    /// descriptor with only the access index applied. Replay is exact (see
-    /// `pattern::decoded_replay_matches_gen_lines`), and a debug assertion
-    /// re-checks it against `gen_lines` on every miss.
+    /// Lines always come from [`LineDesc::replay`]. The first execution of
+    /// a (warp slot, load) pair decodes the pattern's per-warp constants
+    /// and memoizes the [`LineDesc`]; every later execution replays it with
+    /// only the access index applied. Without a memo the descriptor is
+    /// decoded afresh, so both cases run the same arithmetic. In debug
+    /// builds a hit re-decodes for the slot's current warp, so a row that
+    /// outlived its tenant fails loudly.
     fn gen_access_lines(&mut self, slot: usize, load: LoadId, idx: u64, kernel: &KernelSpec) {
         self.line_buf.clear();
-        if self.desc_stride != 0 {
+        let desc = if self.desc_stride != 0 {
             let cell = slot * self.desc_stride + load.0 as usize;
-            let desc = match self.desc_table[cell] {
+            match self.desc_table[cell] {
                 Some(d) => {
                     self.desc_hits += 1;
+                    debug_assert_eq!(
+                        d,
+                        self.decode_desc(slot, load, kernel),
+                        "stale descriptor (slot {slot}, load {load:?})"
+                    );
                     d
                 }
                 None => {
                     self.desc_misses += 1;
-                    let d = kernel.load(load).pattern.decode(DecodeCtx {
-                        seed: self.seed,
-                        sm: self.id,
-                        global_warp: self.warps.global_warp(slot),
-                        load,
-                    });
+                    let d = self.decode_desc(slot, load, kernel);
                     self.desc_table[cell] = Some(d);
                     d
                 }
-            };
-            desc.replay(idx, &mut self.line_buf);
-            #[cfg(debug_assertions)]
-            {
-                let mut reference = Vec::new();
-                kernel.load(load).pattern.gen_lines(
-                    AccessCtx {
-                        seed: self.seed,
-                        sm: self.id,
-                        global_warp: self.warps.global_warp(slot),
-                        load,
-                        access_index: idx,
-                    },
-                    &mut reference,
-                );
-                debug_assert_eq!(
-                    self.line_buf, reference,
-                    "descriptor replay diverged from gen_lines (slot {slot}, load {load:?})"
-                );
             }
-            return;
-        }
-        kernel.load(load).pattern.gen_lines(
-            AccessCtx {
-                seed: self.seed,
-                sm: self.id,
-                global_warp: self.warps.global_warp(slot),
-                load,
-                access_index: idx,
-            },
-            &mut self.line_buf,
-        );
+        } else {
+            self.decode_desc(slot, load, kernel)
+        };
+        desc.replay(idx, &mut self.line_buf);
+    }
+
+    /// Decodes `load`'s pattern for the warp now in `slot`.
+    fn decode_desc(&self, slot: usize, load: LoadId, kernel: &KernelSpec) -> LineDesc {
+        kernel.load(load).pattern.decode(DecodeCtx {
+            seed: self.seed,
+            sm: self.id,
+            global_warp: self.warps.global_warp(slot),
+            load,
+        })
     }
 
     /// Handles a response from the shared memory system. The L1 fill is
@@ -1871,39 +1855,52 @@ mod tests {
         assert!(sm.stats.mem_accesses() > 0);
     }
 
-    /// The descriptor cache must be a pure speed knob: identical counters
-    /// with it on (default) and off, hits recorded only when enabled.
+    /// A kernel whose warp slots x static loads exceed the memo cap keeps
+    /// no memo: every access decodes afresh, no descriptor counter moves,
+    /// and the counters equal those of the separate per-access generator
+    /// that served such kernels before decode + replay became the only
+    /// path (captured from it and pinned here).
     #[test]
-    fn desc_cache_is_output_invariant() {
-        let run = |cfg: GpuConfig| {
-            let k = kernel();
-            let mut sm = Sm::new(SmId(0), &cfg, Box::new(NullPolicy), 42);
-            assert!(sm.try_launch_cta(&k, &cfg));
-            for c in 0..3000 {
-                sm.tick(c, &k, &cfg);
-                let reqs: Vec<_> = sm.outbox.drain(..).collect();
-                for r in reqs {
-                    if matches!(r.kind(), MemReqKind::Read | MemReqKind::BypassRead) {
-                        sm.handle_response(r, c);
-                    }
+    fn over_cap_kernel_runs_without_a_memo() {
+        let cfg = small_cfg();
+        let patterns = [
+            AccessPattern::reuse_working_set(3 * 1024, true),
+            AccessPattern::streaming(256),
+            AccessPattern::Tiled { tile_bytes: 1024, reuse: 3, shared: false },
+            AccessPattern::RandomInSet { ws_bytes: 48 * 1024, shared: false },
+            AccessPattern::Divergent { ws_bytes: 1 << 14, lines_per_access: 8 },
+        ];
+        let loads = MAX_DESC_ENTRIES / cfg.max_warps_per_sm as usize + 1;
+        let mut b = KernelBuilder::new("wide").grid(8, 2).regs_per_thread(16).iterations(2);
+        for i in 0..loads {
+            b = if i % 7 == 6 {
+                b.store(AccessPattern::SparseStream { period: 3 })
+            } else {
+                b.load(patterns[i % patterns.len()].clone())
+            };
+        }
+        let k = b.build().unwrap();
+        let mut sm = sm();
+        assert!(sm.try_launch_cta(&k, &cfg));
+        assert!(sm.try_launch_cta(&k, &cfg));
+        assert!(sm.warps.len() * k.loads.len() > MAX_DESC_ENTRIES);
+        for c in 0..3000 {
+            sm.tick(c, &k, &cfg);
+            let reqs: Vec<_> = sm.outbox.drain(..).collect();
+            for r in reqs {
+                if matches!(r.kind(), MemReqKind::Read | MemReqKind::BypassRead) {
+                    sm.handle_response(r, c);
                 }
             }
-            sm.finalize_stats();
-            sm.stats
-        };
-        let on = run(small_cfg());
-        let off = run(small_cfg().with_desc_cache(false));
-        assert_eq!(on.instructions, off.instructions);
-        assert_eq!(on.l1_hits, off.l1_hits);
-        assert_eq!(on.miss_cold, off.miss_cold);
-        assert_eq!(on.miss_2c, off.miss_2c);
-        assert_eq!(on.rf_reads, off.rf_reads);
-        assert!(on.events.desc_hits > 0, "cached run must replay descriptors");
-        assert!(on.events.desc_misses > 0, "first executions decode");
-        assert_eq!(off.events.desc_hits, 0);
-        assert_eq!(off.events.desc_misses, 0);
-        assert_eq!(off.events.desc_entries, 0);
-        assert_eq!(off.events.desc_bytes, 0);
+        }
+        sm.finalize_stats();
+        let s = &sm.stats;
+        let e = &s.events;
+        assert_eq!((e.desc_entries, e.desc_hits, e.desc_misses, e.desc_bytes), (0, 0, 0, 0));
+        assert_eq!(
+            (s.instructions, s.l1_hits, s.miss_cold, s.miss_2c, s.stores, s.rf_reads),
+            (472, 49, 998, 9, 64, 944)
+        );
     }
 
     #[test]

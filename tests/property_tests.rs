@@ -1,13 +1,16 @@
 //! Randomized property tests over the core data structures and mechanism
 //! invariants (seeded and deterministic, via the in-tree `testkit` crate).
 
-use testkit::{check, check_n};
+use testkit::{check, check_n, Rng};
 
 use gpu_sim::cache::{L1Cache, L1Lookup, MshrFile, MshrOutcome, TagArray};
 use gpu_sim::coalesce::coalesce;
 use gpu_sim::config::CacheConfig;
+use gpu_sim::pattern::{AccessCtx, AccessPattern, DecodeCtx, LineDesc};
 use gpu_sim::regfile::RegFile;
-use gpu_sim::types::{hashed_pc5, Address, CtaId, LineAddr, MissClass, Pc, RegNum};
+use gpu_sim::types::{
+    hashed_pc5, Address, CtaId, LineAddr, LoadId, MissClass, Pc, RegNum, SmId, LINE_BYTES,
+};
 use linebacker::{IpcMonitor, LbConfig, LoadMonitor, ThrottleDecision, Vtt};
 
 /// The coalescer never emits more requests than lanes, never duplicates
@@ -311,4 +314,239 @@ fn ipc_monitor_decisions_respect_bounds() {
         };
         assert_eq!(d, expect);
     });
+}
+
+/// `decode(..).replay(i, out)` is the simulator's only mapping from a
+/// load's pattern to the lines of one access. It must push exactly the
+/// lines of [`frozen::gen_lines`], the direct per-access generator it was
+/// folded from: over a fixed grid of every variant, and over random
+/// patterns with shared and private, power-of-two and odd sizes, zero
+/// `reuse` and `period`, zero and more than 32 divergent groups, warps past
+/// the 65,536 private slices and indices up to 2^40. Each descriptor is
+/// decoded once and replayed for several indices, as the SM's memo does.
+#[test]
+fn decoded_replay_matches_frozen_reference() {
+    let grid = [
+        AccessPattern::ReuseWorkingSet { ws_bytes: 16 * LINE_BYTES, shared: false },
+        AccessPattern::ReuseWorkingSet { ws_bytes: 16 * 1024, shared: true },
+        AccessPattern::ReuseWorkingSet { ws_bytes: 3 * LINE_BYTES, shared: true },
+        AccessPattern::Streaming { bytes_per_access: LINE_BYTES },
+        AccessPattern::Streaming { bytes_per_access: 4 * LINE_BYTES },
+        AccessPattern::Tiled { tile_bytes: 2 * LINE_BYTES, reuse: 3, shared: true },
+        AccessPattern::Tiled { tile_bytes: 8 * LINE_BYTES, reuse: 1, shared: false },
+        AccessPattern::RandomInSet { ws_bytes: 1 << 16, shared: true },
+        AccessPattern::RandomInSet { ws_bytes: 48 * 1024, shared: false },
+        AccessPattern::Divergent { ws_bytes: 1 << 14, lines_per_access: 8 },
+        AccessPattern::Divergent { ws_bytes: 128, lines_per_access: 32 },
+        AccessPattern::SparseStream { period: 6 },
+        AccessPattern::SparseStream { period: 1 },
+    ];
+    for p in &grid {
+        for (seed, sm, load) in [(7u64, 0u32, 0u32), (0x5eed, 3, 2)] {
+            for warp in [0u64, 1, 13, 65_537] {
+                let d = DecodeCtx { seed, sm: SmId(sm), global_warp: warp, load: LoadId(load) };
+                let desc = p.decode(d);
+                for idx in (0..40).chain([997, 12_345, 1 << 40]) {
+                    assert_replay_matches(p, desc, d, idx, false);
+                }
+            }
+        }
+    }
+    check_n("decoded_replay_matches_frozen_reference", 1024, |r| {
+        let p = any_pattern(r);
+        let d = DecodeCtx {
+            seed: r.u64(),
+            sm: SmId(r.range_u32(0, 1 << 16)),
+            global_warp: match r.range_u32(0, 3) {
+                0 => r.range_u64(0, 64),
+                1 => r.range_u64(65_500, 65_600),
+                _ => r.u64(),
+            },
+            load: LoadId(r.range_u32(0, 1 << 16)),
+        };
+        let desc = p.decode(d);
+        let first = match r.range_u32(0, 3) {
+            0 => 0,
+            1 => r.range_u64(0, 1 << 20),
+            _ => r.range_u64(0, (1 << 40) - 6),
+        };
+        for idx in first..first + 7 {
+            assert_replay_matches(&p, desc, d, idx, r.bool());
+        }
+    });
+}
+
+/// Replays `desc` for access `idx` and compares it with the frozen
+/// generator. Both sides append to a buffer that already holds one line —
+/// with `own_line`, the first line this access makes — so the coalescer's
+/// dedup must look only at the current access.
+fn assert_replay_matches(
+    p: &AccessPattern,
+    desc: LineDesc,
+    d: DecodeCtx,
+    idx: u64,
+    own_line: bool,
+) {
+    let ctx = AccessCtx {
+        seed: d.seed,
+        sm: d.sm,
+        global_warp: d.global_warp,
+        load: d.load,
+        access_index: idx,
+    };
+    let mut fresh = Vec::new();
+    frozen::gen_lines(p, ctx, &mut fresh);
+    let sentinel = match fresh.first() {
+        Some(&line) if own_line => line,
+        _ => LineAddr(0xdead),
+    };
+    let mut reference = vec![sentinel];
+    frozen::gen_lines(p, ctx, &mut reference);
+    let mut replayed = vec![sentinel];
+    desc.replay(idx, &mut replayed);
+    assert_eq!(replayed, reference, "{p:?} {ctx:?}");
+}
+
+/// Any pattern variant, including the degenerate parameters the
+/// simulator clamps (zero `reuse`, `period` and group count, more than 32
+/// groups, sizes below one line).
+fn any_pattern(r: &mut Rng) -> AccessPattern {
+    let shared = r.bool();
+    match r.range_u32(0, 6) {
+        0 => AccessPattern::ReuseWorkingSet { ws_bytes: any_size(r), shared },
+        1 => AccessPattern::Streaming { bytes_per_access: r.range_u64(0, 64 * LINE_BYTES) },
+        2 => AccessPattern::Tiled {
+            tile_bytes: any_size(r),
+            reuse: *r.pick(&[0, 1, 2, 3, 7, 1000, u32::MAX]),
+            shared,
+        },
+        3 => AccessPattern::RandomInSet { ws_bytes: any_size(r), shared },
+        4 => {
+            AccessPattern::Divergent { ws_bytes: any_size(r), lines_per_access: r.range_u32(0, 41) }
+        }
+        _ => AccessPattern::SparseStream { period: *r.pick(&[0, 1, 2, 3, 6, 64, 1000, u32::MAX]) },
+    }
+}
+
+/// A power-of-two size, an odd number of lines, or any byte count below
+/// 4 MB (0 included).
+fn any_size(r: &mut Rng) -> u64 {
+    match r.range_u32(0, 3) {
+        0 => 1 << r.range_u32(0, 25),
+        1 => (2 * r.range_u64(0, 1 << 12) + 1) * LINE_BYTES,
+        _ => r.range_u64(0, 1 << 22),
+    }
+}
+
+/// The direct per-access line generator that `AccessPattern::decode` and
+/// `LineDesc::replay` were folded from, frozen with its own copies of every
+/// helper so that no change to `gpu_sim::pattern` moves both sides of
+/// [`decoded_replay_matches_frozen_reference`] at once.
+mod frozen {
+    use gpu_sim::pattern::{AccessCtx, AccessPattern};
+    use gpu_sim::types::{LineAddr, LoadId, SmId, LINE_BYTES};
+
+    pub fn gen_lines(p: &AccessPattern, ctx: AccessCtx, out: &mut Vec<LineAddr>) {
+        let region = region_base(ctx.load, ctx.sm);
+        match *p {
+            AccessPattern::ReuseWorkingSet { ws_bytes, shared } => {
+                let lines = ws_lines(ws_bytes);
+                let base = if shared { region } else { region + private_slice(ctx.global_warp) };
+                let start =
+                    if shared { fast_mod(mix64(ctx.seed ^ ctx.global_warp), lines) } else { 0 };
+                let idx = fast_mod(start + ctx.access_index, lines);
+                out.push(LineAddr(base + idx));
+            }
+            AccessPattern::Streaming { bytes_per_access } => {
+                let n = lines_per_access(bytes_per_access);
+                let base = region + private_slice(ctx.global_warp);
+                let first = ctx.access_index * n;
+                for k in 0..n {
+                    out.push(LineAddr(base + first + k));
+                }
+            }
+            AccessPattern::Tiled { tile_bytes, reuse, shared } => {
+                let tile_lines = ws_lines(tile_bytes);
+                let reuse = reuse.max(1) as u64;
+                let accesses_per_tile = tile_lines * reuse;
+                let tile = fast_div(ctx.access_index, accesses_per_tile);
+                let idx = fast_mod(ctx.access_index, tile_lines);
+                let base = if shared { region } else { region + private_slice(ctx.global_warp) };
+                out.push(LineAddr(base + tile * tile_lines + idx));
+            }
+            AccessPattern::RandomInSet { ws_bytes, shared } => {
+                let lines = ws_lines(ws_bytes);
+                let base = if shared { region } else { region + private_slice(ctx.global_warp) };
+                let h = mix64(
+                    ctx.seed
+                        ^ mix64(ctx.access_index ^ ((ctx.load.0 as u64) << 32))
+                        ^ if shared { 0 } else { ctx.global_warp },
+                );
+                out.push(LineAddr(base + fast_mod(h, lines)));
+            }
+            AccessPattern::Divergent { ws_bytes, lines_per_access } => {
+                let lines = ws_lines(ws_bytes);
+                let groups = lines_per_access.clamp(1, 32) as u64;
+                let start = out.len();
+                for group in 0..groups {
+                    let h =
+                        mix64(ctx.seed ^ mix64(ctx.access_index ^ (group << 40) ^ ctx.global_warp));
+                    let line = LineAddr(region + fast_mod(h, lines));
+                    push_line_dedup(out, start, line);
+                }
+            }
+            AccessPattern::SparseStream { period } => {
+                let period = period.max(1) as u64;
+                if fast_mod(ctx.access_index, period) == 0 {
+                    let base = region + private_slice(ctx.global_warp);
+                    out.push(LineAddr(base + fast_div(ctx.access_index, period)));
+                }
+            }
+        }
+    }
+
+    fn mix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    fn region_base(load: LoadId, sm: SmId) -> u64 {
+        ((load.0 as u64 + 1) << 44) | ((sm.0 as u64) << 36)
+    }
+
+    fn private_slice(global_warp: u64) -> u64 {
+        (global_warp & 0xffff) * ((1 << 20) + 1)
+    }
+
+    fn ws_lines(ws_bytes: u64) -> u64 {
+        (ws_bytes / LINE_BYTES).max(1)
+    }
+
+    fn lines_per_access(bytes: u64) -> u64 {
+        (bytes / LINE_BYTES).max(1)
+    }
+
+    fn fast_mod(x: u64, m: u64) -> u64 {
+        if m.is_power_of_two() {
+            x & (m - 1)
+        } else {
+            x % m
+        }
+    }
+
+    fn fast_div(x: u64, d: u64) -> u64 {
+        if d.is_power_of_two() {
+            x >> d.trailing_zeros()
+        } else {
+            x / d
+        }
+    }
+
+    fn push_line_dedup(out: &mut Vec<LineAddr>, start: usize, line: LineAddr) {
+        if !out[start..].contains(&line) {
+            out.push(line);
+        }
+    }
 }
