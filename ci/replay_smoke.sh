@@ -25,9 +25,12 @@
 #   6. hardening      - truncated, corrupted, version-1 and version-2 trace
 #                       files, a trace declaring more streams than its
 #                       bytes can hold, a text trace declaring more warps
-#                       than it can list, and zero --sms/--iterations
-#                       counts are rejected with a clean error exit, never
-#                       a panic or an abort;
+#                       than it can list, zero --sms/--iterations counts,
+#                       an SM count past the 65,536 a GPU may have
+#                       (`capture GE ... --sms 70000` and `selftest ...
+#                       --sms 70000`) and an option the subcommand does
+#                       not take (`capture GE ... --bogus`) are rejected
+#                       with a clean error exit, never a panic or an abort;
 #   7. info           - `lb-replay info` counts memory ops by instruction
 #                       kind, lineless sparse stores included, one run per
 #                       captured stream, the kernel's line pool, the
@@ -115,7 +118,7 @@ cmp "$T/plain.txt" "$T/with_trace_prefix.txt" || {
     exit 1
 }
 
-echo "replay_smoke: malformed inputs and zero counts are rejected cleanly"
+echo "replay_smoke: malformed inputs, bad counts and options are rejected cleanly"
 head -c 40 "$T/ge.lbw1" > "$T/truncated.lbw1"
 printf 'NOPE' > "$T/badmagic.lbw1"
 # Version 1 listed every op and version 2 kept a pool per stream; neither
@@ -149,6 +152,9 @@ grep -q "more than the file's 3 lines can list" "$T/err.txt" || {
 rejects "$LBR" capture GE "$T/zero.lbw1" --sms 0
 rejects "$LBR" capture GE "$T/zero.lbw1" --iterations 0
 rejects "$LBR" selftest "$CORPUS/s1-reuse.lbw1" --sms 0
+rejects "$LBR" capture GE "$T/many.lbw1" --sms 70000
+rejects "$LBR" selftest "$CORPUS/s1-reuse.lbw1" --sms 70000
+rejects "$LBR" capture GE "$T/bogus.lbw1" --sms 1 --iterations 1 --bogus
 
 for v in 1 2; do
     "$LBR" info "$T/version$v.lbw1" 2>&1 | grep -q "unsupported LBW1 version $v" || {

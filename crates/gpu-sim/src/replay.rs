@@ -96,18 +96,30 @@
 //! # Checks
 //!
 //! [`ReplayKernel::validate`] and the `LBW1` decoder share two checks and
-//! one reader. The run check ([`RunCheck`]) takes each run: it must start
-//! inside the body and hold at least one op, and its memory ops (the access
-//! records it owns) are counted in O(1) from a prefix count of the body's
-//! Load/Store positions. The same prefix count gives each record's body
-//! position ([`RunCheck::mem_indices`]) without walking ALU ops. The record
+//! one reader. The run check ([`RunCheck`]) takes each run once: it must
+//! start inside the body and hold at least one op, and its memory ops (the
+//! access records it owns) are counted in O(1) from a prefix count of the
+//! body's Load/Store positions. The reader takes each run with that count
+//! and walks the run's memory indices with a counter, from the rank of its
+//! first Load/Store, so each record gets its body position (the ranks
+//! [`RunCheck::mem_indices`] yields) without walking ALU ops. The record
 //! check ([`check_record`]) takes each access record: at most
 //! [`MAX_LINES_PER_RECORD`] lines, in a slice inside the pool so far and
 //! below [`MAX_POOL_LINES`]. The reader decodes a stream's record bytes
-//! through both, rebuilding its fresh lines; `validate` compares the
-//! rebuilt pool with the kernel's. Nothing walks ops, so a check costs what
-//! the kernel stores, never what it declares: a run of 2^32 - 1 ops is
-//! checked as fast as a run of one.
+//! through it, rebuilding its fresh lines; `validate` compares the rebuilt
+//! pool with the kernel's. Nothing walks ops, so a check costs what the
+//! kernel stores, never what it declares: a run of 2^32 - 1 ops is checked
+//! as fast as a run of one.
+//!
+//! The reader takes each record in one of two steps, and the record's bytes
+//! alone choose which. The fast step reads a whole well-formed record whose
+//! varints take at most three bytes, with plain slice reads and the record
+//! check as integer compares. Any other record (a longer varint, the end of
+//! the input, a fault) leaves the pool and the byte cursor as they were,
+//! and the checked step, out of line, reads it a varint at a time through
+//! [`get_uvarint`] and [`check_record`]: it accepts the record or returns
+//! its [`RecordFault`]. The reader therefore accepts and rejects exactly
+//! what the checked step alone would, with the same faults.
 
 use crate::config::GpuConfig;
 use crate::fastmap::FxHasher64;
@@ -477,12 +489,20 @@ impl RunCheck {
     pub fn mem_indices(&self, run: Run) -> impl Iterator<Item = usize> {
         let n_mem = self.n_mem();
         let n = self.run(run).unwrap_or(0);
-        let first = match self.mem_before.get(run.start as usize) {
-            Some(&k) if n > 0 && (k as usize) < n_mem => k as usize,
-            _ => 0,
-        };
+        let first = self.first_mem_index(run.start);
         std::iter::successors(Some(first), move |&k| Some(if k + 1 == n_mem { 0 } else { k + 1 }))
             .take(usize::try_from(n).unwrap_or(usize::MAX))
+    }
+
+    /// The memory index of the first memory op of a run from body position
+    /// `start`: the rank of the first Load/Store at or after `start`, or 0
+    /// when the walk wraps the body before it meets one.
+    #[inline]
+    fn first_mem_index(&self, start: u32) -> usize {
+        match self.mem_before.get(start as usize) {
+            Some(&k) if (k as usize) < self.n_mem() => k as usize,
+            _ => 0,
+        }
     }
 }
 
@@ -580,54 +600,174 @@ fn read_uvarint(bytes: &[u8], p: &mut usize) -> u64 {
     }
 }
 
-/// Reads the access records of one stream, whose runs are `runs`, from
-/// `buf` at `*pos`, in one pass: each record's head and varints, its body
-/// position from `check`, its delta base from `base` (one per Load/Store
-/// position, updated as the records pass), and the record check against
-/// the pool so far. A fresh record's lines are appended to `pool`.
-/// Returns the records read, one per memory op of the runs.
+/// Reads the access records of one stream from `buf` at `*pos`, in one
+/// pass, and returns how many it read. `runs` holds each run of the stream
+/// with its memory ops, as the run check counted them, and a counter walks
+/// each run's memory indices from the first
+/// ([`RunCheck::first_mem_index`]): each record's index picks its delta base
+/// in `base`, one per Load/Store position, updated as the records pass.
+/// Records go through the fast step ([`RecordReader::read_fast`]), and a
+/// record it cannot take through the checked step, which accepts it or
+/// returns its fault. A fresh record's lines are appended to `pool`.
 fn read_records(
     buf: &[u8],
     pos: &mut usize,
     check: &RunCheck,
-    runs: &[Run],
+    runs: &[(Run, u64)],
     base: &mut [u64],
     pool: &mut Vec<LineAddr>,
 ) -> Result<u64, RecordFault> {
+    let mut reader = RecordReader { buf, base, pool };
     let mut record = 0;
-    for &run in runs {
-        for k in check.mem_indices(run) {
-            let at = *pos;
-            let fail = |fault| RecordFault { fault, record, at };
-            // h = 0, a lineless record, has nothing more to read.
-            let h = get_uvarint(buf, pos).map_err(fail)?;
-            let len = h >> 1;
-            if h & 1 == 1 {
-                // Fresh: room for `len` more lines at the pool's end, below
-                // the pool limit.
-                let end = pool.len();
-                let (_, len) = check_record(end as u64, len, end.saturating_add(len as usize))
-                    .map_err(fail)?;
-                if len == 0 {
-                    return Err(fail(StreamFault::FreshWithoutLines));
-                }
-                let mut line = base[k].wrapping_add(get_zigzag(buf, pos).map_err(fail)? as u64);
-                base[k] = line;
-                pool.push(LineAddr(line));
-                for _ in 1..len {
-                    line = line.wrapping_add(get_zigzag(buf, pos).map_err(fail)? as u64);
-                    pool.push(LineAddr(line));
-                }
-            } else if h != 0 {
-                // A repeat: `off` must name lines already in the pool.
-                let off = get_uvarint(buf, pos).map_err(fail)?;
-                let (off, _) = check_record(off, len, pool.len()).map_err(fail)?;
-                base[k] = pool[off as usize].0;
+    for &(run, n) in runs {
+        let (mut k, end) = (check.first_mem_index(run.start), record + n);
+        while record < end {
+            let (p, next, read) = reader.read_fast(*pos, k, end - record);
+            (*pos, k, record) = (p, next, record + read);
+            if record < end {
+                let at = *pos;
+                read_record_checked(buf, pos, &mut reader.base[k], reader.pool)
+                    .map_err(|fault| RecordFault { fault, record, at })?;
+                record += 1;
+                k = if k + 1 == reader.base.len() { 0 } else { k + 1 };
             }
-            record += 1;
         }
     }
     Ok(record)
+}
+
+/// What the record reader carries from record to record: the bytes, the
+/// delta base of each Load/Store position and the pool.
+struct RecordReader<'a> {
+    buf: &'a [u8],
+    base: &'a mut [u64],
+    pool: &'a mut Vec<LineAddr>,
+}
+
+impl RecordReader<'_> {
+    /// The fast step over up to `n` records at byte `p`, the first at
+    /// memory index `k`: reads records until `n` are read or one is not
+    /// for the fast step ([`read_record_fast`]), and returns the byte and
+    /// the memory index after the records read, and how many it read. Out
+    /// of line, so that its loop holds its state in registers.
+    #[inline(never)]
+    fn read_fast(&mut self, mut p: usize, mut k: usize, n: u64) -> (usize, usize, u64) {
+        let mut left = n;
+        while left > 0 {
+            match read_record_fast(self.buf, p, &mut self.base[k], self.pool) {
+                Some(end) => p = end,
+                None => break,
+            }
+            left -= 1;
+            k = if k + 1 == self.base.len() { 0 } else { k + 1 };
+        }
+        (p, k, n - left)
+    }
+}
+
+/// Reads a uvarint of at most three bytes at `p`: the value and the offset
+/// past it, or `None` when the bytes end first or the varint is longer.
+#[inline(always)]
+fn short_uvarint(buf: &[u8], p: usize) -> Option<(u64, usize)> {
+    let b0 = u64::from(*buf.get(p)?);
+    if b0 < 0x80 {
+        return Some((b0, p + 1));
+    }
+    let b1 = u64::from(*buf.get(p + 1)?);
+    if b1 < 0x80 {
+        return Some(((b0 & 0x7f) | b1 << 7, p + 2));
+    }
+    let b2 = u64::from(*buf.get(p + 2)?);
+    (b2 < 0x80).then_some(((b0 & 0x7f) | (b1 & 0x7f) << 7 | b2 << 14, p + 3))
+}
+
+/// Reads the record at `p` when it is whole, passes the record check and
+/// codes every varint in at most three bytes, updates its delta base
+/// `base`, and returns the offset past it. Otherwise returns `None` and
+/// leaves `base` and `pool` as they were, so that the checked step can read
+/// the record afresh. A repeat's offset is below 2^21 here, so a slice
+/// inside the pool also ends below [`MAX_POOL_LINES`], and the record check
+/// is two integer compares per record.
+#[inline(always)]
+fn read_record_fast(
+    buf: &[u8],
+    p: usize,
+    base: &mut u64,
+    pool: &mut Vec<LineAddr>,
+) -> Option<usize> {
+    let (h, p) = short_uvarint(buf, p)?;
+    let len = h >> 1;
+    if h & 1 == 1 {
+        // Fresh: 1 to MAX_LINES_PER_RECORD lines, below the pool limit.
+        let mark = pool.len();
+        if len.wrapping_sub(1) >= MAX_LINES_PER_RECORD || mark as u64 + len > MAX_POOL_LINES {
+            return None;
+        }
+        let (zz, mut p) = short_uvarint(buf, p)?;
+        let first = base.wrapping_add((zz >> 1) ^ (zz & 1).wrapping_neg());
+        pool.push(LineAddr(first));
+        let mut line = first;
+        for _ in 1..len {
+            let Some((zz, next)) = short_uvarint(buf, p) else {
+                pool.truncate(mark);
+                return None;
+            };
+            line = line.wrapping_add((zz >> 1) ^ (zz & 1).wrapping_neg());
+            pool.push(LineAddr(line));
+            p = next;
+        }
+        *base = first;
+        Some(p)
+    } else if h != 0 {
+        // A repeat: `off` must name lines already in the pool.
+        let (off, p) = short_uvarint(buf, p)?;
+        if len > MAX_LINES_PER_RECORD || off + len > pool.len() as u64 {
+            return None;
+        }
+        *base = pool[off as usize].0;
+        Some(p)
+    } else {
+        Some(p)
+    }
+}
+
+/// The checked step: reads the record at `*pos` a varint at a time, each
+/// through [`get_uvarint`], and puts it through the record check
+/// ([`check_record`]). It takes what the fast step leaves, whether a long
+/// varint or a fault, so its faults are the reader's.
+#[cold]
+#[inline(never)]
+fn read_record_checked(
+    buf: &[u8],
+    pos: &mut usize,
+    base: &mut u64,
+    pool: &mut Vec<LineAddr>,
+) -> Result<(), StreamFault> {
+    // h = 0, a lineless record, has nothing more to read.
+    let h = get_uvarint(buf, pos)?;
+    let len = h >> 1;
+    if h & 1 == 1 {
+        // Fresh: room for `len` more lines at the pool's end, below the pool
+        // limit.
+        let end = pool.len();
+        let (_, len) = check_record(end as u64, len, end.saturating_add(len as usize))?;
+        if len == 0 {
+            return Err(StreamFault::FreshWithoutLines);
+        }
+        let mut line = base.wrapping_add(get_zigzag(buf, pos)? as u64);
+        *base = line;
+        pool.push(LineAddr(line));
+        for _ in 1..len {
+            line = line.wrapping_add(get_zigzag(buf, pos)? as u64);
+            pool.push(LineAddr(line));
+        }
+    } else if h != 0 {
+        // A repeat: `off` must name lines already in the pool.
+        let off = get_uvarint(buf, pos)?;
+        let (off, _) = check_record(off, len, pool.len())?;
+        *base = pool[off as usize].0;
+    }
+    Ok(())
 }
 
 /// Counts the records of `bytes`, checking only that each is whole.
@@ -933,15 +1073,18 @@ impl ReplayKernel {
         let check = RunCheck::new(&self.stub.body);
         let mut base = vec![0; check.n_mem()];
         let mut pool = Vec::with_capacity(self.pool.len());
+        let mut runs = Vec::new();
         let fault = |si, f: RecordFault| format!("stream {si} record {}: {}", f.record, f.fault);
         for (si, s) in self.streams().enumerate() {
             if s.is_empty() {
                 return Err(format!("stream {si} is empty"));
             }
-            let mut mem_ops = 0u64;
+            runs.clear();
             for (ri, &run) in s.runs().iter().enumerate() {
-                mem_ops += check.run(run).map_err(|e| format!("stream {si} run {ri}: {e}"))?;
+                let n = check.run(run).map_err(|e| format!("stream {si} run {ri}: {e}"))?;
+                runs.push((run, n));
             }
+            let mem_ops: u64 = runs.iter().map(|&(_, n)| n).sum();
             let bytes = s.record_bytes();
             let records = count_records(bytes).map_err(|f| fault(si, f))?;
             if mem_ops != records {
@@ -956,7 +1099,7 @@ impl ReplayKernel {
                     pool.len()
                 ));
             }
-            read_records(bytes, &mut 0, &check, s.runs(), &mut base, &mut pool)
+            read_records(bytes, &mut 0, &check, &runs, &mut base, &mut pool)
                 .map_err(|f| fault(si, f))?;
         }
         let end = self.starts[self.n_streams()].records;
@@ -994,8 +1137,11 @@ pub struct KernelReader {
     /// Per Load/Store position, the first line of the last non-empty
     /// record there: the delta base of the next fresh record.
     base: Vec<u64>,
-    /// The open stream's runs, merged.
-    open: StreamBuilder,
+    /// The open stream's runs, merged as [`StreamBuilder::push_run`] merges
+    /// them, each with its memory ops.
+    open: Vec<(Run, u64)>,
+    /// Body position that extends the open stream's last run.
+    next: u32,
     /// Memory ops of the open stream's runs.
     mem_ops: u64,
     /// Streams the kernel declares.
@@ -1012,23 +1158,35 @@ impl KernelReader {
         rep.starts.reserve_exact(n_streams);
         rep.runs.reserve(n_streams);
         rep.bytes.reserve(max_bytes);
-        let body_len = rep.stub.body.len() as u32;
         KernelReader {
             base: vec![0; check.n_mem()],
             check,
             rep,
-            open: StreamBuilder::new(body_len),
+            open: Vec::new(),
+            next: 0,
             mem_ops: 0,
             n_streams,
         }
     }
 
     /// Appends `run` to the open stream, merged into its last run when it
-    /// continues it, after the run check; returns the run's memory ops.
+    /// continues it and the merged count fits a `u32`, after the run check;
+    /// returns the run's memory ops.
     pub fn push_run(&mut self, run: Run) -> Result<u64, StreamFault> {
         let n = self.check.run(run)?;
         self.mem_ops = self.mem_ops.saturating_add(n);
-        self.open.push_run(run);
+        match self.open.last_mut() {
+            Some((last, mem))
+                if run.start == self.next && last.count.checked_add(run.count).is_some() =>
+            {
+                last.count += run.count;
+                *mem += n;
+            }
+            _ => self.open.push((run, n)),
+        }
+        // The run check puts `start` inside a non-empty body.
+        let body_len = self.rep.stub.body.len() as u64;
+        self.next = ((u64::from(run.start) + u64::from(run.count)) % body_len) as u32;
         Ok(n)
     }
 
@@ -1044,17 +1202,17 @@ impl KernelReader {
         }
         self.reserve_pool();
         let rep = &mut self.rep;
-        read_records(buf, pos, &self.check, self.open.runs(), &mut self.base, &mut rep.pool)?;
-        let runs = rep.runs.len() + self.open.runs().len();
+        read_records(buf, pos, &self.check, &self.open, &mut self.base, &mut rep.pool)?;
+        let runs = rep.runs.len() + self.open.len();
         if (rep.bytes.len() + (*pos - start)) as u64 > MAX_RECORD_BYTES || runs > u32::MAX as usize
         {
             let fault = StreamFault::KernelLimit;
             return Err(RecordFault { fault, record: 0, at: start });
         }
         rep.bytes.extend_from_slice(&buf[start..*pos]);
-        rep.runs.extend_from_slice(self.open.runs());
+        rep.runs.extend(self.open.iter().map(|&(run, _)| run));
         rep.close_stream();
-        self.open.runs.clear();
+        self.open.clear();
         self.mem_ops = 0;
         Ok(())
     }

@@ -72,10 +72,13 @@
 //! puts each run through the run check ([`RunCheck`]: start inside the
 //! body, at least one op, memory ops counted in O(1)) before the reader
 //! merges it, takes each record's body position from the same prefix count
-//! ([`RunCheck::mem_indices`], O(records), no ALU op walked), and puts each
-//! record through the record check ([`check_record`]: at most
+//! (the ranks [`RunCheck::mem_indices`] yields, walked with a counter from
+//! the run's count: O(records), no ALU op walked), and puts each record
+//! through the record check ([`check_record`]: at most
 //! [`MAX_LINES_PER_RECORD`] lines; a repeat's slice inside the pool so
-//! far; no line past the pool limit of a record cursor). It builds only the
+//! far; no line past the pool limit of a record cursor), as integer
+//! compares in the reader's fast step or through `check_record` itself in
+//! its checked step (see [`gpu_sim::replay`]). It builds only the
 //! pool, which doubles, capped at the size the streams read so far project
 //! for the whole kernel, and copies the record bytes into one array
 //! reserved from the input left; both are shrunk to fit at the end.
@@ -85,7 +88,8 @@
 //! [`MAX_RECORD_BYTES`], and every failure is a typed [`ReplayError`]. The
 //! `decode_sweep` tests decode every prefix of a captured trace and
 //! thousands of seeded corruptions of it, and check that every kernel
-//! decode accepts also passes `validate`.
+//! decode accepts also passes `validate`; a root-package test pins a digest
+//! of every one of those outcomes, error texts included.
 //!
 //! [`RunCheck`]: gpu_sim::replay::RunCheck
 //! [`RunCheck::mem_indices`]: gpu_sim::replay::RunCheck::mem_indices

@@ -41,9 +41,43 @@ fn parse_flag(args: &[String], name: &str) -> Result<Option<u32>, String> {
     }
 }
 
-fn capture_cfg(sms: u32) -> GpuConfig {
+/// The positional arguments of subcommand `args[0]`, one for each of
+/// `names`, in order. The count flags in `flags` may stand anywhere after
+/// the subcommand, each once and followed by its value ([`parse_flag`]
+/// reads it). A missing positional, one too many, a repeated flag or any
+/// other option is an error.
+fn positionals<'a>(
+    args: &'a [String],
+    names: &[&str],
+    flags: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let cmd = &args[0];
+    let mut found = Vec::new();
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if flags.contains(&arg.as_str()) {
+            if args.iter().filter(|a| *a == arg).count() > 1 {
+                return Err(format!("{cmd}: {arg} given more than once"));
+            }
+            rest.next();
+        } else if arg.starts_with('-') || found.len() == names.len() {
+            return Err(format!("{cmd}: unexpected argument '{arg}' (see --help)"));
+        } else {
+            found.push(arg.as_str());
+        }
+    }
+    match names.get(found.len()) {
+        Some(missing) => Err(format!("{cmd}: missing {missing}")),
+        None => Ok(found),
+    }
+}
+
+/// The capture configuration at `sms` SMs, checked before any GPU is built.
+fn capture_cfg(sms: u32) -> Result<GpuConfig, String> {
     // Plenty of headroom: captures must complete, not rate-measure.
-    GpuConfig::default().with_sms(sms).with_windows(5_000, 2_000_000)
+    let cfg = GpuConfig::default().with_sms(sms).with_windows(5_000, 2_000_000);
+    cfg.validate().map_err(|e| format!("invalid GPU configuration: {e}"))?;
+    Ok(cfg)
 }
 
 fn run() -> Result<(), String> {
@@ -51,12 +85,12 @@ fn run() -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("");
     match cmd {
         "capture" => {
-            let app = args.get(1).ok_or("capture: missing APP")?;
-            let out = args.get(2).ok_or("capture: missing OUT.lbw1")?;
+            let pos = positionals(&args, &["APP", "OUT.lbw1"], &["--sms", "--iterations"])?;
+            let (app, out) = (pos[0], pos[1]);
             let sms = parse_flag(&args, "--sms")?.unwrap_or(4);
             let iters = parse_flag(&args, "--iterations")?
                 .unwrap_or(lb_replay::capture::DEFAULT_ITERATIONS);
-            let cfg = capture_cfg(sms);
+            let cfg = capture_cfg(sms)?;
             let (stats, rep) = lb_replay::capture_app(app, &cfg, iters, &baseline_factory())
                 .map_err(|e| e.to_string())?;
             format::write_file(Path::new(out), &rep).map_err(|e| e.to_string())?;
@@ -69,8 +103,8 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "import" => {
-            let input = args.get(1).ok_or("import: missing IN.traceg")?;
-            let out = args.get(2).ok_or("import: missing OUT.lbw1")?;
+            let pos = positionals(&args, &["IN.traceg", "OUT.lbw1"], &[])?;
+            let (input, out) = (pos[0], pos[1]);
             let rep = lb_replay::import_file(Path::new(input)).map_err(|e| e.to_string())?;
             format::write_file(Path::new(out), &rep).map_err(|e| e.to_string())?;
             println!(
@@ -83,7 +117,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "info" => {
-            let file = args.get(1).ok_or("info: missing FILE.lbw1")?;
+            let file = positionals(&args, &["FILE.lbw1"], &[])?[0];
             let rep = format::read_file(Path::new(file)).map_err(|e| e.to_string())?;
             // Every op at a Load or Store position owns one access record;
             // sparse patterns leave many of them without lines. Counting
@@ -109,11 +143,11 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "selftest" => {
-            let file = args.get(1).ok_or("selftest: missing FILE.lbw1")?;
-            let sms = parse_flag(&args, "--sms")?.unwrap_or(4);
+            let file = positionals(&args, &["FILE.lbw1"], &["--sms"])?[0];
+            let cfg = capture_cfg(parse_flag(&args, "--sms")?.unwrap_or(4))?;
             let bytes = std::fs::read(file).map_err(|e| e.to_string())?;
             let rep = Arc::new(format::decode(&bytes).map_err(|e| e.to_string())?);
-            let re = lb_replay::replay_reencode(&capture_cfg(sms), &rep, &baseline_factory())
+            let re = lb_replay::replay_reencode(&cfg, &rep, &baseline_factory())
                 .map_err(|e| e.to_string())?;
             if re != bytes {
                 return Err(format!("{file}: replay re-capture diverges from the file"));
@@ -141,7 +175,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flag;
+    use super::{capture_cfg, parse_flag, positionals};
 
     #[test]
     fn count_flags_reject_zero_and_non_numbers() {
@@ -153,5 +187,28 @@ mod tests {
         assert_eq!(parse_flag(&a, "--iterations"), Err("--iterations must be at least 1".into()));
         assert_eq!(parse_flag(&a, "--sms"), Err("--sms needs a numeric value".into()));
         assert_eq!(parse_flag(&args(&["info", "f.lbw1"]), "--sms"), Ok(None));
+    }
+
+    #[test]
+    fn unknown_arguments_and_bad_configs_are_errors() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let capture =
+            |v: &[&str]| positionals(&args(v), &["APP", "OUT"], &["--sms"]).map(|p| p.join(" "));
+        // Count flags may stand before, between or after the positionals.
+        assert_eq!(capture(&["capture", "--sms", "2", "S1", "o"]), Ok("S1 o".into()));
+        assert_eq!(capture(&["capture", "S1", "--sms", "2", "o"]), Ok("S1 o".into()));
+        let unexpected = |a: &str| Err(format!("capture: unexpected argument '{a}' (see --help)"));
+        assert_eq!(capture(&["capture", "S1", "o", "--bogus"]), unexpected("--bogus"));
+        assert_eq!(capture(&["capture", "S1", "o", "extra"]), unexpected("extra"));
+        assert_eq!(capture(&["capture", "S1"]), Err("capture: missing OUT".into()));
+        let twice = capture(&["capture", "S1", "o", "--sms", "2", "--sms", "3"]);
+        assert_eq!(twice, Err("capture: --sms given more than once".into()));
+        let info = args(&["info", "f.lbw1", "extra"]);
+        let err = positionals(&info, &["FILE.lbw1"], &[]).unwrap_err();
+        assert_eq!(err, "info: unexpected argument 'extra' (see --help)");
+        // The SM count a 16-byte request can name, checked before any GPU.
+        assert!(capture_cfg(65_536).is_ok());
+        let err = capture_cfg(70_000).unwrap_err();
+        assert!(err.starts_with("invalid GPU configuration: at most 65536 SMs"), "{err}");
     }
 }

@@ -218,6 +218,51 @@ fn fresh_capture_equals_its_own_decode() {
     assert!(back == cap, "a fresh capture differs from its own decode");
 }
 
+/// FNV-1a of `bytes`, continuing from `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn decode_sweep_outcomes_match_pinned_digest() {
+    // The inputs of crates/lb-replay/tests/decode_sweep.rs: every prefix of
+    // a 2-SM S1 capture of two trips and its 2,500 seeded corruptions. Each
+    // outcome is hashed: an error's text, which names the stream, record
+    // and byte, or an Ok kernel's encoding and pool. The sweep there checks
+    // only that each outcome is Ok or typed; the literals pin which one, so
+    // a record reader that accepts, rejects or reports anything differently
+    // fails here.
+    let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 400_000);
+    let (_, rep) = lb_replay::capture_app("S1", &cfg, 2, &baseline_factory()).unwrap();
+    let bytes = lb_replay::encode(&rep);
+    let digest = std::cell::Cell::new(0xcbf2_9ce4_8422_2325);
+    let decoded_ok = std::cell::Cell::new(0u32);
+    let outcome = |input: &[u8]| {
+        let h = match lb_replay::decode(input) {
+            Ok(k) => {
+                decoded_ok.set(decoded_ok.get() + 1);
+                let pool: Vec<u8> = k.pool().iter().flat_map(|l| l.0.to_le_bytes()).collect();
+                fnv(fnv(fnv(digest.get(), b"ok"), &lb_replay::encode(&k)), &pool)
+            }
+            Err(e) => fnv(fnv(digest.get(), b"err"), e.to_string().as_bytes()),
+        };
+        digest.set(h);
+    };
+    for cut in 0..=bytes.len() {
+        outcome(&bytes[..cut]);
+    }
+    testkit::check_n("lbw1_corruption", 2_500, |rng| {
+        let mut bad = bytes.clone();
+        for _ in 0..rng.range_u32(1, 5) {
+            let at = rng.range_usize(0, bad.len());
+            bad[at] = rng.u64() as u8;
+        }
+        outcome(&bad);
+    });
+    // 329 Ok outcomes: the whole file and 328 corruptions.
+    assert_eq!((digest.get(), decoded_ok.get()), (0x54ed_9169_0e30_1cf3, 329), "outcomes moved");
+}
+
 #[test]
 fn checked_in_trace_corpus_decodes_at_the_current_version() {
     // Each corpus file: (dynamic insts, memory ops). A format change must

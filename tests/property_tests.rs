@@ -6,8 +6,10 @@ use testkit::{check, check_n, Rng};
 use gpu_sim::cache::{L1Cache, L1Lookup, MshrFile, MshrOutcome, TagArray};
 use gpu_sim::coalesce::coalesce;
 use gpu_sim::config::CacheConfig;
+use gpu_sim::kernel::{InstKind, KernelSpec, LoadSpec, StaticInst};
 use gpu_sim::pattern::{AccessCtx, AccessPattern, DecodeCtx, LineDesc};
 use gpu_sim::regfile::RegFile;
+use gpu_sim::replay::{KernelReader, Run, RunCheck};
 use gpu_sim::types::{
     hashed_pc5, Address, CtaId, LineAddr, LoadId, MissClass, Pc, RegNum, SmId, LINE_BYTES,
 };
@@ -548,5 +550,237 @@ mod frozen {
         if !out[start..].contains(&line) {
             out.push(line);
         }
+    }
+}
+
+/// `KernelReader::read_records`, whose records take a fast step and fall
+/// back to a checked one, must read exactly what the per-record reader it
+/// grew from reads ([`frozen_reader::read_records`]): the same `Result`
+/// (a `RecordFault` equal field by field), the same byte position and the
+/// same pool, stream after stream. Each case draws a body of up to eight
+/// instructions, one to three streams of random runs (some continuing the
+/// run before, some too long for the bytes) and record bytes back to back,
+/// as in a file: lineless records; fresh records of 1 to 40, 1,024 and
+/// 1,025 lines; repeats inside the pool, ending at its end and past it;
+/// `h = 1`; varints of 1 to 10 bytes, overlong and overflowing ones
+/// included; and raw bytes. Some cases hold no faulty record, so the
+/// readers go deep; each case is also read cut at every byte of its last
+/// record.
+#[test]
+fn record_reader_matches_frozen_reference() {
+    check_n("record_reader_matches_frozen_reference", 400, |r| {
+        let kinds = [
+            InstKind::Alu { latency: 1 },
+            InstKind::Load { load: LoadId(0) },
+            InstKind::Store { load: LoadId(0) },
+        ];
+        let body: Vec<StaticInst> = (0..r.range_u32(1, 9))
+            .map(|i| StaticInst { pc: Pc(16 * i), kind: *r.pick(&kinds), wait_for: None })
+            .collect();
+        let load = LoadSpec { id: LoadId(0), pc: Pc(0), pattern: AccessPattern::streaming(128) };
+        let stub =
+            KernelSpec::from_raw("p".into(), 1, 1, 8, 0, body.clone(), 1, vec![load]).unwrap();
+        let check = RunCheck::new(&body);
+        let body_len = body.len() as u64;
+        let streams: Vec<Vec<Run>> = (0..r.range_usize(1, 4))
+            .map(|_| {
+                let mut runs: Vec<Run> = Vec::new();
+                for _ in 0..r.range_usize(1, 4) {
+                    let start = match runs.last() {
+                        // Where the run before ends: the reader merges it.
+                        Some(last) if r.bool() => {
+                            ((u64::from(last.start) + u64::from(last.count)) % body_len) as u32
+                        }
+                        _ => r.range_u32(0, body_len as u32),
+                    };
+                    let count = match r.range_u32(0, 16) {
+                        0 => u32::MAX - r.range_u32(0, 3),
+                        _ => r.range_u32(1, 25),
+                    };
+                    runs.push(Run { start, count });
+                }
+                runs
+            })
+            .collect();
+        let mem_ops: u64 = streams.iter().flatten().map(|&run| check.run(run).unwrap()).sum();
+        let faulty = *r.pick(&[0, 0, 2, 20]);
+        let (mut bytes, mut pool, mut last) = (Vec::new(), 0, 0);
+        for _ in 0..mem_ops.min(200) + r.range_u64(0, 3) {
+            last = bytes.len();
+            put_any_record(r, &mut bytes, &mut pool, faulty);
+        }
+        for cut in last..=bytes.len() {
+            assert_readers_agree(&stub, &check, &streams, &bytes[..cut]);
+        }
+    });
+}
+
+/// Reads `streams`, their record bytes back to back in `buf`, through a
+/// `KernelReader` and through the frozen reader, and compares every
+/// stream's result and byte position and the pool left at the end.
+fn assert_readers_agree(stub: &KernelSpec, check: &RunCheck, streams: &[Vec<Run>], buf: &[u8]) {
+    let mut reader = KernelReader::new(stub.clone(), streams.len(), buf.len());
+    let (mut base, mut pool) = (vec![0; check.n_mem()], Vec::new());
+    let (mut pos, mut frozen_pos) = (0, 0);
+    for (si, runs) in streams.iter().enumerate() {
+        for &run in runs {
+            reader.push_run(run).unwrap();
+        }
+        let got = reader.read_records(buf, &mut pos);
+        let want =
+            frozen_reader::read_records(buf, &mut frozen_pos, check, runs, &mut base, &mut pool);
+        assert_eq!(got, want.map(|_| ()), "stream {si} of {streams:?}, {} bytes", buf.len());
+        assert_eq!(pos, frozen_pos, "stream {si}: byte position");
+        if got.is_err() {
+            break;
+        }
+    }
+    let got = reader.finish();
+    let same = got.pool().iter().zip(&pool).take_while(|(a, b)| a == b).count();
+    let (n, m) = (got.pool().len(), pool.len());
+    assert!(same == n && n == m, "pools of {n} and {m} lines differ at line {same}");
+}
+
+/// Appends one access record to `bytes`, its varints now and then padded
+/// to up to ten bytes; `pool` counts the lines the fresh records so far
+/// append. With `faulty` percent, the record is one the reader rejects
+/// (unless an earlier fault stopped it): a fresh or repeat record of 1,025
+/// lines, a repeat past the pool, `h = 1`, a varint past 64 bits, or raw
+/// bytes.
+fn put_any_record(r: &mut Rng, bytes: &mut Vec<u8>, pool: &mut u64, faulty: u64) {
+    let varint = |r: &mut Rng, bytes: &mut Vec<u8>, v: u64| {
+        let min = (64 - (v | 1).leading_zeros() as usize).div_ceil(7);
+        let width = if r.range_u32(0, 8) == 0 { r.range_usize(min, 11) } else { min };
+        for i in 0..width {
+            let more = if i + 1 < width { 0x80 } else { 0 };
+            bytes.push(((v >> (7 * i)) & 0x7f) as u8 | more);
+        }
+    };
+    if r.range_u64(0, 100) < faulty {
+        match r.range_u32(0, 6) {
+            0 => {
+                // Whole, so that only the length check rejects it.
+                varint(r, bytes, 2 * 1025 + 1);
+                bytes.extend((0..1025).map(|_| r.range_u32(0, 128) as u8));
+            }
+            1 => {
+                varint(r, bytes, 2 * 1025);
+                varint(r, bytes, 0);
+            }
+            2 => {
+                let len = r.range_u64(1, 41);
+                varint(r, bytes, 2 * len);
+                let off = match r.range_u32(0, 3) {
+                    0 => (*pool + 1).saturating_sub(len),
+                    1 => *pool + r.range_u64(0, 1 << 20),
+                    _ => r.u64(),
+                };
+                varint(r, bytes, off);
+            }
+            3 => varint(r, bytes, 1),
+            4 => {
+                bytes.extend([0xff; 9]);
+                bytes.push(r.range_u32(2, 256) as u8);
+            }
+            _ => {
+                for _ in 0..r.range_u32(1, 5) {
+                    bytes.push(r.u64() as u8);
+                }
+            }
+        }
+        return;
+    }
+    match r.range_u32(0, 8) {
+        0 | 1 => varint(r, bytes, 0),
+        2..=4 => {
+            let len = if r.range_u32(0, 40) == 0 { 1024 } else { r.range_u64(1, 41) };
+            varint(r, bytes, 2 * len + 1);
+            for _ in 0..len {
+                let d: i64 = match r.range_u32(0, 4) {
+                    0 | 1 => r.range_u64(0, 128) as i64 - 64,
+                    2 => r.range_u64(0, 1 << 42) as i64 - (1 << 41),
+                    _ => r.u64() as i64,
+                };
+                varint(r, bytes, ((d << 1) ^ (d >> 63)) as u64);
+            }
+            *pool += len;
+        }
+        _ if *pool == 0 => varint(r, bytes, 0),
+        _ => {
+            // Inside the pool, or ending at its end.
+            let len = r.range_u64(1, 41.min(*pool + 1));
+            let off = if r.bool() { *pool - len } else { r.range_u64(0, *pool - len + 1) };
+            varint(r, bytes, 2 * len);
+            varint(r, bytes, off);
+        }
+    }
+}
+
+/// `KernelReader::read_records` before its fast step: the size check, then
+/// every record through `get_uvarint` and `check_record`, at the memory
+/// indices `RunCheck::mem_indices` gives, frozen with its own zigzag
+/// decode so that no change to `gpu_sim::replay`'s reader moves both sides
+/// of [`record_reader_matches_frozen_reference`] at once.
+mod frozen_reader {
+    use gpu_sim::replay::{check_record, get_uvarint, RecordFault, Run, RunCheck, StreamFault};
+    use gpu_sim::types::LineAddr;
+
+    /// Reads the records of a stream of `runs`, as pushed, from `buf` at
+    /// `*pos`; `base` holds a delta base per Load/Store position and
+    /// `pool` the lines of the fresh records so far.
+    pub fn read_records(
+        buf: &[u8],
+        pos: &mut usize,
+        check: &RunCheck,
+        runs: &[Run],
+        base: &mut [u64],
+        pool: &mut Vec<LineAddr>,
+    ) -> Result<u64, RecordFault> {
+        let start = *pos;
+        // Each record takes at least a byte.
+        let mem_ops = runs.iter().fold(0u64, |n, &run| n.saturating_add(check.run(run).unwrap()));
+        if mem_ops > buf.len().saturating_sub(start) as u64 {
+            let fault = StreamFault::Truncated(start);
+            return Err(RecordFault { fault, record: 0, at: start });
+        }
+        let mut record = 0;
+        for &run in runs {
+            for k in check.mem_indices(run) {
+                let at = *pos;
+                let fail = |fault| RecordFault { fault, record, at };
+                // h = 0, a lineless record, has nothing more to read.
+                let h = get_uvarint(buf, pos).map_err(fail)?;
+                let len = h >> 1;
+                if h & 1 == 1 {
+                    // Fresh: room for `len` more lines at the pool's end,
+                    // below the pool limit.
+                    let end = pool.len();
+                    let (_, len) = check_record(end as u64, len, end.saturating_add(len as usize))
+                        .map_err(fail)?;
+                    if len == 0 {
+                        return Err(fail(StreamFault::FreshWithoutLines));
+                    }
+                    let mut line = base[k].wrapping_add(get_zigzag(buf, pos).map_err(fail)? as u64);
+                    base[k] = line;
+                    pool.push(LineAddr(line));
+                    for _ in 1..len {
+                        line = line.wrapping_add(get_zigzag(buf, pos).map_err(fail)? as u64);
+                        pool.push(LineAddr(line));
+                    }
+                } else if h != 0 {
+                    // A repeat: `off` must name lines already in the pool.
+                    let off = get_uvarint(buf, pos).map_err(fail)?;
+                    let (off, _) = check_record(off, len, pool.len()).map_err(fail)?;
+                    base[k] = pool[off as usize].0;
+                }
+                record += 1;
+            }
+        }
+        Ok(record)
+    }
+
+    fn get_zigzag(buf: &[u8], pos: &mut usize) -> Result<i64, StreamFault> {
+        let raw = get_uvarint(buf, pos)?;
+        Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
     }
 }
