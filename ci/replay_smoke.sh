@@ -7,11 +7,14 @@
 #   1. byte-identity  - `lb-replay selftest` on every checked-in corpus
 #                       file: replaying while re-capturing must re-encode
 #                       to the exact file bytes (canonical encoding);
-#   2. fresh capture  - a capture made here and now round-trips the same
-#                       way, so the property isn't an artifact of the
-#                       committed files; S1 is also captured and
-#                       selftested at 64 SMs, so many-SM capture and
-#                       capture during replay run here;
+#   2. fresh capture  - captures of S1, GE and BI made here and now
+#                       (`--sms 2 --iterations 6`) equal the checked-in
+#                       files byte for byte, so the recorders still code
+#                       what the corpus pins; a fresh GE capture
+#                       round-trips as in 1, so the property isn't an
+#                       artifact of the committed files; S1 is also
+#                       captured and selftested at 64 SMs, so many-SM
+#                       capture and capture during replay run here;
 #   3. import         - the handcrafted Accel-Sim-style text traces (a
 #                       straight-line kernel and a loop with a lineless
 #                       memory op) import, and each imported .lbw1 passes
@@ -70,6 +73,17 @@ for want in "memory ops    2304 (512 without lines)" "runs          128" \
     grep -qx "$want" "$T/info.txt" || {
         echo "replay_smoke: FAIL - info does not print '$want'" >&2
         cat "$T/info.txt" >&2
+        exit 1
+    }
+done
+
+echo "replay_smoke: fresh captures equal the corpus"
+for pair in S1:s1-reuse GE:ge-stream BI:bi-mixed; do
+    app=${pair%%:*}
+    name=${pair#*:}
+    "$LBR" capture "$app" "$T/$name.lbw1" --sms 2 --iterations 6 > /dev/null
+    cmp "$T/$name.lbw1" "$CORPUS/$name.lbw1" || {
+        echo "replay_smoke: FAIL - a fresh $app capture differs from $name.lbw1" >&2
         exit 1
     }
 done

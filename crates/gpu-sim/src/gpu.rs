@@ -836,17 +836,30 @@ impl Gpu {
     /// stream executes on exactly one SM, so the merge places every
     /// recorder at its index: O(grid warps) recorders, whatever the SM
     /// count. Fails if the run hit the cycle cap or a stream has no op (its
-    /// CTA never launched).
+    /// CTA never launched). In debug builds, each recorder must hold one
+    /// access per memory op its runs walk, so a recorder that drops or
+    /// doubles an access fails here rather than as a shifted record.
     fn take_capture(&mut self, stats: &SimStats) -> Result<Vec<StreamBuilder>, CaptureError> {
         if !stats.completed {
             return Err(CaptureError::Incomplete { cycles: stats.cycles });
         }
         let n = self.kernel.grid_ctas as usize * self.kernel.warps_per_cta as usize;
         let mut merged: Vec<Option<StreamBuilder>> = (0..n).map(|_| None).collect();
+        #[cfg(debug_assertions)]
+        let check = crate::replay::RunCheck::new(&self.kernel.body);
         for sm in &mut self.sms {
             for (sid, b) in sm.take_capture().into_iter().flatten() {
                 let slot = &mut merged[sid as usize];
                 debug_assert!(slot.is_none(), "stream {sid} launched twice");
+                #[cfg(debug_assertions)]
+                {
+                    let mem_ops: u64 = b.runs().iter().map(|&r| check.run(r).unwrap()).sum();
+                    debug_assert_eq!(
+                        b.n_accesses() as u64,
+                        mem_ops,
+                        "stream {sid}: accesses recorded against memory ops run"
+                    );
+                }
                 *slot = Some(b).filter(|b| !b.is_empty());
             }
         }
@@ -1144,6 +1157,39 @@ mod tests {
         assert!(gpu.run().completed);
         let recorders = gpu.sms.iter_mut().map(|sm| sm.take_capture().unwrap());
         recorders.map(|r| r.into_iter().map(|(sid, _)| sid).collect()).collect()
+    }
+
+    #[test]
+    fn s1_recorders_hold_their_pinned_size() {
+        // The app `S1` as `lb-replay capture S1 OUT --sms 2 --iterations 6`
+        // builds it, one wave of 128 warps: the capture behind the corpus
+        // file `s1-reuse.lbw1`, whose decoded kernel takes 18,002 bytes.
+        let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 2_000_000);
+        let mut k = KernelBuilder::new("S1")
+            .grid(1, 8)
+            .regs_per_thread(22)
+            .iterations(6)
+            .load_then_use(AccessPattern::reuse_working_set(2048, false), 2)
+            .load_then_use(AccessPattern::reuse_working_set(16 * 1024, true), 2)
+            .alu(2)
+            .alu(2)
+            .alu(2)
+            .store(AccessPattern::SparseStream { period: 4 })
+            .build()
+            .unwrap();
+        k.grid_ctas = crate::replay::resident_ctas(&cfg, &k) * cfg.n_sms;
+        let stub = k.clone();
+        let mut gpu = Gpu::new_inner(cfg, k, None, true, &baseline_factory(), Tracer::off());
+        let stats = gpu.run();
+        let streams = gpu.take_capture(&stats).unwrap();
+        // 2,304 accesses of 1,792 lines: one 8-byte run per warp (1,024
+        // bytes), 6,404 bytes of coded accesses, and three 16-byte delta
+        // bases per warp (6,144 bytes). A 4-byte length and 8-byte lines
+        // per access took 24,576 bytes with the runs.
+        let recorded: usize = streams.iter().map(StreamBuilder::heap_bytes).sum();
+        assert_eq!(recorded, 13_572, "recorder bytes");
+        let rep = ReplayKernel::from_streams(stub, streams);
+        assert_eq!(rep.heap_bytes(), 18_002, "the corpus kernel's decoded bytes");
     }
 
     #[test]

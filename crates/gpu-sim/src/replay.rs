@@ -93,6 +93,21 @@
 //! grid's warps, not in SMs times warps, and a grid of several dispatch
 //! waves records each stream once, on the SM that ran it.
 //!
+//! A builder keeps its runs and each access coded as a fresh record codes
+//! its lines, without the head's fresh bit: a uvarint line count, then
+//! zigzag deltas, the first line against the first line of the stream's
+//! previous non-empty access at the same body position and each later one
+//! against the line before it. It keeps one delta base per body position
+//! that has held a non-empty access, so an access of one line near the
+//! last one at its position takes two or three bytes instead of a 4-byte
+//! length and an 8-byte line. [`ReplayKernel::from_streams`] reads each
+//! builder back one access at a time, its delta bases indexed by the
+//! memory index the runs give each access in the stub body. A stream
+//! therefore reads back as pushed when it gives an access to exactly the
+//! ops at the stub's Load/Store positions, as capture and import do; in
+//! debug builds, the GPU checks at the end of a capture that each recorder
+//! holds one access per memory op of its runs.
+//!
 //! # Checks
 //!
 //! [`ReplayKernel::validate`] and the `LBW1` decoder share two checks and
@@ -302,15 +317,18 @@ impl<'a> WarpStream<'a> {
 /// import push op by op ([`StreamBuilder::push`]) and hand the finished
 /// builders to [`ReplayKernel::from_streams`]; the `LBW1` decoder merges
 /// each stream's runs the same way ([`KernelReader::push_run`]).
+/// Each access is kept coded as line deltas (layout in the module docs).
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
     /// Runs in issue order.
     runs: Vec<Run>,
-    /// The line count of each memory op's access; its lines follow the
-    /// earlier accesses' lines in `lines`.
-    lens: Vec<u32>,
-    /// The lines of every access, appended in issue order.
-    lines: Vec<LineAddr>,
+    /// Every access, coded, in issue order.
+    bytes: Vec<u8>,
+    /// Accesses pushed.
+    accesses: usize,
+    /// The delta bases: `(body position, first line)` of the last
+    /// non-empty access at each position that has held one, by position.
+    bases: Vec<(u32, u64)>,
     /// Body length runs wrap at ([`GROWING_BODY`] while the body grows).
     body_len: u32,
     /// Body position that extends the last run.
@@ -322,7 +340,14 @@ impl StreamBuilder {
     /// wrap to 0 past its end. Import, whose body grows while it reads,
     /// passes [`GROWING_BODY`]: a run that never wraps is still a run.
     pub fn new(body_len: u32) -> Self {
-        StreamBuilder { runs: Vec::new(), lens: Vec::new(), lines: Vec::new(), body_len, next: 0 }
+        StreamBuilder {
+            runs: Vec::new(),
+            bytes: Vec::new(),
+            accesses: 0,
+            bases: Vec::new(),
+            body_len,
+            next: 0,
+        }
     }
 
     /// True when no op has been pushed.
@@ -335,14 +360,53 @@ impl StreamBuilder {
         &self.runs
     }
 
+    /// Number of accesses pushed (memory ops).
+    pub fn n_accesses(&self) -> usize {
+        self.accesses
+    }
+
+    /// Bytes the builder's arrays hold: runs, coded accesses and delta
+    /// bases. Counted from lengths, not capacities, as
+    /// [`ReplayKernel::heap_bytes`] counts.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.runs[..]) + size_of_val(&self.bytes[..]) + size_of_val(&self.bases[..])
+    }
+
     /// Appends an op at body position `pos`: `access` is `Some(lines)` for
     /// an op at a Load or Store position (`lines` may be empty) and `None`
-    /// for an ALU op. The lines are copied to the end of the builder's pool.
+    /// for an ALU op. The lines are coded onto the builder's bytes; they
+    /// read back as pushed when every op at a Load/Store position of the
+    /// stub body, and no other op, has an access, as capture and import
+    /// push them.
     pub fn push(&mut self, pos: u32, access: Option<&[LineAddr]>) {
         self.push_run(Run { start: pos, count: 1 });
-        if let Some(lines) = access {
-            self.lens.push(lines.len() as u32);
-            self.lines.extend_from_slice(lines);
+        let Some(lines) = access else { return };
+        self.accesses += 1;
+        put_uvarint(&mut self.bytes, lines.len() as u64);
+        let Some(&first) = lines.first() else { return };
+        let i = self.bases.binary_search_by_key(&pos, |&(p, _)| p).unwrap_or_else(|i| {
+            self.bases.insert(i, (pos, 0));
+            i
+        });
+        put_deltas(&mut self.bytes, self.bases[i].1, lines);
+        self.bases[i].1 = first.0;
+    }
+
+    /// Reads the coded access at byte `*p` into `lines`, its first line
+    /// against `*base`, which takes that line when there is one, and moves
+    /// `*p` past it.
+    fn read_access(&self, p: &mut usize, base: &mut u64, lines: &mut Vec<LineAddr>) {
+        lines.clear();
+        let len = read_uvarint(&self.bytes, p);
+        let mut line = *base;
+        for _ in 0..len {
+            let zz = read_uvarint(&self.bytes, p);
+            line = line.wrapping_add((zz >> 1) ^ (zz & 1).wrapping_neg());
+            lines.push(LineAddr(line));
+        }
+        if let Some(&first) = lines.first() {
+            *base = first.0;
         }
     }
 
@@ -571,6 +635,15 @@ pub fn uvarint_len(v: u64) -> usize {
 
 fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
     put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+/// Appends the zigzag deltas of non-empty `lines`: the first against
+/// `base`, each later one against the line before it.
+fn put_deltas(buf: &mut Vec<u8>, base: u64, lines: &[LineAddr]) {
+    put_zigzag(buf, lines[0].0.wrapping_sub(base) as i64);
+    for w in lines.windows(2) {
+        put_zigzag(buf, w[1].0.wrapping_sub(w[0].0) as i64);
+    }
 }
 
 #[inline]
@@ -872,10 +945,7 @@ impl RecordWriter {
             put_uvarint(bytes, u64::from(off));
         } else {
             put_uvarint(bytes, h + 1);
-            put_zigzag(bytes, first.0.wrapping_sub(self.base[k]) as i64);
-            for w in lines.windows(2) {
-                put_zigzag(bytes, w[1].0.wrapping_sub(w[0].0) as i64);
-            }
+            put_deltas(bytes, self.base[k], lines);
             pool.extend_from_slice(lines);
         }
         self.base[k] = first.0;
@@ -919,9 +989,10 @@ impl ReplayKernel {
     }
 
     /// A kernel of `stub` whose streams, indexed `cta_ordinal *
-    /// warps_per_cta + lane`, are the ones `streams` recorded: each
-    /// record coded as an `LBW1` file codes it (see the module docs), each
-    /// builder freed once coded.
+    /// warps_per_cta + lane`, are the ones `streams` recorded: each access
+    /// read back at the Load/Store position its runs give it in the stub
+    /// body, into one reused slice, and coded as an `LBW1` file codes it
+    /// (see the module docs), each builder freed once coded.
     ///
     /// # Panics
     ///
@@ -930,21 +1001,24 @@ impl ReplayKernel {
     pub fn from_streams(stub: KernelSpec, streams: Vec<StreamBuilder>) -> Self {
         let check = RunCheck::new(&stub.body);
         let unplaced = check.n_mem();
-        let n_records = streams.iter().map(|b| b.lens.len()).sum();
+        let n_records = streams.iter().map(|b| b.accesses).sum();
         let mut writer = RecordWriter::new(unplaced, n_records);
         let mut rep = ReplayKernel::new(stub);
         rep.runs.reserve_exact(streams.iter().map(|b| b.runs.len()).sum());
         rep.starts.reserve_exact(streams.len());
         // Each record takes at least a byte.
         rep.bytes.reserve(n_records);
+        // A builder's delta bases, by memory index, as it keyed them by
+        // body position, and the lines of the access read back.
+        let (mut base, mut lines) = (vec![0; unplaced + 1], Vec::new());
         for b in streams {
+            base.fill(0);
             let mut places = b.runs.iter().flat_map(|&r| check.mem_indices(r));
-            let mut lines = b.lines.as_slice();
-            for &len in &b.lens {
-                let (access, rest) = lines.split_at(len as usize);
-                lines = rest;
+            let mut p = 0;
+            for _ in 0..b.accesses {
                 let k = places.next().unwrap_or(unplaced);
-                writer.put(&mut rep.bytes, &mut rep.pool, k, access);
+                b.read_access(&mut p, &mut base[k], &mut lines);
+                writer.put(&mut rep.bytes, &mut rep.pool, k, &lines);
             }
             rep.runs.extend_from_slice(&b.runs);
             assert!(
@@ -1293,7 +1367,7 @@ pub fn resident_ctas(cfg: &GpuConfig, kernel: &KernelSpec) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelBuilder;
+    use crate::kernel::{KernelBuilder, LoadSpec};
     use crate::pattern::AccessPattern;
     use crate::types::{LoadId, Pc};
 
@@ -1657,6 +1731,15 @@ mod tests {
         assert_eq!(reader.push_run(Run { start: 2, count: 1 }), Err(StreamFault::RunStart(2, 2)));
     }
 
+    /// A stub of `n_streams` one-warp CTAs over `body`, whose Load/Store
+    /// instructions name load 0 or 1.
+    fn stub_of(body: Vec<StaticInst>, n_streams: usize) -> KernelSpec {
+        let load =
+            |i| LoadSpec { id: LoadId(i), pc: Pc(i), pattern: AccessPattern::streaming(128) };
+        let loads = vec![load(0), load(1)];
+        KernelSpec::from_raw("b".into(), n_streams as u32, 1, 8, 0, body, 1, loads).unwrap()
+    }
+
     /// A four-instruction body: load, ALU, store, ALU.
     fn body4() -> Vec<StaticInst> {
         let inst = |i: u32, kind| StaticInst { pc: Pc(16 * i), kind, wait_for: None };
@@ -1683,7 +1766,8 @@ mod tests {
             b.push(p, access);
             grow.push(p, access);
         }
-        let rep = ReplayKernel::from_streams(stub(), vec![b, grow]);
+        let rep = ReplayKernel::from_streams(stub_of(body.clone(), 2), vec![b, grow]);
+        rep.validate().unwrap();
         let (s, g) = (rep.stream(0), rep.stream(1));
         let run = |start, count| Run { start, count };
         // 2,3 wrap to 0,1,2; a jump back to 0 opens a run, and so does 1 -> 3.
@@ -1707,6 +1791,41 @@ mod tests {
         assert_eq!(g_ops[2], TraceOp { pos: 0, line_off: 0, line_len: 2 });
         assert_eq!(g.accesses().nth(1), Some(accesses[1]));
         assert_eq!(rep.pool(), [LineAddr(7), LineAddr(8)]);
+    }
+
+    #[test]
+    fn builder_codes_each_access_against_the_last_at_its_position() {
+        // Over body4 (load at 0, store at 2): an access's first line is
+        // coded against the first line of the last non-empty access at its
+        // position, 0 before any, and wraps around the line space; a
+        // lineless access codes only its count and leaves the base.
+        let top = LineAddr(u64::MAX);
+        let ops: [(u32, Option<&[LineAddr]>); 11] = [
+            (0, Some(&[LineAddr(10), LineAddr(8)])),
+            (1, None),
+            (2, Some(&[top])),
+            (3, None),
+            (0, Some(&[LineAddr(13)])),
+            (1, None),
+            (2, Some(&[])),
+            (3, None),
+            (0, Some(&[])),
+            (1, None),
+            (2, Some(&[LineAddr(1)])),
+        ];
+        let mut b = StreamBuilder::new(4);
+        for &(pos, access) in &ops {
+            b.push(pos, access);
+        }
+        assert_eq!(b.bytes, [2, zz(10), zz(-2), 1, zz(-1), 1, zz(3), 0, 0, 1, zz(2)]);
+        assert_eq!(b.bases, [(0, 13), (2, 1)]);
+        assert_eq!(b.n_accesses(), 6);
+        // One run, the coded accesses and two bases, at their lengths.
+        assert_eq!(b.heap_bytes(), 8 + 11 + 2 * 16);
+        let rep = ReplayKernel::from_streams(stub_of(body4(), 1), vec![b]);
+        rep.validate().unwrap();
+        let want: Vec<&[LineAddr]> = ops.iter().filter_map(|&(_, access)| access).collect();
+        assert!(rep.stream(0).accesses().eq(want));
     }
 
     #[test]
@@ -1744,7 +1863,8 @@ mod tests {
                 wants.extend([want.clone(), want]);
                 jumps.push(n_jumps);
             }
-            let rep = ReplayKernel::from_streams(stub(), builders);
+            let rep = ReplayKernel::from_streams(stub_of(body.clone(), builders.len()), builders);
+            rep.validate().unwrap();
             for (si, want) in wants.iter().enumerate() {
                 let s = rep.stream(si);
                 if si % 2 == 0 {

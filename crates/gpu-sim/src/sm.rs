@@ -1352,10 +1352,11 @@ impl Sm {
     }
 
     /// Appends the instruction just executed to its warp's recorder (no-op
-    /// unless capture is enabled). Memory ops record the current
-    /// `line_buf` contents as a raw slice appended to the recorder's
-    /// lines; the `LBW1` encoder interns duplicate slices at serialization
-    /// time, so capture stays allocation-cheap on the hot path.
+    /// unless capture is enabled). A memory op codes the current
+    /// `line_buf` contents onto the recorder's bytes, a line count and
+    /// line deltas ([`StreamBuilder`]); repeated slices are found only when
+    /// [`ReplayKernel::from_streams`] codes the finished streams, so the
+    /// recorder only appends bytes on the hot path.
     #[inline]
     fn capture_op(&mut self, slot: usize, pos: u32, mem: bool) {
         if self.capture.is_some() {

@@ -218,6 +218,19 @@ fn fresh_capture_equals_its_own_decode() {
     assert!(back == cap, "a fresh capture differs from its own decode");
 }
 
+#[test]
+fn fresh_captures_reproduce_checked_in_corpus() {
+    // The corpus files are `lb-replay capture APP OUT --sms 2 --iterations
+    // 6` of S1, GE and BI; capturing them again here, through the
+    // recorders, must give each file back byte for byte.
+    let cfg = GpuConfig::default().with_sms(2).with_windows(5_000, 2_000_000);
+    for (app, name) in [("S1", "s1-reuse"), ("GE", "ge-stream"), ("BI", "bi-mixed")] {
+        let (_, rep) = lb_replay::capture_app(app, &cfg, 6, &baseline_factory()).unwrap();
+        let file = std::fs::read(lb_replay::testdata_dir().join(format!("{name}.lbw1"))).unwrap();
+        assert!(lb_replay::encode(&rep) == file, "{app}: a fresh capture differs from {name}.lbw1");
+    }
+}
+
 /// FNV-1a of `bytes`, continuing from `h`.
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))

@@ -784,3 +784,279 @@ mod frozen_reader {
         Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
     }
 }
+
+/// `StreamBuilder`, which keeps each access coded as line deltas, must give
+/// `ReplayKernel::from_streams` what the builder it replaced, which kept
+/// each access's length and lines raw, gave it ([`frozen_builder`]): the
+/// same runs, record bytes, pool and stream starts, stream by stream. Each
+/// case draws a body of 1 to 64 instructions, most of them Load/Store (more
+/// positions than any small table of delta bases holds), and 1 to 4
+/// streams over it, each in a builder over that body or over a growing one
+/// (`GROWING_BODY`). A stream mostly steps, so its runs merge and wrap the
+/// body, and now and then jumps. ALU ops carry no access; a memory op's
+/// access is lineless, a repeat of an earlier access, or 1 to 4 (now and
+/// then up to 1,024) lines near 0, near `u64::MAX`, near the line before
+/// or anywhere, so deltas wrap both ways.
+#[test]
+fn stream_builder_matches_frozen_reference() {
+    use gpu_sim::replay::{ReplayKernel, StreamBuilder, GROWING_BODY};
+    check_n("stream_builder_matches_frozen_reference", 300, |r| {
+        let kinds = [
+            InstKind::Alu { latency: 1 },
+            InstKind::Load { load: LoadId(0) },
+            InstKind::Store { load: LoadId(0) },
+        ];
+        let body: Vec<StaticInst> = (0..r.range_u32(1, 65))
+            .map(|i| StaticInst { pc: Pc(16 * i), kind: *r.pick(&kinds), wait_for: None })
+            .collect();
+        let len = body.len() as u32;
+        let n_streams = r.range_usize(1, 5);
+        let load = LoadSpec { id: LoadId(0), pc: Pc(0), pattern: AccessPattern::streaming(128) };
+        let stub = KernelSpec::from_raw(
+            "b".into(),
+            n_streams as u32,
+            1,
+            8,
+            0,
+            body.clone(),
+            1,
+            vec![load],
+        )
+        .unwrap();
+        let (mut builders, mut frozen) = (Vec::new(), Vec::new());
+        let mut earlier: Vec<Vec<LineAddr>> = Vec::new();
+        for _ in 0..n_streams {
+            let body_len = if r.bool() { len } else { GROWING_BODY };
+            let (mut b, mut f) =
+                (StreamBuilder::new(body_len), frozen_builder::StreamBuilder::new(body_len));
+            let mut pos = r.range_u32(0, len);
+            for i in 0..r.range_usize(1, 300) {
+                if i > 0 {
+                    let step = if pos + 1 == len { 0 } else { pos + 1 };
+                    pos = if r.range_u32(0, 10) == 0 { r.range_u32(0, len) } else { step };
+                }
+                if matches!(body[pos as usize].kind, InstKind::Alu { .. }) {
+                    b.push(pos, None);
+                    f.push(pos, None);
+                    continue;
+                }
+                let lines = any_access(r, &earlier);
+                b.push(pos, Some(&lines));
+                f.push(pos, Some(&lines));
+                earlier.push(lines);
+            }
+            assert_eq!(b.runs(), f.runs());
+            builders.push(b);
+            frozen.push(f);
+        }
+        let (streams, pool) = frozen_builder::code(&body, &frozen);
+        let got = ReplayKernel::from_streams(stub, builders);
+        got.validate().unwrap();
+        assert_eq!(got.n_streams(), streams.len());
+        let mut byte = 0;
+        for (si, (runs, bytes)) in streams.iter().enumerate() {
+            let s = got.stream(si);
+            assert_eq!(s.runs(), runs, "stream {si}: runs");
+            assert_eq!(s.cursor().byte as usize, byte, "stream {si}: first record byte");
+            assert!(s.record_bytes() == bytes, "stream {si}: record bytes");
+            byte += bytes.len();
+        }
+        assert!(got.pool() == pool, "pools of {} and {} lines", got.pool().len(), pool.len());
+    });
+}
+
+/// The lines of one memory op's access: none, a repeat of one of
+/// `earlier`, or fresh lines near 0, near `u64::MAX`, near the line
+/// before or anywhere.
+fn any_access(r: &mut Rng, earlier: &[Vec<LineAddr>]) -> Vec<LineAddr> {
+    match r.range_u32(0, 8) {
+        0 => Vec::new(),
+        1 if !earlier.is_empty() => r.pick(earlier).clone(),
+        _ => {
+            let n = if r.range_u32(0, 30) == 0 { r.range_u64(1, 1025) } else { r.range_u64(1, 5) };
+            let mut line = 0u64;
+            (0..n)
+                .map(|_| {
+                    line = match r.range_u32(0, 4) {
+                        0 => r.range_u64(0, 64),
+                        1 => u64::MAX - r.range_u64(0, 64),
+                        2 => line.wrapping_add(r.range_u64(0, 2048)).wrapping_sub(1024),
+                        _ => r.u64(),
+                    };
+                    LineAddr(line)
+                })
+                .collect()
+        }
+    }
+}
+
+/// `StreamBuilder` before it coded its accesses, which kept each access's
+/// line count and lines raw, and `ReplayKernel::from_streams` as it coded
+/// such builders: through the record writer and the fresh-slice table,
+/// frozen with their own hash and varint writer, so that no change to
+/// `gpu_sim::replay` moves both sides of
+/// [`stream_builder_matches_frozen_reference`] at once.
+mod frozen_builder {
+    use gpu_sim::kernel::StaticInst;
+    use gpu_sim::replay::{Run, RunCheck};
+    use gpu_sim::types::LineAddr;
+
+    /// One stream's runs, and each access's line count and lines.
+    pub struct StreamBuilder {
+        runs: Vec<Run>,
+        lens: Vec<u32>,
+        lines: Vec<LineAddr>,
+        body_len: u32,
+        next: u32,
+    }
+
+    impl StreamBuilder {
+        pub fn new(body_len: u32) -> Self {
+            StreamBuilder {
+                runs: Vec::new(),
+                lens: Vec::new(),
+                lines: Vec::new(),
+                body_len,
+                next: 0,
+            }
+        }
+
+        pub fn runs(&self) -> &[Run] {
+            &self.runs
+        }
+
+        pub fn push(&mut self, pos: u32, access: Option<&[LineAddr]>) {
+            self.push_run(Run { start: pos, count: 1 });
+            if let Some(lines) = access {
+                self.lens.push(lines.len() as u32);
+                self.lines.extend_from_slice(lines);
+            }
+        }
+
+        fn push_run(&mut self, run: Run) {
+            match self.runs.last_mut() {
+                Some(last)
+                    if run.start == self.next && last.count.checked_add(run.count).is_some() =>
+                {
+                    last.count += run.count;
+                }
+                _ => self.runs.push(run),
+            }
+            let after = u64::from(run.start) + u64::from(run.count);
+            self.next = (after % u64::from(self.body_len.max(1))) as u32;
+        }
+    }
+
+    /// One coded stream: its runs and its record bytes.
+    pub type Coded = (Vec<Run>, Vec<u8>);
+
+    /// Each stream as `from_streams` coded `streams` over `body`, and the
+    /// kernel's pool.
+    pub fn code(body: &[StaticInst], streams: &[StreamBuilder]) -> (Vec<Coded>, Vec<LineAddr>) {
+        let check = RunCheck::new(body);
+        let unplaced = check.n_mem();
+        let n_records = streams.iter().map(|b| b.lens.len()).sum();
+        let mut writer = RecordWriter::new(unplaced, n_records);
+        let mut pool = Vec::new();
+        let mut coded = Vec::new();
+        for b in streams {
+            let mut places = b.runs.iter().flat_map(|&r| check.mem_indices(r));
+            let mut lines = b.lines.as_slice();
+            let mut bytes = Vec::new();
+            for &len in &b.lens {
+                let (access, rest) = lines.split_at(len as usize);
+                lines = rest;
+                let k = places.next().unwrap_or(unplaced);
+                writer.put(&mut bytes, &mut pool, k, access);
+            }
+            coded.push((b.runs.clone(), bytes));
+        }
+        (coded, pool)
+    }
+
+    const PROBES: usize = 16;
+
+    struct FreshSlices {
+        slots: Vec<(u32, u32)>,
+        shift: u32,
+    }
+
+    impl FreshSlices {
+        fn new(n_records: usize) -> Self {
+            let n = n_records.next_power_of_two().max(PROBES);
+            FreshSlices { slots: vec![(0, 0); n], shift: 64 - n.trailing_zeros() }
+        }
+
+        fn repeat_of(&mut self, pool: &[LineAddr], lines: &[LineAddr]) -> Option<u32> {
+            // FxHash: one rotate, xor and multiply per line.
+            let hash = lines.iter().fold(0u64, |h, l| {
+                (h.rotate_left(5) ^ l.0).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+            });
+            let mask = self.slots.len() - 1;
+            let mut i = (hash >> self.shift) as usize;
+            for _ in 0..PROBES {
+                let (off, len) = self.slots[i];
+                if len == 0 {
+                    if let Ok(off) = u32::try_from(pool.len()) {
+                        self.slots[i] = (off, lines.len() as u32);
+                    }
+                    return None;
+                }
+                if len as usize == lines.len() && pool[off as usize..][..lines.len()] == *lines {
+                    return Some(off);
+                }
+                i = (i + 1) & mask;
+            }
+            None
+        }
+    }
+
+    struct RecordWriter {
+        base: Vec<u64>,
+        fresh: FreshSlices,
+    }
+
+    impl RecordWriter {
+        fn new(n_mem: usize, n_records: usize) -> Self {
+            RecordWriter { base: vec![0; n_mem + 1], fresh: FreshSlices::new(n_records) }
+        }
+
+        fn put(
+            &mut self,
+            bytes: &mut Vec<u8>,
+            pool: &mut Vec<LineAddr>,
+            k: usize,
+            lines: &[LineAddr],
+        ) {
+            let Some(&first) = lines.first() else {
+                bytes.push(0);
+                return;
+            };
+            let h = 2 * lines.len() as u64;
+            if let Some(off) = self.fresh.repeat_of(pool, lines) {
+                put_uvarint(bytes, h);
+                put_uvarint(bytes, u64::from(off));
+            } else {
+                put_uvarint(bytes, h + 1);
+                put_zigzag(bytes, first.0.wrapping_sub(self.base[k]) as i64);
+                for w in lines.windows(2) {
+                    put_zigzag(bytes, w[1].0.wrapping_sub(w[0].0) as i64);
+                }
+                pool.extend_from_slice(lines);
+            }
+            self.base[k] = first.0;
+        }
+    }
+
+    fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            buf.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+
+    fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
+        put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
+    }
+}
